@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -71,18 +72,15 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _build_target(spec: dict):
-    if spec["kind"] == "gaussian_mixture":
-        means = spec["means"]
-        d = len(means[0])
-        covs = spec.get("covariances")
-        if covs is None:
-            covs = [np.eye(d)] * len(means)
-        return TargetMixture.gaussian(spec["weights"], means, covs)
-    return None  # finite ladders are built directly from the file
+def _build_target(spec: dict) -> TargetMixture:
+    means = spec["means"]
+    covs = spec.get("covariances")
+    if covs is None:
+        covs = [np.eye(len(means[0]))] * len(means)
+    return TargetMixture.gaussian(spec["weights"], means, covs)
 
 
-def _load_finite_ladder(path: str, time_budgets):
+def _load_finite_ladder(path: str):
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -103,24 +101,24 @@ def _load_finite_ladder(path: str, time_budgets):
                 chains.append(FiniteChain(P=np.asarray(P, dtype=float), pi=pmfs[-1]))
             except ValueError as exc:
                 raise ConfigError(f"invalid chain at level {i + 1}: {exc}") from exc
-    return sequences.build_finite_ladder(pmfs, chains, time_budgets)
+    return sequences.build_finite_ladder(pmfs, chains)
 
 
-def _resolve_time_budgets(policy: dict | None, n_levels: int, ladder=None):
-    if policy is None or policy.get("mode") == "explicit":
-        t = 1.0 if policy is None else policy["t"]
-        return t if np.ndim(t) == 0 else list(t)
+def _resolve_time_budgets(policy: dict | None, ladder):
+    if policy is None or policy["mode"] == "explicit":
+        return 1.0 if policy is None else policy["t"]
     # from_theorem: t_k = 2 C*_k gamma^7 using the ladder's analytic constants
-    if ladder is None:
-        raise ConfigError("from_theorem time policy needs an analytic ladder")
+    if any(level.lsi_constant_bound is None for level in ladder.levels):
+        raise ConfigError("from_theorem time policy needs an analytic ladder "
+                          "with a log-Sobolev bound on every level")
     gamma = ladder.gamma_bound
-    budgets = []
-    for level in ladder.levels:
-        if level.lsi_constant_bound is None:
-            raise ConfigError("from_theorem time policy: level has no log-Sobolev bound")
-        budgets.append(2.0 * level.lsi_constant_bound * gamma ** 7)
+    budgets = [2.0 * level.lsi_constant_bound * gamma ** 7 for level in ladder.levels]
     cap = policy.get("max_total_steps", MAX_THEOREM_STEPS)
-    steps = sum(math.ceil(t / 0.05) for t in budgets) * 1.0
+    # per smoothed level (2..n): ceil(t/h) Langevin steps or t expected Poissonized jumps
+    steps = sum(
+        math.ceil(t / lv.kernel.step_size) if lv.kernel.kind == "langevin" else t
+        for lv, t in zip(ladder.levels[1:], budgets[1:])
+    )
     if steps > cap:
         raise ConfigError(
             f"from_theorem budgets need ~{steps:.3g} kernel steps per particle "
@@ -129,55 +127,51 @@ def _resolve_time_budgets(policy: dict | None, n_levels: int, ladder=None):
     return budgets
 
 
+def _with_budgets(ladder, time_budget):
+    """The ladder with its levels' time budgets set (one number or one per level)."""
+    budgets = sequences._as_budgets(time_budget, ladder.n_levels)
+    levels = tuple(replace(lv, time_budget=t) for lv, t in zip(ladder.levels, budgets))
+    return replace(ladder, levels=levels)
+
+
+def _schedule(ladder_spec: dict, d: int):
+    if "betas" in ladder_spec:
+        return sequences.TemperingSchedule(
+            betas=tuple(ladder_spec["betas"]), d=d, sigma=ladder_spec.get("sigma")
+        )
+    return sequences.geometric_schedule(
+        ladder_spec.get("n_levels", 10),
+        ladder_spec.get("beta_min", 0.05),
+        d,
+        sigma=ladder_spec.get("sigma"),
+    )
+
+
 def _build_ladder(exp: dict):
     target_spec = exp["target"]
     ladder_spec = exp["ladder"]
-    policy = exp.get("time_policy")
-    if target_spec["kind"] == "finite_ladder_file":
-        if ladder_spec["kind"] != "from_file":
-            raise ConfigError("finite ladder targets require ladder.kind = from_file")
-        if policy is not None and policy.get("mode") == "from_theorem":
-            raise ConfigError("from_theorem time policy needs an analytic ladder")
-        t = 1.0 if policy is None else policy.get("t", 1.0)
-        return _load_finite_ladder(target_spec["path"], t), None
-    target = _build_target(target_spec)
-    d = target.dim
-    kern = exp.get("kernel")
-    kernel = None
-    if kern is not None:
-        kernel = KernelSpec(
-            kind=kern["kind"],
-            step_size=kern.get("step_size", 0.05),
-            proposal_scale=kern.get("proposal_scale", 1.0),
-        )
-    kind = ladder_spec["kind"]
-    if kind == "from_file":
-        raise ConfigError("ladder.kind = from_file requires a finite ladder target")
-    if "betas" in ladder_spec:
-        schedule = sequences.TemperingSchedule(
-            betas=tuple(ladder_spec["betas"]), d=d, sigma=ladder_spec.get("sigma")
-        )
-    else:
-        schedule = sequences.geometric_schedule(
-            ladder_spec.get("n_levels", 10),
-            ladder_spec.get("beta_min", 0.05),
-            d,
-            sigma=ladder_spec.get("sigma"),
-        )
-    build = (
-        sequences.build_power_tempering if kind == "tempering"
-        else sequences.build_gaussian_convolution
-    )
-    kwargs = {"kernel": kernel}
-    if kind == "tempering":
-        kwargs["conservative_gamma"] = ladder_spec.get("conservative_gamma", False)
+    finite = target_spec["kind"] == "finite_ladder_file"
+    if finite != (ladder_spec["kind"] == "from_file"):
+        raise ConfigError("finite ladder targets and ladder.kind = from_file go together")
     try:
-        ladder = build(target, schedule, time_budget=1.0, **kwargs)
-        budgets = _resolve_time_budgets(policy, ladder.n_levels, ladder)
-        ladder = build(target, schedule, time_budget=budgets, **kwargs)
+        if finite:
+            target = None
+            ladder = _load_finite_ladder(target_spec["path"])
+        else:
+            target = _build_target(target_spec)
+            kernel = KernelSpec(**exp["kernel"]) if "kernel" in exp else None
+            schedule = _schedule(ladder_spec, target.dim)
+            if ladder_spec["kind"] == "tempering":
+                ladder = sequences.build_power_tempering(
+                    target, schedule, kernel=kernel,
+                    conservative_gamma=ladder_spec.get("conservative_gamma", False),
+                )
+            else:
+                ladder = sequences.build_gaussian_convolution(target, schedule, kernel=kernel)
+        budgets = _resolve_time_budgets(exp.get("time_policy"), ladder)
+        return _with_budgets(ladder, budgets), target
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return ladder, target
 
 
 def _build_estimand(spec: dict, target):
@@ -222,6 +216,16 @@ def _exact_value(exp: dict, ladder, estimand):
     return None
 
 
+def _at_point(config, point):
+    """``config`` at a sweep point ``(parameter, value)``; None leaves it as is."""
+    if point is None:
+        return config
+    parameter, value = point
+    if parameter == "n_particles":
+        return replace(config, n_particles=int(value))
+    return replace(config, ladder=_with_budgets(config.ladder, float(value)))
+
+
 def build_smc_config(exp: dict, seed_override=None):
     ladder, target = _build_ladder(exp)
     estimand, _ = _build_estimand(exp["estimand"], target)
@@ -241,24 +245,32 @@ def build_smc_config(exp: dict, seed_override=None):
 # ---------------------------------------------------------------------------
 
 
-def _replicate_worker(args):
-    exp, index, seed = args
-    config, _ = build_smc_config(exp, seed_override=seed)
-    result = smc.run_smc(config)
-    return index, result
+def _run_chunk(config, point, seeds) -> list:
+    config = _at_point(config, point)
+    return [smc.run_smc(replace(config, master_seed=seed)) for seed in seeds]
 
 
-def _run_all_replicates(exp: dict, master_seed: int, n_replicates: int, threads: int):
-    tasks = [
-        (exp, i, smc.replicate_seed(master_seed, i)) for i in range(n_replicates)
-    ]
-    if threads <= 1 or n_replicates == 1:
-        outputs = [_replicate_worker(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(_replicate_worker, tasks))
-    outputs.sort(key=lambda pair: pair[0])  # merge deterministically by index
-    return [r for _, r in outputs]
+def _pool_chunk(task) -> list:
+    # ladders hold closures that cannot be pickled: a worker builds its own config
+    exp, point, seeds = task
+    config, _ = build_smc_config(exp)
+    return _run_chunk(config, point, seeds)
+
+
+def _run_replicates(exp: dict, config, master_seed: int, n_rep: int, threads: int,
+                    point=None) -> list:
+    """Replicates ``0..n_rep-1`` of ``config`` at ``point``, in index order.
+
+    With ``threads > 1`` the replicate seeds are split into contiguous chunks,
+    one per worker process, and each worker rebuilds the config from ``exp``.
+    """
+    seeds = [smc.replicate_seed(master_seed, i) for i in range(n_rep)]
+    if threads <= 1 or n_rep == 1:
+        return _run_chunk(config, point, seeds)
+    size = -(-n_rep // threads)
+    tasks = [(exp, point, seeds[i:i + size]) for i in range(0, n_rep, size)]
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+        return [r for chunk in pool.map(_pool_chunk, tasks) for r in chunk]
 
 
 def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
@@ -267,8 +279,8 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     exp = cfg["experiment"]
     master_seed = int(exp["master_seed"] if seed_override is None else seed_override)
     n_rep = exp["replicates"]
-    results = _run_all_replicates(exp, master_seed, n_rep, threads)
     config, exact = build_smc_config(exp, seed_override=master_seed)
+    results = _run_replicates(exp, config, master_seed, n_rep, threads)
 
     etas = np.array([r.eta_estimate for r in results])
     nus = [r.nu_estimate for r in results]
@@ -348,12 +360,7 @@ def _derive_assumptions(cfg: dict) -> dict:
     c_star = [lv.lsi_constant_bound for lv in ladder.levels]
     if any(c is None for c in c_star):
         raise ConfigError("ladder provides no log-Sobolev bound; supply c_star")
-    betas = exp["ladder"].get("betas") or list(
-        sequences.geometric_schedule(
-            exp["ladder"].get("n_levels", 10), exp["ladder"].get("beta_min", 0.05),
-            target.dim,
-        ).betas
-    )
+    betas = list(_schedule(exp["ladder"], target.dim).betas)
     try:
         w_star = sequences.tempered_weight_lower_bound(target, betas=betas)
     except ValueError as exc:
@@ -390,11 +397,6 @@ def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
         delta=float(b.get("delta", 0.1)),
         p=int(b.get("p", 4)),
     )
-
-
-def _has_equal_covs(target) -> bool:
-    gauss = target.component_gaussians()
-    return all(np.allclose(g.cov, gauss[0].cov, atol=1e-12) for g in gauss)
 
 
 def cmd_bounds(cfg: dict, out_dir, seed_override) -> int:
@@ -521,12 +523,9 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
         raise ConfigError("sweep needs exact_value in the experiment (or a finite target)")
     points = []
     for value in sweep["values"]:
-        exp_point = json.loads(json.dumps(exp))  # deep copy
-        if sweep["parameter"] == "n_particles":
-            exp_point["n_particles"] = int(value)
-        else:
-            exp_point["time_policy"] = {"mode": "explicit", "t": float(value)}
-        stats = _sweep_point(exp_point, master_seed, sweep["replicates"], exact, threads)
+        results = _run_replicates(exp, base_config, master_seed, sweep["replicates"],
+                                  threads, point=(sweep["parameter"], value))
+        stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
         points.append({"value": float(value), **stats})
     doc = {
         "schema_version": 1,
@@ -547,21 +546,6 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
             writer.writerow([pt[h] for h in header])
     print(f"wrote {out_dir}/sweep.json, sweep.csv")
     return 0
-
-
-def _sweep_point(exp: dict, master_seed: int, n_rep: int, exact: float, threads: int) -> dict:
-    results = _run_all_replicates(exp, master_seed, n_rep, threads)
-    etas = np.array([r.eta_estimate for r in results])
-    return {
-        "mse": float(np.mean((etas - exact) ** 2)),
-        "variance": float(np.var(etas, ddof=1)),
-        "bias_sq": float((etas.mean() - exact) ** 2),
-        "mean_eta": float(etas.mean()),
-        "mse_se": smc.jackknife_se(etas, lambda s: np.mean((s - exact) ** 2)),
-        "variance_se": smc.jackknife_se(etas, lambda s: np.var(s, ddof=1)),
-        "bias_sq_se": smc.jackknife_se(etas, lambda s: (np.mean(s) - exact) ** 2),
-        "n_replicates": int(n_rep),
-    }
 
 
 def _write_json(path: str, doc: dict):

@@ -346,7 +346,6 @@ class ParticleEnsemble:
     level_index: int
     particles: np.ndarray
     nu_scale: float = 1.0
-    rng_seed_lineage: tuple = ()
     lane_ids: Optional[np.ndarray] = None
     init_acceptance_rate: float = 1.0
 

@@ -445,16 +445,15 @@ def init_sampler(
     rate falls below ``acceptance_floor``.
     """
     level = ladder.levels[0]
-    lineage = (f"init:n={n_samples}",)
     if level.pmf is not None:
         states = rng.choice(level.pmf.shape[0], size=n_samples, p=level.pmf)
-        return ParticleEnsemble(1, states.astype(np.int64), rng_seed_lineage=lineage)
+        return ParticleEnsemble(1, states.astype(np.int64))
     if level.mixture is not None:
         draws = level.mixture.sample(rng, n_samples)
-        return ParticleEnsemble(1, draws, rng_seed_lineage=lineage)
+        return ParticleEnsemble(1, draws)
     if level.density.gaussian is not None:
         draws = level.density.gaussian.sample(rng, n_samples)
-        return ParticleEnsemble(1, draws, rng_seed_lineage=lineage)
+        return ParticleEnsemble(1, draws)
     if level.init_proposal is None:
         raise ValueError("level 1 has no exact sampler and no rejection proposal hint")
 
@@ -481,9 +480,7 @@ def init_sampler(
             )
     draws = np.concatenate(accepted, axis=0)[:n_samples]
     rate = n_accepted / n_proposed
-    return ParticleEnsemble(
-        1, draws, rng_seed_lineage=lineage, init_acceptance_rate=float(rate)
-    )
+    return ParticleEnsemble(1, draws, init_acceptance_rate=float(rate))
 
 
 def sample_initial(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> ParticleEnsemble:

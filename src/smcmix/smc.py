@@ -33,6 +33,7 @@ __all__ = [
     "replicate_seed",
     "run_replicates",
     "mse_over_runs",
+    "summarize_etas",
     "jackknife_se",
 ]
 
@@ -173,10 +174,6 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
         level_index=n,
         particles=particles,
         nu_scale=nu_scale if n > 1 else 1.0,
-        rng_seed_lineage=(
-            f"master={config.master_seed}",
-            "streams=init,resample[k],kernel[k]",
-        ),
         init_acceptance_rate=init_rate,
     )
     return SmcRunResult(
@@ -232,23 +229,28 @@ def jackknife_se(samples: np.ndarray, statistic) -> float:
     return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
 
 
-def mse_over_runs(config: SmcConfig, n_replicates: int, exact_value: float) -> dict:
-    """Empirical MSE / variance / squared bias of eta across replicates.
-
-    ``exact_value`` is the true integral mu_n(f) (analytic or from the
-    finite-state oracle).  Jackknife standard errors accompany each figure.
-    """
-    etas = np.array([r.eta_estimate for r in run_replicates(config, n_replicates)])
-    mse = float(np.mean((etas - exact_value) ** 2))
-    variance = float(np.var(etas, ddof=1)) if n_replicates > 1 else 0.0
-    bias_sq = float((etas.mean() - exact_value) ** 2)
+def summarize_etas(etas, exact_value: float) -> dict:
+    """Empirical MSE / variance / squared bias of replicate estimates of
+    ``exact_value``, each with its jackknife standard error."""
+    etas = np.asarray(etas, dtype=float)
+    n = etas.shape[0]
     return {
-        "mse": mse,
-        "variance": variance,
-        "bias_sq": bias_sq,
+        "mse": float(np.mean((etas - exact_value) ** 2)),
+        "variance": float(np.var(etas, ddof=1)) if n > 1 else 0.0,
+        "bias_sq": float((etas.mean() - exact_value) ** 2),
         "mean_eta": float(etas.mean()),
         "mse_se": jackknife_se(etas, lambda s: np.mean((s - exact_value) ** 2)),
         "variance_se": jackknife_se(etas, lambda s: np.var(s, ddof=1)),
         "bias_sq_se": jackknife_se(etas, lambda s: (np.mean(s) - exact_value) ** 2),
-        "n_replicates": n_replicates,
+        "n_replicates": int(n),
     }
+
+
+def mse_over_runs(config: SmcConfig, n_replicates: int, exact_value: float) -> dict:
+    """``summarize_etas`` over ``n_replicates`` seeded replicates of ``config``.
+
+    ``exact_value`` is the true integral mu_n(f) (analytic or from the
+    finite-state oracle).
+    """
+    etas = [r.eta_estimate for r in run_replicates(config, n_replicates)]
+    return summarize_etas(etas, exact_value)

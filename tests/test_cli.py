@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from smcmix import oracle
+from smcmix import cli, oracle
 from smcmix.cli import main
 from smcmix.kernels import glauber_transition_matrix
 
@@ -56,6 +56,21 @@ def finite_ladder_file(tmp_path):
     return write_json(tmp_path / "ladder.json", doc), pmf2
 
 
+def finite_experiment(tmp_path, **overrides):
+    path, _ = finite_ladder_file(tmp_path)
+    return base_experiment(
+        target={"kind": "finite_ladder_file", "path": path},
+        ladder={"kind": "from_file"},
+        estimand={"name": "mode_indicator", "mode_index": 0},
+        **overrides,
+    )
+
+
+def levels_without_wall_time(path):
+    with open(path) as fh:
+        return [row[:-1] for row in csv.reader(fh)]
+
+
 class TestConfigValidation:
     def test_unknown_field_rejected(self, tmp_path, capsys):
         cfg = write_json(
@@ -77,6 +92,16 @@ class TestConfigValidation:
 
     def test_run_without_config(self):
         assert main(["--threads", "1", "run"]) == 2
+
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_wrong_number_of_budgets_is_config_error(self, tmp_path, capsys, finite):
+        policy = {"mode": "explicit", "t": [0.1, 0.2, 0.3]}
+        exp = (finite_experiment(tmp_path, time_policy=policy) if finite
+               else base_experiment(time_policy=policy))
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
+                     "run"]) == 2
+        assert "time budgets" in capsys.readouterr().err
 
 
 class TestRun:
@@ -108,13 +133,36 @@ class TestRun:
 
     def test_worker_pool_matches_serial(self, tmp_path):
         # replicates are merged by index: process-pool output is byte-identical
+        experiments = {
+            "tempering": base_experiment(),  # 3 replicates: chunks of 2 and 1
+            "finite": finite_experiment(tmp_path, n_particles=300, replicates=5),
+        }
+        for name, exp in experiments.items():
+            cfg = write_json(tmp_path / f"{name}.json",
+                             {"schema_version": 1, "experiment": exp})
+            serial, pooled = tmp_path / f"{name}_serial", tmp_path / f"{name}_pooled"
+            assert main(["--config", cfg, "--out", str(serial), "--threads", "1", "run"]) == 0
+            assert main(["--config", cfg, "--out", str(pooled), "--threads", "2", "run"]) == 0
+            for out in ("run.json", "replicates.csv"):
+                assert (serial / out).read_bytes() == (pooled / out).read_bytes(), (name, out)
+            assert (levels_without_wall_time(serial / "levels.csv")
+                    == levels_without_wall_time(pooled / "levels.csv")), name
+
+    def test_serial_run_builds_config_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_smc_config
+
+        def counting_build(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_smc_config", counting_build)
         cfg = write_json(
             tmp_path / "c.json", {"schema_version": 1, "experiment": base_experiment()}
         )
-        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-        assert main(["--config", cfg, "--out", str(serial), "--threads", "1", "run"]) == 0
-        assert main(["--config", cfg, "--out", str(pooled), "--threads", "2", "run"]) == 0
-        assert (serial / "run.json").read_bytes() == (pooled / "run.json").read_bytes()
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
+                     "run"]) == 0
+        assert len(calls) == 1
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = write_json(
@@ -172,6 +220,35 @@ class TestRun:
         cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
                      "run"]) == 2
+
+    def test_from_theorem_counts_langevin_steps_with_level_step_size(self, tmp_path, capsys):
+        # t_2 = 2 * 1 * 2^(7/2) ~ 22.6 needs ceil(22.6 / 0.005) = 4526 ULA steps
+        exp = base_experiment(
+            target={"kind": "gaussian_mixture", "weights": [1.0], "means": [[0.0]]},
+            ladder={"kind": "tempering", "betas": [0.5, 1.0]},
+            kernel={"kind": "langevin", "step_size": 0.005},
+            time_policy={"mode": "from_theorem", "max_total_steps": 2000},
+            n_particles=20,
+            replicates=1,
+        )
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
+                     "run"]) == 2
+        assert "~4.53e+03 kernel steps" in capsys.readouterr().err
+
+    def test_from_theorem_counts_poissonized_jumps(self, tmp_path):
+        # Metropolis-Hastings smooths by ~Poisson(t_2) jumps, t_2 ~ 22.6
+        exp = base_experiment(
+            target={"kind": "gaussian_mixture", "weights": [1.0], "means": [[0.0]]},
+            ladder={"kind": "tempering", "betas": [0.5, 1.0]},
+            kernel={"kind": "metropolis_hastings"},
+            time_policy={"mode": "from_theorem", "max_total_steps": 1000},
+            n_particles=20,
+            replicates=1,
+        )
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
+                     "run"]) == 0
 
     def test_degenerate_run_exits_three(self, tmp_path):
         doc = {
@@ -322,6 +399,22 @@ class TestSweep:
         assert all(float(r["mse"]) >= 0 for r in rows)
         doc = json.loads((out / "sweep.json").read_text())
         assert doc["parameter"] == "n_particles"
+
+    @pytest.mark.parametrize("parameter,values", [
+        ("n_particles", [50, 120]), ("time_budget", [0.5, 2.0]),
+    ])
+    def test_worker_pool_matches_serial(self, tmp_path, parameter, values):
+        exp = finite_experiment(tmp_path)
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"schema_version": 1, "experiment": exp,
+             "sweep": {"parameter": parameter, "values": values, "replicates": 5}},
+        )
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert main(["--config", cfg, "--out", str(serial), "--threads", "1", "sweep"]) == 0
+        assert main(["--config", cfg, "--out", str(pooled), "--threads", "2", "sweep"]) == 0
+        for out in ("sweep.json", "sweep.csv"):
+            assert (serial / out).read_bytes() == (pooled / out).read_bytes(), out
 
     def test_needs_exact_value(self, tmp_path):
         cfg = write_json(

@@ -19,6 +19,7 @@ from smcmix.smc import (
     replicate_seed,
     run_replicates,
     run_smc,
+    summarize_etas,
 )
 from tests.conftest import two_level_finite_ladder
 
@@ -250,6 +251,17 @@ def exhaustive_two_particle_mse(pmf1, pmf2, S2, f_values, exact):
 
 
 class TestMseOverRuns:
+    def test_summarize_etas_hand_values(self):
+        out = summarize_etas([1.0, 2.0, 6.0], exact_value=2.0)
+        assert out["mean_eta"] == 3.0
+        assert out["mse"] == pytest.approx(17.0 / 3.0)
+        assert out["variance"] == pytest.approx(7.0)
+        assert out["bias_sq"] == pytest.approx(1.0)
+        assert out["mse"] == pytest.approx(2.0 / 3.0 * out["variance"] + out["bias_sq"])
+        # leave-one-out bias_sq values 4, 2.25, 0.25: se = sqrt(2/3 * 169/36) = 13/6
+        assert out["bias_sq_se"] == pytest.approx(13.0 / 6.0)
+        assert out["n_replicates"] == 3
+
     def test_constant_estimand_zero_mse(self, finite_ladder):
         ladder, _, _ = finite_ladder
         config = finite_config(ladder, n_particles=16,
