@@ -2,9 +2,10 @@
 verification suite, and sweep a grid with per-point MSE.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 runtime
-degeneracy.  All randomness flows from the master seed (the --seed flag
-overrides the config) and every emitted JSON document validates against the
-schema files shipped under ``smcmix/schemas``.
+degeneracy (degenerate weights, non-finite Langevin gradients).  All
+randomness flows from the master seed (the --seed flag overrides the config)
+and every emitted JSON document validates against the schema files shipped
+under ``smcmix/schemas``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,7 @@ import jsonschema
 import numpy as np
 
 from . import bounds, oracle, sequences, smc
-from .core import (
-    DegenerateWeightsError,
-    FiniteChain,
-    RejectionSamplingError,
-    TargetMixture,
-)
+from .core import DegenerateWeightsError, FiniteChain, TargetMixture
 from .kernels import KernelSpec
 
 MAX_THEOREM_STEPS = 1e7  # from-theorem time budgets beyond this are refused
@@ -178,11 +174,11 @@ def _build_estimand(spec: dict, target):
     name = spec["name"]
     if name == "constant":
         value = spec.get("value", 1.0)
-        return (lambda x: np.full(np.shape(x)[0], float(value))), None
+        return lambda x: np.full(np.shape(x)[0], float(value))
     if name == "indicator_halfspace":
         coord = spec.get("coordinate", 0)
         thr = spec.get("threshold", 0.0)
-        return (lambda x: (np.atleast_2d(x)[:, coord] > thr).astype(float)), None
+        return lambda x: (np.atleast_2d(x)[:, coord] > thr).astype(float)
     if name == "coordinate_mean":
         coord = spec.get("coordinate", 0)
 
@@ -190,7 +186,7 @@ def _build_estimand(spec: dict, target):
             x = np.asarray(x)
             return x.astype(float) if x.ndim == 1 else x[:, coord].astype(float)
 
-        return f, None
+        return f
     if name == "mode_indicator":
         idx = spec.get("mode_index", 0)
 
@@ -202,7 +198,7 @@ def _build_estimand(spec: dict, target):
             d2 = np.sum((x[:, None, :] - means[None, :, :]) ** 2, axis=2)
             return (np.argmin(d2, axis=1) == idx).astype(float)
 
-        return f, None
+        return f
     raise ConfigError(f"unknown estimand {name!r}")
 
 
@@ -228,14 +224,13 @@ def _at_point(config, point):
 
 def build_smc_config(exp: dict, seed_override=None):
     ladder, target = _build_ladder(exp)
-    estimand, _ = _build_estimand(exp["estimand"], target)
+    estimand = _build_estimand(exp["estimand"], target)
     seed = exp["master_seed"] if seed_override is None else seed_override
     config = smc.SmcConfig(
         ladder=ladder,
         n_particles=exp["n_particles"],
         master_seed=int(seed),
         estimand=estimand,
-        estimand_sup_bound=exp.get("estimand_sup_bound", 1.0),
     )
     return config, _exact_value(exp, ladder, estimand)
 
@@ -595,7 +590,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateWeightsError, RejectionSamplingError) as exc:
+    except (DegenerateWeightsError, FloatingPointError) as exc:
         print(f"runtime degeneracy: {exc}", file=sys.stderr)
         return 3
 

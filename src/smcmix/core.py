@@ -34,7 +34,6 @@ __all__ = [
     "FiniteChain",
     "LadderValidationReport",
     "DegenerateWeightsError",
-    "RejectionSamplingError",
     "NonReversibleChainError",
     "eval_mixture_logdensity",
     "mixture_grad_logdensity",
@@ -47,10 +46,6 @@ MAX_FINITE_STATES = 2 ** 14
 
 class DegenerateWeightsError(RuntimeError):
     """All resampling weights are zero or non-finite."""
-
-
-class RejectionSamplingError(RuntimeError):
-    """Rejection sampler acceptance rate fell below the configured floor."""
 
 
 class NonReversibleChainError(ValueError):
@@ -286,7 +281,9 @@ class Level:
     ``ratio_to_prev`` is the unnormalized density ratio g against the previous
     level (absent at level 1); ``normalized_ratio`` is available when the
     normalizers are known.  ``time_budget`` is the continuous smoothing time
-    applied after resampling into this level.
+    applied after resampling into this level.  ``init_proposal`` is the
+    Gaussian a first level without an exact sampler is drawn from; the draws
+    carry importance weights density / proposal.
     """
 
     density: DensitySpec
@@ -299,7 +296,7 @@ class Level:
     mixture: Optional[TargetMixture] = None
     pmf: Optional[np.ndarray] = None
     chain: Optional[FiniteChain] = None
-    init_proposal: Optional[tuple] = None  # (mean, cov) hint for rejection init
+    init_proposal: Optional[GaussianComponent] = None
 
     def __post_init__(self):
         if self.time_budget < 0:
@@ -340,7 +337,8 @@ class ParticleEnsemble:
     ``nu_scale`` is the running product of empirical normalized-ratio means;
     it is exactly 1 for a freshly initialized ensemble.  ``lane_ids`` give
     each particle a persistent identity so that runs are invariant to the
-    storage order of the ensemble.
+    storage order of the ensemble.  ``log_weights`` are the unnormalized log
+    importance weights of a proposal draw; None means equally weighted.
     """
 
     level_index: int
@@ -348,6 +346,7 @@ class ParticleEnsemble:
     nu_scale: float = 1.0
     lane_ids: Optional[np.ndarray] = None
     init_acceptance_rate: float = 1.0
+    log_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
         particles = np.asarray(self.particles)
@@ -364,8 +363,14 @@ class ParticleEnsemble:
             lanes = np.asarray(lanes, dtype=np.int64)
             if lanes.shape != (particles.shape[0],):
                 raise ValueError("lane_ids must have one entry per particle")
+        log_w = self.log_weights
+        if log_w is not None:
+            log_w = np.asarray(log_w, dtype=float)
+            if log_w.shape != (particles.shape[0],):
+                raise ValueError("log_weights must have one entry per particle")
         object.__setattr__(self, "particles", particles)
         object.__setattr__(self, "lane_ids", lanes)
+        object.__setattr__(self, "log_weights", log_w)
 
     @property
     def n_particles(self) -> int:

@@ -19,7 +19,6 @@ from .core import (
     Ladder,
     Level,
     ParticleEnsemble,
-    RejectionSamplingError,
     TargetMixture,
     eval_mixture_logdensity,
     mixture_grad_logdensity,
@@ -193,8 +192,9 @@ def _hessian_bound(target: TargetMixture, beta: float) -> float:
     return beta * max(1.0 / g.lambda_min for g in gauss)
 
 
-def _tempering_init_proposal(target: TargetMixture, beta1: float) -> tuple:
-    """Moments of the rough tempered-mixture surrogate used for rejection."""
+def _tempering_init_proposal(target: TargetMixture, beta1: float) -> GaussianComponent:
+    """Level-1 proposal of a tempering ladder: the Gaussian with the mean and
+    covariance of the mixture of the tempered components N(mu_i, Sigma_i/beta1)."""
     gauss = target.component_gaussians()
     w = target.weights
     means = np.stack([g.mean for g in gauss])
@@ -204,7 +204,7 @@ def _tempering_init_proposal(target: TargetMixture, beta1: float) -> tuple:
     for wi, g, mu in zip(w, gauss, means):
         cov += wi * (g.cov / beta1 + np.outer(mu, mu))
     cov -= np.outer(m, m)
-    return m, cov
+    return GaussianComponent(m, cov)
 
 
 def build_power_tempering(
@@ -219,7 +219,9 @@ def build_power_tempering(
     Level i carries beta_i * log pi as its unnormalized log density, the step
     ratio pi^{beta_i - beta_{i-1}}, the per-step density-ratio bound from
     power_tempering_gamma, and the level log-Sobolev bound from
-    tempered_component_lsi.  Time budgets are the caller's to choose.
+    tempered_component_lsi.  Time budgets are the caller's to choose.  A
+    multi-component level 1 has no exact sampler below beta = 1 and carries
+    the Gaussian ``init_proposal`` from _tempering_init_proposal instead.
     """
     gauss = target.component_gaussians()  # rejects non-Gaussian targets
     betas = schedule.betas
@@ -236,6 +238,7 @@ def build_power_tempering(
         )
     budgets = _as_budgets(time_budget, len(betas))
     lam = max(g.lambda_max for g in gauss)
+    proposal = _tempering_init_proposal(target, betas[0]) if target.n_components > 1 else None
     levels = []
     gamma = 1.0
     for i, beta in enumerate(betas):
@@ -273,7 +276,7 @@ def build_power_tempering(
                 lsi_constant_bound=lam / beta / target.weights.min(),
                 ratio_bound=bound,
                 mixture=target if abs(beta - 1.0) < 1e-15 else None,
-                init_proposal=_tempering_init_proposal(target, betas[0]) if i == 0 else None,
+                init_proposal=proposal if i == 0 else None,
             )
         )
     return Ladder(levels=tuple(levels), gamma_bound=gamma)
@@ -428,21 +431,16 @@ def _as_budgets(time_budget, n: int):
     return budgets
 
 
-def init_sampler(
-    ladder: Ladder,
-    n_samples: int,
-    rng: np.random.Generator,
-    acceptance_floor: float = 1e-4,
-    n_probe: int = 100_000,
-) -> ParticleEnsemble:
-    """Exact or near-exact samples from the first ladder level.
+def init_sampler(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> ParticleEnsemble:
+    """Samples from the first ladder level, exact or importance-weighted.
 
-    Exact paths: a finite pmf (categorical draws) or an explicit Gaussian
-    mixture (component sampling), both with acceptance rate 1.  Otherwise
-    rejection sampling against a moment-matched Gaussian proposal inflated by
-    1.5 in scale, with the envelope constant estimated by probing ``n_probe``
-    proposal draws.  Raises ``RejectionSamplingError`` when the acceptance
-    rate falls below ``acceptance_floor``.
+    Exact paths, with ``init_acceptance_rate`` 1 and no weights: a finite pmf
+    (categorical draws), an explicit Gaussian mixture (component sampling) or
+    a Gaussian density.  Otherwise the level's Gaussian ``init_proposal`` q is
+    sampled exactly and the draws carry the log importance weights
+    ``log_density - log q``, which the driver folds into the first
+    reweighting (the first step of an SMC sampler).  ``init_acceptance_rate``
+    is then the ESS/N of those weights.
     """
     level = ladder.levels[0]
     if level.pmf is not None:
@@ -454,33 +452,14 @@ def init_sampler(
     if level.density.gaussian is not None:
         draws = level.density.gaussian.sample(rng, n_samples)
         return ParticleEnsemble(1, draws)
-    if level.init_proposal is None:
-        raise ValueError("level 1 has no exact sampler and no rejection proposal hint")
-
-    mean, cov = level.init_proposal
-    proposal = GaussianComponent(mean, 1.5 ** 2 * np.asarray(cov))
-    probes = proposal.sample(rng, n_probe)
-    log_ratio = np.asarray(level.density.log_density(probes)) - proposal.logpdf(probes)
-    log_c = float(np.max(log_ratio)) + np.log(1.2)  # probe estimate with headroom
-
-    accepted = []
-    n_accepted = 0
-    n_proposed = 0
-    batch = max(4 * n_samples, 1024)
-    while n_accepted < n_samples:
-        y = proposal.sample(rng, batch)
-        log_a = np.asarray(level.density.log_density(y)) - proposal.logpdf(y) - log_c
-        keep = np.log(rng.random(batch)) < log_a
-        accepted.append(y[keep])
-        n_accepted += int(keep.sum())
-        n_proposed += batch
-        if n_proposed >= 10 * batch and n_accepted / n_proposed < acceptance_floor:
-            raise RejectionSamplingError(
-                f"proposal too loose: acceptance rate {n_accepted / n_proposed:.2e}"
-            )
-    draws = np.concatenate(accepted, axis=0)[:n_samples]
-    rate = n_accepted / n_proposed
-    return ParticleEnsemble(1, draws, init_acceptance_rate=float(rate))
+    proposal = level.init_proposal
+    if proposal is None:
+        raise ValueError("level 1 has no exact sampler and no Gaussian proposal")
+    draws = proposal.sample(rng, n_samples)
+    log_w = np.asarray(level.density.log_density(draws), dtype=float) - proposal.logpdf(draws)
+    w = np.exp(log_w - np.max(log_w))
+    ess_frac = float(w.sum() ** 2 / np.sum(w * w)) / n_samples
+    return ParticleEnsemble(1, draws, init_acceptance_rate=ess_frac, log_weights=log_w)
 
 
 def sample_initial(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> ParticleEnsemble:
@@ -493,7 +472,8 @@ def default_probes(
 ) -> np.ndarray:
     """Probe set for ratio checks: a pilot level-1 draw plus a fixed grid.
 
-    The pilot covers typical regions, the grid (spanning 1.5x the pilot's
+    The pilot (``init_sampler`` draws, so proposal draws when level 1 has no
+    exact sampler) covers typical regions, the grid (spanning 1.5x the pilot's
     bounding box, capped at 4096 points) adds tail coverage.  Finite ladders
     enumerate every state instead.
     """

@@ -1,14 +1,17 @@
 """The sequential sampler: initialize, reweight, resample, smooth.
 
-One run is fully determined by its master seed.  Randomness is split with
-``numpy.random.SeedSequence`` into one stream for initialization and, per
-level, one stream for resampling and one for kernel smoothing.  Replicates
-derive independent seeds from ``(master_seed, replicate_index)``.
+Level 1 is drawn exactly when the ladder allows it, and otherwise from a
+Gaussian proposal whose importance weights are folded into the first
+reweighting.  One run is fully determined by its master seed.  Randomness
+is split with ``numpy.random.SeedSequence`` into one stream for
+initialization and, per level, one stream for resampling and one for kernel
+smoothing.  Replicates derive independent seeds from
+``(master_seed, replicate_index)``.
 
 Run results are invariant to the storage order of the particle ensemble:
 particles carry lane ids and the driver canonicalizes their order on entry,
-so permuting an injected initial ensemble together with its lane ids
-reproduces the run exactly.
+so permuting an injected initial ensemble together with its lane ids (and
+its importance weights) reproduces the run exactly.
 """
 
 from __future__ import annotations
@@ -42,23 +45,18 @@ __all__ = [
 class SmcConfig:
     """Everything one SMC run needs.
 
-    ``estimand`` must be vectorized over the ensemble and bounded;
-    ``estimand_sup_bound`` is the caller-supplied bound on
-    ``sup |f - mu_n(f)|`` used by the bound calculators.
+    ``estimand`` must be vectorized over the ensemble and bounded.
     """
 
     ladder: Ladder
     n_particles: int
     master_seed: int
     estimand: Callable[[np.ndarray], np.ndarray]
-    estimand_sup_bound: float = 1.0
     record_trajectory: bool = False
 
     def __post_init__(self):
         if self.n_particles < 1:
             raise ValueError("need at least one particle")
-        if not math.isfinite(self.estimand_sup_bound):
-            raise ValueError("estimand sup-norm bound must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +64,11 @@ class SmcRunResult:
     """Estimates and per-level diagnostics of one run.
 
     ``weight_sums_per_level`` holds the empirical means of the raw
-    (unnormalized) ratios used for resampling; ``nu_estimate`` is the
-    unbiased weighted estimator when normalized ratios were available, else
-    None.  Wall times are excluded from any serialized payload that must be
-    reproducible.
+    (unnormalized) ratios used for resampling, self-normalized by the
+    level-1 importance weights at the first step; ``nu_estimate`` is the
+    unbiased weighted estimator when normalized ratios were available and
+    level 1 was drawn unweighted, else None.  Wall times are excluded from
+    any serialized payload that must be reproducible.
     """
 
     final_ensemble: ParticleEnsemble
@@ -120,10 +119,12 @@ def _streams(master_seed: int, n_levels: int):
 def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = None) -> SmcRunResult:
     """Execute the sampler over the whole ladder.
 
-    Level 1 is drawn exactly (or near-exactly) from the first level; for
-    k = 1..n-1 the particles are reweighted by the raw ratio toward level
-    k+1, multinomially resampled, and smoothed by the level-(k+1) kernel for
-    its time budget.  Deterministic given the master seed.
+    Level 1 is drawn by ``sample_initial``; for k = 1..n-1 the particles
+    are reweighted by the raw ratio toward level k+1, multinomially
+    resampled, and smoothed by the level-(k+1) kernel for its time budget.
+    A weighted level-1 draw multiplies the first ratio by its importance
+    weights; with one level its weights enter eta directly.  Deterministic
+    given the master seed.
     """
     ladder = config.ladder
     levels = ladder.levels
@@ -139,10 +140,11 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
             raise ValueError("initial ensemble size does not match the config")
     order = np.argsort(ens.lane_ids, kind="stable")
     particles = np.asarray(ens.particles)[order]
+    log_w = None if ens.log_weights is None else ens.log_weights[order]
     init_rate = ens.init_acceptance_rate
 
     ess_log, wsum_log, wall_log = [], [], []
-    normalized_ok = all(lv.normalized_ratio is not None for lv in levels[1:])
+    normalized_ok = log_w is None and all(lv.normalized_ratio is not None for lv in levels[1:])
     nbar_log = [] if normalized_ok else None
     nu_scale = 1.0
     trajectory = [particles.copy()] if config.record_trajectory else None
@@ -151,16 +153,20 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
         t0 = time.perf_counter()
         level = levels[k]
         g = np.atleast_1d(np.asarray(level.ratio_to_prev(particles), dtype=float))
-        if not np.all(np.isfinite(g)) or np.any(g < 0) or g.sum() <= 0:
+        w = g
+        if log_w is not None:  # importance-weighted level-1 draw
+            carried = np.exp(log_w - np.max(log_w))
+            w, log_w = g * carried, None
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
             raise DegenerateWeightsError(f"degenerate weights at level {k + 1}")
-        wsum_log.append(float(np.mean(g)))
-        ess_log.append(float(g.sum() ** 2 / np.sum(g * g)))
+        wsum_log.append(float(np.mean(g)) if w is g else float(w.sum() / carried.sum()))
+        ess_log.append(float(w.sum() ** 2 / np.sum(w * w)))
         if normalized_ok:
             gbar = np.atleast_1d(np.asarray(level.normalized_ratio(particles), dtype=float))
             nbar = float(np.mean(gbar))
             nbar_log.append(nbar)
             nu_scale *= nbar
-        ancestors = multinomial_resample(g, N, resample_rngs[k - 1])
+        ancestors = multinomial_resample(w, N, resample_rngs[k - 1])
         particles = particles[ancestors]
         particles = apply_kernel(level, particles, kernel_rngs[k - 1])
         wall_log.append(time.perf_counter() - t0)
@@ -168,13 +174,17 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
             trajectory.append(particles.copy())
 
     values = np.atleast_1d(np.asarray(config.estimand(particles), dtype=float))
-    eta = _mean_exact(values)
+    if log_w is None:
+        eta = _mean_exact(values)
+    else:
+        eta = float(np.average(values, weights=np.exp(log_w - np.max(log_w))))
     nu = nu_scale * eta if normalized_ok else None
     final = ParticleEnsemble(
         level_index=n,
         particles=particles,
         nu_scale=nu_scale if n > 1 else 1.0,
         init_acceptance_rate=init_rate,
+        log_weights=log_w,
     )
     return SmcRunResult(
         final_ensemble=final,

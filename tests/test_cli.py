@@ -270,6 +270,35 @@ class TestRun:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1", "run"]) == 3
 
 
+    def test_diverging_langevin_exits_three(self, tmp_path, capsys):
+        # ULA with step 5 on a two-level convolution ladder overflows the state
+        exp = base_experiment(
+            ladder={"kind": "convolution", "betas": [0.5], "sigma": 1.0},
+            kernel={"kind": "langevin", "step_size": 5.0},
+            time_policy={"mode": "explicit", "t": 2000},
+            n_particles=64, replicates=1, master_seed=1,
+        )
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1", "run"]) == 3
+        assert "non-finite gradient" in capsys.readouterr().err
+
+    def test_tempering_starts_in_dimension_fifty(self, tmp_path):
+        d = 50
+        exp = base_experiment(
+            target={"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                    "means": [[-3.0] * d, [3.0] * d]},
+            ladder={"kind": "tempering", "n_levels": 10, "beta_min": 0.05},
+            kernel={"kind": "langevin", "step_size": 0.05},
+            time_policy={"mode": "explicit", "t": 1.0},
+            n_particles=512, replicates=1, master_seed=3,
+        )
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--threads", "1", "run"]) == 0
+        rate = json.loads((out / "run.json").read_text())["replicates"][0]["init_acceptance_rate"]
+        assert 0 < rate <= 1
+
+
 class TestBounds:
     def test_golden_values(self, tmp_path, capsys):
         cfg = write_json(

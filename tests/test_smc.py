@@ -94,9 +94,11 @@ class TestExchangeability:
         )
         ens = sequences.sample_initial(ladder, 256, np.random.default_rng(50))
         perm = rng.permutation(256)
+        assert ens.log_weights is not None  # multi-component level 1: proposal draw
         shuffled = ParticleEnsemble(
             1, ens.particles[perm], lane_ids=ens.lane_ids[perm],
             init_acceptance_rate=ens.init_acceptance_rate,
+            log_weights=ens.log_weights[perm],
         )
         a = run_smc(config, initial_ensemble=ens)
         b = run_smc(config, initial_ensemble=shuffled)

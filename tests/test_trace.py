@@ -1,0 +1,34 @@
+"""The benchmark's per-layer tracer still finds the layers it patches."""
+
+from pathlib import Path
+
+import pytest
+
+import smcmix
+from smcmix.cli import main
+from tests.test_cli import base_experiment, finite_experiment, write_json
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def bench_trace(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench_trace
+
+    return bench_trace
+
+
+@pytest.mark.parametrize("finite", [False, True])
+def test_tracer_records_run_layers(tmp_path, bench_trace, finite):
+    exp = (finite_experiment(tmp_path, replicates=2) if finite
+           else base_experiment(n_particles=64, replicates=2))
+    cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+    with bench_trace.Tracer(smcmix) as tracer:
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
+                     "run"]) == 0
+    spans = tracer.raw()
+    layers = ["sequences.init", "smc.reweight"] + ([] if finite else ["core.logdensity"])
+    for layer in layers:
+        assert spans.get(layer, {}).get("calls", 0) > 0, layer
+    assert spans["sequences.init"]["calls"] == 2
