@@ -19,6 +19,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from importlib import resources
+from typing import NamedTuple, Optional
 
 import jsonschema
 import numpy as np
@@ -240,9 +241,30 @@ def build_smc_config(exp: dict, seed_override=None):
 # ---------------------------------------------------------------------------
 
 
+class _Replicate(NamedTuple):
+    """What ``run`` and ``sweep`` write of one replicate: no particles, so a
+    worker process sends back a few hundred bytes, not the final ensemble."""
+
+    eta: float
+    nu: Optional[float]
+    ess_per_level: tuple
+    weight_sums_per_level: tuple
+    normalized_weight_sums_per_level: Optional[tuple]
+    level_wall_times: tuple
+    init_acceptance_rate: float
+
+
 def _run_chunk(config, point, seeds) -> list:
     config = _at_point(config, point)
-    return [smc.run_smc(replace(config, master_seed=seed)) for seed in seeds]
+    out = []
+    for seed in seeds:
+        r = smc.run_smc(replace(config, master_seed=seed))
+        out.append(_Replicate(
+            r.eta_estimate, r.nu_estimate, r.ess_per_level, r.weight_sums_per_level,
+            r.normalized_weight_sums_per_level, r.level_wall_times,
+            r.final_ensemble.init_acceptance_rate,
+        ))
+    return out
 
 
 def _pool_chunk(task) -> list:
@@ -254,7 +276,8 @@ def _pool_chunk(task) -> list:
 
 def _run_replicates(exp: dict, config, master_seed: int, n_rep: int, threads: int,
                     point=None) -> list:
-    """Replicates ``0..n_rep-1`` of ``config`` at ``point``, in index order.
+    """``_Replicate`` records of replicates ``0..n_rep-1`` of ``config`` at
+    ``point``, in index order.
 
     With ``threads > 1`` the replicate seeds are split into contiguous chunks,
     one per worker process, and each worker rebuilds the config from ``exp``.
@@ -277,8 +300,8 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     config, exact = build_smc_config(exp, seed_override=master_seed)
     results = _run_replicates(exp, config, master_seed, n_rep, threads)
 
-    etas = np.array([r.eta_estimate for r in results])
-    nus = [r.nu_estimate for r in results]
+    etas = np.array([r.eta for r in results])
+    nus = [r.nu for r in results]
     doc = {
         "schema_version": 1,
         "master_seed": master_seed,
@@ -289,8 +312,8 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
             {
                 "replicate": i,
                 "seed": smc.replicate_seed(master_seed, i),
-                "eta": float(r.eta_estimate),
-                "nu": None if r.nu_estimate is None else float(r.nu_estimate),
+                "eta": float(r.eta),
+                "nu": None if r.nu is None else float(r.nu),
                 "ess_per_level": [float(v) for v in r.ess_per_level],
                 "weight_sums_per_level": [float(v) for v in r.weight_sums_per_level],
                 "normalized_weight_sums_per_level": (
@@ -298,7 +321,7 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
                     if r.normalized_weight_sums_per_level is None
                     else [float(v) for v in r.normalized_weight_sums_per_level]
                 ),
-                "init_acceptance_rate": float(r.final_ensemble.init_acceptance_rate),
+                "init_acceptance_rate": float(r.init_acceptance_rate),
             }
             for i, r in enumerate(results)
         ],
@@ -331,8 +354,8 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
                 [
                     i,
                     smc.replicate_seed(master_seed, i),
-                    f"{r.eta_estimate!r}",
-                    "" if r.nu_estimate is None else f"{r.nu_estimate!r}",
+                    f"{r.eta!r}",
+                    "" if r.nu is None else f"{r.nu!r}",
                 ]
             )
     print(f"wrote {out_dir}/run.json, levels.csv, replicates.csv")
@@ -520,7 +543,7 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     for value in sweep["values"]:
         results = _run_replicates(exp, base_config, master_seed, sweep["replicates"],
                                   threads, point=(sweep["parameter"], value))
-        stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
+        stats = smc.summarize_etas([r.eta for r in results], exact)
         points.append({"value": float(value), **stats})
     doc = {
         "schema_version": 1,

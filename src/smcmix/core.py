@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gaussians import GaussianComponent
 
@@ -42,6 +41,8 @@ __all__ = [
 ]
 
 MAX_FINITE_STATES = 2 ** 14
+
+_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -89,11 +90,19 @@ class DensitySpec:
 class TargetMixture:
     """Weighted mixture of component densities.
 
-    Weights must be positive and sum to one (tolerance 1e-12).
+    Weights must be positive and sum to one (tolerance 1e-12).  When every
+    component is a normalized Gaussian (``DensitySpec.gaussian`` set and a
+    known ``log_normalizer``), construction packs, once, what the mixture
+    evaluators need: the stacked means (M, d), the stacked ``L_i^{-T}`` and
+    ``L_i^{-1}`` of each component's Cholesky factor ``Σ_i = L_i L_i^T``, and
+    the constants ``log w_i - ½(d log 2π + log|Σ_i|)``.  Otherwise the pack
+    is None and ``eval_mixture_logdensity`` / ``mixture_grad_logdensity``
+    raise; the remaining methods need only ``component_gaussians``.
     """
 
     components: tuple
     weights: np.ndarray
+    _packed: Optional[tuple] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -108,6 +117,19 @@ class TargetMixture:
             raise ValueError("mixture weights must sum to 1")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
+        gauss = [c.gaussian for c in comps]
+        if all(g is not None for g in gauss) and all(
+            c.log_normalizer is not None for c in comps
+        ):
+            chol_inv = np.stack([g._chol_inv for g in gauss])
+            log_dets = np.array([g.log_det_cov for g in gauss])
+            packed = (
+                np.stack([g.mean for g in gauss]),
+                np.ascontiguousarray(chol_inv.transpose(0, 2, 1)),
+                chol_inv,
+                np.log(w) - 0.5 * (gauss[0].dim * _LOG_2PI + log_dets),
+            )
+            object.__setattr__(self, "_packed", packed)
 
     @property
     def n_components(self) -> int:
@@ -160,38 +182,72 @@ class TargetMixture:
         return out[rng.permutation(n)]
 
 
-def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
-    """log Σ w_i p_i(x), computed with log-sum-exp.
+def _mixture_terms(mixture: TargetMixture, x):
+    """One pass over all components at the points ``x`` of shape (..., d).
 
-    Every component must be normalized or carry a known normalizer; a missing
-    one raises ``ValueError("unnormalized mixture component")``.
+    Returns ``zt`` (M, d, P) with ``zt_i = L_i^{-1} (x - m_i)^T`` for the P
+    points (``z_i = (x - m_i) L_i^{-T}``, stored point-minor so that every
+    elementwise step runs along P), the mixture log-density (P,) from a
+    max-shifted log-sum-exp, and the responsibilities (M, P).  A point where
+    every component term underflows to -inf gets log-density -inf (and NaN
+    responsibilities).
     """
-    terms = []
-    for w, comp in zip(mixture.weights, mixture.components):
-        if comp.log_normalizer is None:
+    packed = mixture._packed
+    if packed is None:
+        if any(c.log_normalizer is None for c in mixture.components):
             raise ValueError("unnormalized mixture component")
-        terms.append(np.log(w) + np.asarray(comp.log_density(x)) - comp.log_normalizer)
-    stacked = np.stack([np.atleast_1d(t) for t in terms], axis=0)
-    out = logsumexp(stacked, axis=0)
-    return float(out[0]) if np.ndim(x) <= 1 else out
+        raise ValueError("mixture component is not Gaussian")
+    means, _, chol_inv, consts = packed
+    d = means.shape[1]
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 0 and x.shape[-1] != d:
+        raise ValueError(f"points of dimension {x.shape[-1]} for a mixture in dimension {d}")
+    xt = x.reshape(-1, d).T
+    zt = np.matmul(chol_inv, xt[None, :, :] - means[:, :, None])
+    # in place from here on: every fresh (M, P) array costs page faults at large P
+    log_terms = np.einsum("mdp,mdp->mp", zt, zt)
+    log_terms *= -0.5
+    log_terms += consts[:, None]
+    shift = log_terms.max(axis=0)
+    shift[np.isneginf(shift)] = 0.0  # all terms -inf: keep -inf, not -inf - -inf
+    log_terms -= shift
+    resp = np.exp(log_terms, out=log_terms)
+    total = resp.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_density = np.log(total)
+        resp /= total
+    log_density += shift
+    return zt, log_density, resp
+
+
+def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
+    """log Σ w_i p_i(x) for a mixture of normalized Gaussian components.
+
+    ``x`` of shape (d,) gives a float, (..., d) an array of shape (...).  One
+    vectorized pass over all components with a max-shifted log-sum-exp (see
+    ``TargetMixture`` for the cached parameters).  A component without a
+    normalizer raises ``ValueError("unnormalized mixture component")``, a
+    normalized non-Gaussian one ``ValueError("mixture component is not
+    Gaussian")``.
+    """
+    _, log_density, _ = _mixture_terms(mixture, x)
+    if np.ndim(x) <= 1:
+        return float(log_density[0])
+    return log_density.reshape(np.shape(x)[:-1])
 
 
 def mixture_grad_logdensity(mixture: TargetMixture, x) -> np.ndarray:
-    """Gradient of the mixture log density via softmax responsibilities."""
-    x = np.asarray(x, dtype=float)
-    logs = []
-    grads = []
-    for w, comp in zip(mixture.weights, mixture.components):
-        if comp.grad_log_density is None:
-            raise ValueError("mixture component has no gradient")
-        z = comp.log_normalizer if comp.log_normalizer is not None else 0.0
-        logs.append(np.log(w) + np.atleast_1d(comp.log_density(x)) - z)
-        grads.append(np.atleast_2d(comp.grad_log_density(x)))
-    logw = np.stack(logs, axis=0)
-    resp = np.exp(logw - logsumexp(logw, axis=0, keepdims=True))  # (M, N)
-    stacked = np.stack(grads, axis=0)  # (M, N, d)
-    out = np.sum(resp[:, :, None] * stacked, axis=0)
-    return out if x.ndim > 1 else out[0]
+    """Gradient of the mixture log-density, shape matching ``x``.
+
+    ``-Σ_i r_i(x) Σ_i^{-1} (x - m_i)`` with the responsibilities ``r_i``,
+    computed as ``-Σ_i r_i z_i L_i^{-1}`` from the same pass as the
+    log-density; raises like ``eval_mixture_logdensity``.
+    """
+    zt, _, resp = _mixture_terms(mixture, x)
+    zt *= resp[:, None, :]
+    grad_t = np.matmul(mixture._packed[1], zt).sum(axis=0)
+    np.negative(grad_t, out=grad_t)
+    return grad_t.T.reshape(np.shape(x)) if np.ndim(x) > 1 else grad_t[:, 0]
 
 
 def check_gradient(spec: DensitySpec, probes, rtol: float = 1e-5, step: float = 1e-5) -> float:

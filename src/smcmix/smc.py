@@ -123,8 +123,10 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
     are reweighted by the raw ratio toward level k+1, multinomially
     resampled, and smoothed by the level-(k+1) kernel for its time budget.
     A weighted level-1 draw multiplies the first ratio by its importance
-    weights; with one level its weights enter eta directly.  Deterministic
-    given the master seed.
+    weights; with one level its weights enter eta directly.  Each level's
+    ratio is evaluated once: when its ``normalized_ratio`` is its
+    ``ratio_to_prev`` (convolution and finite ladders), the raw ratios are
+    reused for ν.  Deterministic given the master seed.
     """
     ladder = config.ladder
     levels = ladder.levels
@@ -162,7 +164,10 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
         wsum_log.append(float(np.mean(g)) if w is g else float(w.sum() / carried.sum()))
         ess_log.append(float(w.sum() ** 2 / np.sum(w * w)))
         if normalized_ok:
-            gbar = np.atleast_1d(np.asarray(level.normalized_ratio(particles), dtype=float))
+            if level.normalized_ratio is level.ratio_to_prev:
+                gbar = g
+            else:
+                gbar = np.atleast_1d(np.asarray(level.normalized_ratio(particles), dtype=float))
             nbar = float(np.mean(gbar))
             nbar_log.append(nbar)
             nu_scale *= nbar

@@ -2,10 +2,11 @@
 
 import csv
 import json
+import pickle
 
 import pytest
 
-from smcmix import cli, oracle
+from smcmix import cli, oracle, smc
 from smcmix.cli import main
 from smcmix.kernels import glauber_transition_matrix
 
@@ -147,6 +148,17 @@ class TestRun:
                 assert (serial / out).read_bytes() == (pooled / out).read_bytes(), (name, out)
             assert (levels_without_wall_time(serial / "levels.csv")
                     == levels_without_wall_time(pooled / "levels.csv")), name
+
+    def test_pooled_replicate_pickles_small(self):
+        # a worker returns what `run` writes, not the final N = 10 000 ensemble
+        exp = base_experiment(
+            n_particles=10_000, replicates=1,
+            ladder={"kind": "convolution", "n_levels": 10, "beta_min": 0.05, "sigma": 3.0},
+            time_policy={"mode": "explicit", "t": 0.1},
+        )
+        (rep,) = cli._pool_chunk((exp, None, [smc.replicate_seed(11, 0)]))
+        assert len(rep.ess_per_level) == 10
+        assert len(pickle.dumps(rep)) < 2048
 
     def test_serial_run_builds_config_once(self, tmp_path, monkeypatch):
         calls = []

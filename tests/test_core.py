@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from smcmix import sequences
 from smcmix.core import (
@@ -87,6 +88,66 @@ class TestMixtureLogDensity:
             return
         got = eval_mixture_logdensity(m, np.array([x]))
         assert got == pytest.approx(math.log(naive), rel=1e-12)
+
+
+def random_mixture(rng, M, d):
+    """M components with random means and full covariances A A^T / d + I."""
+    covs = []
+    for _ in range(M):
+        A = rng.normal(size=(d, d))
+        covs.append(A @ A.T / d + np.eye(d))
+    return TargetMixture.gaussian(
+        rng.dirichlet(np.ones(M)), rng.normal(scale=3.0, size=(M, d)), covs
+    )
+
+
+def per_component_reference(mixture, x):
+    """Log-density and gradient from each component's own logpdf / grad_logpdf."""
+    gauss = mixture.component_gaussians()
+    logs = np.stack([math.log(w) + g.logpdf(x) for w, g in zip(mixture.weights, gauss)])
+    log_density = logsumexp(logs, axis=0)
+    resp = np.exp(logs - log_density)
+    grad = sum(r[:, None] * g.grad_logpdf(x) for r, g in zip(resp, gauss))
+    return log_density, grad
+
+
+class TestFusedEvaluator:
+    @pytest.mark.parametrize("M", [1, 2, 8])
+    @pytest.mark.parametrize("d", [1, 2, 32])
+    def test_matches_per_component_reference(self, M, d):
+        rng = np.random.default_rng(1000 * M + d)
+        mixture = random_mixture(rng, M, d)
+        x = rng.normal(scale=3.0, size=(500, d))
+        ref_log, ref_grad = per_component_reference(mixture, x)
+        np.testing.assert_allclose(eval_mixture_logdensity(mixture, x), ref_log,
+                                   rtol=1e-12, atol=0.0)
+        grad = mixture_grad_logdensity(mixture, x)
+        assert grad.shape == (500, d)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-10 * np.maximum(1.0, np.abs(ref_grad)))
+
+    def test_far_points(self, bimodal_target):
+        # every component term underflows: log-density -inf, not NaN
+        assert eval_mixture_logdensity(bimodal_target, np.array([1e200, 1e200])) == -np.inf
+        far = eval_mixture_logdensity(bimodal_target, np.array([[1e200, 1e200], [0.0, 0.0]]))
+        assert far[0] == -np.inf and np.isfinite(far[1])
+        # equidistant from both modes: responsibilities are the weights 0.3 / 0.7,
+        # so the gradient is -(x - (1.2, 1.2))
+        np.testing.assert_allclose(
+            mixture_grad_logdensity(bimodal_target, np.array([1e3, -1e3])),
+            [-998.8, 1001.2], rtol=1e-10,
+        )
+
+    def test_wrong_point_dimension_rejected(self, bimodal_target):
+        for fn in (eval_mixture_logdensity, mixture_grad_logdensity):
+            with pytest.raises(ValueError, match="dimension"):
+                fn(bimodal_target, np.zeros((4, 3)))
+
+    def test_normalized_non_gaussian_component_rejected(self):
+        spec = DensitySpec(log_density=lambda x: np.zeros(np.shape(x)[0]), log_normalizer=0.0)
+        m = TargetMixture(components=(spec,), weights=np.array([1.0]))
+        for fn in (eval_mixture_logdensity, mixture_grad_logdensity):
+            with pytest.raises(ValueError, match="not Gaussian"):
+                fn(m, np.zeros((2, 1)))
 
 
 class TestGradients:

@@ -122,6 +122,34 @@ class TestExchangeability:
         )
 
 
+class TestRatioEvaluations:
+    def test_shared_ratio_evaluated_once_per_level(self, bimodal_target):
+        # convolution levels set normalized_ratio = ratio_to_prev: one call serves both
+        built = sequences.build_gaussian_convolution(
+            bimodal_target, sequences.TemperingSchedule(betas=(0.2, 0.6), d=2, sigma=2.0),
+            time_budget=0.2,
+        )
+        calls = []
+
+        def counted(k, fn):
+            def ratio(x):
+                calls.append(k)
+                return fn(x)
+            return ratio
+
+        levels = [built.levels[0]]
+        for k, lv in enumerate(built.levels[1:], start=2):
+            assert lv.normalized_ratio is lv.ratio_to_prev
+            ratio = counted(k, lv.ratio_to_prev)
+            levels.append(dataclasses.replace(lv, ratio_to_prev=ratio, normalized_ratio=ratio))
+        ladder = dataclasses.replace(built, levels=tuple(levels))
+        result = run_smc(SmcConfig(ladder=ladder, n_particles=128, master_seed=4,
+                                   estimand=lambda x: np.atleast_2d(x)[:, 0]))
+        assert calls == [2, 3]
+        assert result.normalized_weight_sums_per_level == result.weight_sums_per_level
+        assert result.nu_estimate is not None
+
+
 class TestEstimators:
     def test_single_level_is_plain_monte_carlo(self, finite_ladder):
         ladder, pmf1, _ = finite_ladder

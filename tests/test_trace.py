@@ -1,5 +1,6 @@
 """The benchmark's per-layer tracer still finds the layers it patches."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,16 @@ def test_tracer_records_run_layers(tmp_path, bench_trace, finite):
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
                      "run"]) == 0
     spans = tracer.raw()
-    layers = ["sequences.init", "smc.reweight"] + ([] if finite else ["core.logdensity"])
+    # the builders must call the evaluators through the names the tracer patches
+    layers = ["sequences.init", "smc.reweight"] + (
+        [] if finite else ["core.logdensity", "core.grad"])
     for layer in layers:
         assert spans.get(layer, {}).get("calls", 0) > 0, layer
     assert spans["sequences.init"]["calls"] == 2
+
+
+def test_mixture_shapes_report_every_shape(bench_trace):
+    metrics = bench_trace.mixture_shapes(smcmix, 0, n_points=64, repeats=1)
+    assert len(metrics) == 2 * len(bench_trace.SHAPES) == 8
+    for name, (value, unit) in metrics.items():
+        assert unit == "ns" and math.isfinite(value) and value > 0, name
