@@ -113,20 +113,26 @@ def mh_step(density: DensitySpec, x, proposal_scale: float, rng: np.random.Gener
     return out[0] if single else out
 
 
-def mh_evolve(density: DensitySpec, x, t: float, proposal_scale: float, rng: np.random.Generator):
-    """Poissonized Metropolis chain: K ~ Poisson(t) steps per particle."""
+def _poisson_jumps(state: np.ndarray, t: float, rng: np.random.Generator, step) -> np.ndarray:
+    """Apply ``step(states, rng)`` K ~ Poisson(t) times to each entry of
+    ``state``, in place; each particle draws its own jump count."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    state = np.atleast_2d(x).copy()
     jumps = rng.poisson(t, size=state.shape[0])
     for j in range(int(jumps.max(initial=0))):
         active = jumps > j
-        if not np.any(active):
-            break
-        state[active] = mh_step(density, state[active], proposal_scale, rng)
-    return state[0] if single else state
+        state[active] = step(state[active], rng)
+    return state
+
+
+def mh_evolve(density: DensitySpec, x, t: float, proposal_scale: float, rng: np.random.Generator):
+    """Poissonized Metropolis chain: K ~ Poisson(t) steps per particle."""
+    x = np.asarray(x, dtype=float)
+    state = _poisson_jumps(
+        np.atleast_2d(x).copy(), t, rng,
+        lambda states, rng: mh_step(density, states, proposal_scale, rng),
+    )
+    return state[0] if x.ndim == 1 else state
 
 
 def glauber_transition_matrix(pmf, d: int) -> FiniteChain:
@@ -188,9 +194,6 @@ def poissonized_evolve(chain, x, t: float, rng: np.random.Generator):
     applying one discrete step to an index array.  ``x`` is a state index or
     an array of indices; each particle draws its own jump count.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    single = np.ndim(x) == 0
     state = np.atleast_1d(np.asarray(x, dtype=np.int64)).copy()
     if isinstance(chain, FiniteChain):
         cum = np.cumsum(chain.P, axis=1)
@@ -202,13 +205,8 @@ def poissonized_evolve(chain, x, t: float, rng: np.random.Generator):
 
     else:
         step = chain
-    jumps = rng.poisson(t, size=state.shape[0])
-    for j in range(int(jumps.max(initial=0))):
-        active = jumps > j
-        if not np.any(active):
-            break
-        state[active] = step(state[active], rng)
-    return int(state[0]) if single else state
+    state = _poisson_jumps(state, t, rng, step)
+    return int(state[0]) if np.ndim(x) == 0 else state
 
 
 def apply_kernel(level: Level, particles: np.ndarray, rng: np.random.Generator) -> np.ndarray:

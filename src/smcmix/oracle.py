@@ -2,19 +2,23 @@
 hypercontractivity and entropy inequalities.
 
 All checks are one-sided with tolerance -1e-12: exact arithmetic would give
-slack >= 0, the tolerance only absorbs floating-point roundoff.  Violations
-surface the witness function (and time) that produced them.
+slack >= 0, the tolerance only absorbs floating-point roundoff.  A NaN slack
+fails.  Violations surface the witness function (and time) with the
+smallest slack.
 
 Random test functions follow a fixed convention: i.i.d. uniform(0,1) entries
 for nonnegative f, exp(standard normal) for strictly positive f, mean-zero
 Gaussian entries for signed f; each is normalized to unit sup norm (the
-inequalities are homogeneous, this only keeps tolerances meaningful).
+inequalities are homogeneous, this only keeps tolerances meaningful).  A
+check draws its test functions as the rows of one (trials, n_states) array,
+in the order of per-trial draws, and evaluates every slack as array
+expressions over those rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,34 +138,59 @@ def _check_size(chain: FiniteChain):
         raise ValueError(f"oracle checks cap the state space at {MAX_CHECK_STATES}")
 
 
-def _random_f(rng: np.random.Generator, size: int, kind: str) -> np.ndarray:
+def _random_fs(rng: np.random.Generator, trials: int, size: int, kind: str) -> np.ndarray:
+    """``trials`` test functions as the rows of one array, drawn in the order
+    of ``trials`` successive single draws."""
+    shape = (trials, size)
     if kind == "signed":
-        f = rng.standard_normal(size)
+        f = rng.standard_normal(shape)
     elif kind == "nonnegative":
-        f = rng.random(size)
+        f = rng.random(shape)
     elif kind == "positive":
-        f = np.exp(rng.standard_normal(size))
+        f = np.exp(rng.standard_normal(shape))
     else:
         raise ValueError(f"unknown test-function kind {kind!r}")
-    top = np.max(np.abs(f))
-    return f / top if top > 0 else f
+    top = np.max(np.abs(f), axis=1, keepdims=True)
+    return f / np.where(top > 0, top, 1.0)
 
 
-def _var(pi: np.ndarray, f: np.ndarray) -> float:
-    m = float(pi @ f)
-    return float(pi @ (f - m) ** 2)
+def _var(pi: np.ndarray, f: np.ndarray):
+    """Var_pi of one function or of each row of a stack."""
+    m = (f @ pi)[..., None]
+    return ((f - m) ** 2) @ pi
 
 
-def _ent(pi: np.ndarray, g: np.ndarray) -> float:
-    """Ent_pi(g) = E[g log g] - E[g] log E[g] for g > 0."""
-    mean = float(pi @ g)
-    return float(pi @ (g * np.log(g))) - mean * math.log(mean)
+def _ent(pi: np.ndarray, g: np.ndarray):
+    """Ent_pi(g) = E[g log g] - E[g] log E[g] for g > 0 (one function or rows)."""
+    mean = g @ pi
+    return (g * np.log(g)) @ pi - mean * np.log(mean)
 
 
-def dirichlet_form(chain: FiniteChain, f) -> float:
-    """<f, (I - P) f>_pi, exactly."""
+def _report(name, slack, n_trials, witness, tol=INEQ_TOL, details=None) -> CheckReport:
+    """One-sided check over an array of slacks: passes when the smallest is
+    >= -tol (a NaN fails); on failure ``witness(*index)`` describes the
+    entry holding the smallest slack."""
+    slack = np.asarray(slack, dtype=float)
+    if slack.size == 0:
+        return CheckReport(name, True, math.inf, n_trials, details=details or {})
+    index = tuple(int(k) for k in np.unravel_index(np.argmin(slack), slack.shape))
+    worst = float(slack[index])
+    passed = worst >= -tol
+    found = None if passed else {**witness(*index), "slack": worst}
+    return CheckReport(name, passed, worst, n_trials, found, details or {})
+
+
+def _c_star(mix: FiniteMixture) -> float:
+    """C*: the largest exact component Poincare constant."""
+    return max(poincare_constant(c) for c in mix.components)
+
+
+def dirichlet_form(chain: FiniteChain, f):
+    """<f, (I - P) f>_pi, exactly: a float for one function, an array for
+    a stack of row functions."""
     f = np.asarray(f, dtype=float)
-    return float(chain.pi @ (f * (f - chain.P @ f)))
+    form = (f * (f - f @ chain.P.T)) @ chain.pi
+    return float(form) if f.ndim == 1 else form
 
 
 def dirichlet_form_pairwise(chain: FiniteChain, f) -> float:
@@ -181,26 +210,10 @@ def check_generator_decomposition(
     proposal; equality for a single component.
     """
     _check_size(mix.chain)
-    min_slack = math.inf
-    witness = None
-    for _ in range(trials):
-        f = _random_f(rng, mix.n_states, "signed")
-        total = dirichlet_form(mix.chain, f)
-        parts = sum(
-            w * dirichlet_form(c, f) for w, c in zip(mix.weights, mix.components)
-        )
-        slack = total - parts
-        if slack < min_slack:
-            min_slack = slack
-            if slack < -INEQ_TOL:
-                witness = {"f": f, "slack": slack}
-    return CheckReport(
-        name="generator_decomposition",
-        passed=min_slack >= -INEQ_TOL,
-        min_slack=min_slack,
-        n_trials=trials,
-        witness=witness,
-    )
+    F = _random_fs(rng, trials, mix.n_states, "signed")
+    parts = sum(w * dirichlet_form(c, F) for w, c in zip(mix.weights, mix.components))
+    slack = dirichlet_form(mix.chain, F) - parts
+    return _report("generator_decomposition", slack, trials, lambda i: {"f": F[i]})
 
 
 def semigroup(chain: FiniteChain, t: float) -> np.ndarray:
@@ -242,42 +255,33 @@ def variance_decay_check(
     ``convexity_grid`` (default: 50 points on [0, max T]).
     """
     _check_size(mix.chain)
-    c_star = max(poincare_constant(c) for c in mix.components)
+    pi = mix.chain.pi
+    c_star = _c_star(mix)
     t_grid = [float(t) for t in t_grid]
     if convexity_grid is None:
         convexity_grid = np.linspace(0.0, max(t_grid), 50)
-    semis = {t: semigroup(mix.chain, t) for t in t_grid}
+    semis = [semigroup(mix.chain, t) for t in t_grid]
     conv_semis = [semigroup(mix.chain, t) for t in convexity_grid]
-    min_slack = math.inf
-    min_second_diff = math.inf
-    witness = None
-    for _ in range(trials):
-        f = _random_f(rng, mix.n_states, "signed")
-        for t in t_grid:
-            g = semis[t] @ f
-            lhs = sum(w * _var(c.pi, g) for w, c in zip(mix.weights, mix.components))
-            rhs = c_star / (2.0 * t) * _var(mix.chain.pi, f)
-            slack = rhs - lhs
-            if slack < min_slack:
-                min_slack = slack
-                if slack < -INEQ_TOL:
-                    witness = {"f": f, "t": t, "slack": slack}
-        curve = np.array([_var(mix.chain.pi, S @ f) for S in conv_semis])
-        second = curve[2:] - 2.0 * curve[1:-1] + curve[:-2]
-        worst = float(second.min()) if second.size else math.inf
-        if worst < min_second_diff:
-            min_second_diff = worst
-            if worst < -1e-10 and witness is None:
-                witness = {"f": f, "second_difference": worst}
-    passed = min_slack >= -INEQ_TOL and min_second_diff >= -1e-10
-    return CheckReport(
-        name="variance_decay",
-        passed=passed,
-        min_slack=min_slack,
-        n_trials=trials,
-        witness=witness,
-        details={"c_star": c_star, "min_second_difference": min_second_diff},
+    F = _random_fs(rng, trials, mix.n_states, "signed")
+    var_f = _var(pi, F)
+    slack = np.stack([
+        c_star / (2.0 * t) * var_f
+        - sum(w * _var(c.pi, F @ S.T) for w, c in zip(mix.weights, mix.components))
+        for S, t in zip(semis, t_grid)
+    ], axis=1)
+    curve = np.stack([_var(pi, F @ S.T) for S in conv_semis], axis=1)
+    second = curve[:, 2:] - 2.0 * curve[:, 1:-1] + curve[:, :-2]
+    min_second = float(np.min(second, initial=math.inf))
+    report = _report(
+        "variance_decay", slack, trials, lambda i, j: {"f": F[i], "t": t_grid[j]},
+        details={"c_star": c_star, "min_second_difference": min_second},
     )
+    if report.passed and not min_second >= -1e-10:
+        worst = int(np.argmin(np.min(second, axis=1)))
+        report = replace(
+            report, passed=False, witness={"f": F[worst], "second_difference": min_second}
+        )
+    return report
 
 
 def inter_intra_decomposition(
@@ -309,7 +313,7 @@ def inter_intra_decomposition(
     result = {"intra": intra, "inter": inter, "total": total}
     if t > 0 and np.all(f >= 0):
         gamma = float(gbar.max())
-        c_star = max(poincare_constant(c) for c in mix.components)
+        c_star = _c_star(mix)
         mu2_f2 = float(next_pmf @ f ** 2)
         mu2_f = float(next_pmf @ f)
         intra_bound = c_star * gamma / (2.0 * t) * mu2_f2
@@ -341,33 +345,18 @@ def single_step_check(
     next_pmf = np.asarray(next_pmf, dtype=float)
     gbar = next_pmf / pi
     gamma = float(gbar.max())
-    c_star = max(poincare_constant(c) for c in mix.components)
+    c_star = _c_star(mix)
     if t is None:
         if lam_target is None:
             raise ValueError("need either t or lam_target")
         t = c_star * gamma / (2.0 * lam_target)
     constants = bounds.single_step_constants(c_star, gamma, t, mix.weights)
     S = semigroup(mix.chain, t)
-    min_slack = math.inf
-    witness = None
-    for _ in range(trials):
-        f = _random_f(rng, mix.n_states, "nonnegative")
-        qhat = S @ (gbar * f)
-        lhs = float(pi @ qhat ** 2)
-        rhs = constants.lam * float(next_pmf @ f ** 2) + constants.beta * float(
-            next_pmf @ f
-        ) ** 2
-        slack = rhs - lhs
-        if slack < min_slack:
-            min_slack = slack
-            if slack < -INEQ_TOL:
-                witness = {"f": f, "slack": slack}
-    return CheckReport(
-        name="single_step",
-        passed=min_slack >= -INEQ_TOL,
-        min_slack=min_slack,
-        n_trials=trials,
-        witness=witness,
+    F = _random_fs(rng, trials, mix.n_states, "nonnegative")
+    lhs = ((F * gbar) @ S.T) ** 2 @ pi
+    rhs = constants.lam * (F ** 2 @ next_pmf) + constants.beta * (F @ next_pmf) ** 2
+    return _report(
+        "single_step", rhs - lhs, trials, lambda i: {"f": F[i]},
         details={"t": t, "lam": constants.lam, "beta": constants.beta, "gamma": gamma},
     )
 
@@ -400,29 +389,15 @@ def hypercontractivity_check(
     qs = [bounds.q_of_t(p, c_star, t) for t in t_grid]
     log_pi = np.log(mix.chain.pi)
     log_wstar = math.log(mix.w_star)
-    min_slack = math.inf
-    witness = None
-    for _ in range(trials):
-        f = _random_f(rng, mix.n_states, "positive")
-        curve = []
-        for S, q in zip(semis, qs):
-            g = S @ f
-            log_norm = logsumexp(log_pi + q * np.log(g)) / q
-            curve.append(math.exp(log_norm - log_wstar / q))
-        curve = np.array(curve)
-        drops = curve[:-1] - curve[1:]  # >= 0 when non-increasing
-        worst = float(drops.min()) if len(drops) else math.inf
-        if worst < min_slack:
-            min_slack = worst
-            if worst < -tol:
-                witness = {"f": f, "t": t_grid[int(np.argmin(drops)) + 1], "slack": worst}
-    return CheckReport(
-        name="hypercontractivity",
-        passed=min_slack >= -tol,
-        n_trials=trials,
-        min_slack=min_slack,
-        witness=witness,
-        details={"c_star": c_star, "p": p, "q_max": qs[-1]},
+    F = _random_fs(rng, trials, mix.n_states, "positive")
+    curve = np.stack([
+        np.exp(logsumexp(log_pi + q * np.log(F @ S.T), axis=1) / q - log_wstar / q)
+        for S, q in zip(semis, qs)
+    ], axis=1)
+    drops = curve[:, :-1] - curve[:, 1:]  # >= 0 when non-increasing
+    return _report(
+        "hypercontractivity", drops, trials, lambda i, j: {"f": F[i], "t": t_grid[j + 1]},
+        tol=tol, details={"c_star": c_star, "p": p, "q_max": qs[-1]},
     )
 
 
@@ -434,30 +409,15 @@ def entropy_decomposition_check(
     An exact identity; asserted within 1e-12 for strictly positive f.
     """
     _check_size(mix.chain)
-    pi = mix.chain.pi
-    worst = 0.0
-    witness = None
-    for _ in range(trials):
-        f = _random_f(rng, mix.n_states, "positive")
-        g = f ** 2
-        total = _ent(pi, g)
-        within = sum(w * _ent(c.pi, g) for w, c in zip(mix.weights, mix.components))
-        comp_means = np.array([float(c.pi @ g) for c in mix.components])
-        overall = float(np.sum(mix.weights * comp_means))
-        between = float(
-            np.sum(mix.weights * comp_means * np.log(comp_means / overall))
-        )
-        err = abs(total - within - between)
-        if err > worst:
-            worst = err
-            if err > 1e-12:
-                witness = {"f": f, "error": err}
-    return CheckReport(
-        name="entropy_decomposition",
-        passed=worst <= 1e-12,
-        min_slack=-worst,
-        n_trials=trials,
-        witness=witness,
+    F = _random_fs(rng, trials, mix.n_states, "positive")
+    G = F ** 2
+    within = sum(w * _ent(c.pi, G) for w, c in zip(mix.weights, mix.components))
+    comp_means = np.stack([G @ c.pi for c in mix.components], axis=1)
+    overall = comp_means @ mix.weights
+    between = (comp_means * np.log(comp_means / overall[:, None])) @ mix.weights
+    err = np.abs(_ent(mix.chain.pi, G) - within - between)
+    return _report(
+        "entropy_decomposition", -err, trials, lambda i: {"f": F[i], "error": err[i]}
     )
 
 
@@ -471,24 +431,16 @@ def markov_contraction_check(
     """
     _check_size(mix.chain)
     pi = mix.chain.pi
-    min_slack = math.inf
-    witness = None
-    for t in t_grid:
-        S = semigroup(mix.chain, t)
-        for i, comp in enumerate(mix.components):
-            before = float(np.max(np.abs(comp.pi / pi - 1.0)))
-            after = float(np.max(np.abs((comp.pi @ S) / pi - 1.0)))
-            slack = before - after
-            if slack < min_slack:
-                min_slack = slack
-                if slack < -INEQ_TOL:
-                    witness = {"component": i, "t": t, "slack": slack}
-    return CheckReport(
-        name="markov_contraction",
-        passed=min_slack >= -INEQ_TOL,
-        min_slack=min_slack,
-        n_trials=len(list(t_grid)) * len(mix.components),
-        witness=witness,
+    t_grid = list(t_grid)
+    comp_pis = np.stack([c.pi for c in mix.components])
+    before = np.max(np.abs(comp_pis / pi - 1.0), axis=1)
+    slack = np.array([
+        before - np.max(np.abs((comp_pis @ semigroup(mix.chain, t)) / pi - 1.0), axis=1)
+        for t in t_grid
+    ])
+    return _report(
+        "markov_contraction", slack, len(t_grid) * len(mix.components),
+        lambda j, i: {"component": i, "t": t_grid[j]},
     )
 
 
@@ -740,56 +692,47 @@ def run_verification_suite(
 ) -> VerificationReport:
     """Run the named oracle checks on the standard fixtures.
 
-    ``selectors`` filters checks by name prefix ("decomposition" matches both
-    constructions); ``trials_scale`` scales trial counts down for quick runs.
+    A check runs when a selector is a prefix of its name or of its family
+    ("decomposition" matches both constructions, "entropy_m3" one check);
+    ``trials_scale`` scales trial counts down for quick runs.
     """
     rng = np.random.default_rng(seed)
+    mix, next_pmf = _two_level_pmfs(3)
+    four = glauber_mixture([0.4, 0.6], ([0.2, 0.7], [0.8, 0.45])).chain
+    checks = []
 
     def n(base):
         return max(1, int(round(base * trials_scale)))
 
-    checks = []
+    def add(family, name, run):
+        if selectors is None or any(
+            name.startswith(s) or family.startswith(s) for s in selectors
+        ):
+            checks.append(replace(run(), name=name))
 
-    def want(name):
-        return selectors is None or any(name.startswith(s) for s in selectors)
-
-    if want("decomposition"):
-        for d, weights, probmaker in _decomposition_cases():
-            gl = glauber_mixture(weights, probmaker)
-            rep = check_generator_decomposition(gl, n(1000), rng)
-            checks.append(_rename(rep, f"decomposition_glauber_d{d}_m{len(weights)}"))
-            mh = mh_mixture(weights, [product_pmf(p) for p in probmaker])
-            rep = check_generator_decomposition(mh, n(1000), rng)
-            checks.append(_rename(rep, f"decomposition_mh_d{d}_m{len(weights)}"))
-    if want("variance_decay"):
-        mix = standard_glauber_mixture(3)
-        checks.append(
-            variance_decay_check(mix, [0.1, 0.5, 1.0, 2.0, 5.0, 10.0], n(100), rng)
-        )
-    if want("single_step"):
-        mix, next_pmf = _two_level_pmfs(3)
-        checks.append(single_step_check(mix, next_pmf, n(1000), rng, lam_target=0.5))
-    if want("hypercontractivity"):
-        mix = standard_glauber_mixture(3)
-        checks.append(
-            hypercontractivity_check(mix, 2.0, np.linspace(0.0, 5.0, 20), n(100), rng)
-        )
-    if want("entropy"):
-        mix = standard_glauber_mixture(3)
-        checks.append(_rename(entropy_decomposition_check(mix, n(1000), rng), "entropy_m2"))
-        three = glauber_mixture(
-            [0.3, 0.3, 0.4], ([0.15, 0.8, 0.4], [0.85, 0.3, 0.6], [0.5, 0.5, 0.2])
-        )
-        checks.append(_rename(entropy_decomposition_check(three, n(1000), rng), "entropy_m3"))
-    if want("semigroup") or want("poissonized"):
-        four = glauber_mixture([0.4, 0.6], ([0.2, 0.7], [0.8, 0.45])).chain
-        checks.append(semigroup_properties_check(four))
-        checks.append(poissonized_fidelity_check(four, 1.3, n(100_000), rng))
-    if want("contraction"):
-        mix = standard_glauber_mixture(3)
-        checks.append(markov_contraction_check(mix, [0.1, 0.5, 1.0, 3.0, 10.0]))
-    if want("delta_recursion"):
-        checks.append(delta_recursion_check())
+    # add() calls run() at once, so each closure sees its own loop values
+    for d, weights, probs in _decomposition_cases():
+        tag = f"d{d}_m{len(weights)}"
+        add("decomposition", f"decomposition_glauber_{tag}", lambda: check_generator_decomposition(
+            glauber_mixture(weights, probs), n(1000), rng))
+        add("decomposition", f"decomposition_mh_{tag}", lambda: check_generator_decomposition(
+            mh_mixture(weights, [product_pmf(p) for p in probs]), n(1000), rng))
+    add("variance_decay", "variance_decay", lambda: variance_decay_check(
+        mix, [0.1, 0.5, 1.0, 2.0, 5.0, 10.0], n(100), rng))
+    add("single_step", "single_step", lambda: single_step_check(
+        mix, next_pmf, n(1000), rng, lam_target=0.5))
+    add("hypercontractivity", "hypercontractivity", lambda: hypercontractivity_check(
+        mix, 2.0, np.linspace(0.0, 5.0, 20), n(100), rng))
+    add("entropy", "entropy_m2", lambda: entropy_decomposition_check(mix, n(1000), rng))
+    three = ([0.3, 0.3, 0.4], ([0.15, 0.8, 0.4], [0.85, 0.3, 0.6], [0.5, 0.5, 0.2]))
+    add("entropy", "entropy_m3", lambda: entropy_decomposition_check(
+        glauber_mixture(*three), n(1000), rng))
+    add("semigroup", "semigroup_properties", lambda: semigroup_properties_check(four))
+    add("poissonized", "poissonized_semigroup", lambda: poissonized_fidelity_check(
+        four, 1.3, n(100_000), rng))
+    add("contraction", "markov_contraction", lambda: markov_contraction_check(
+        mix, [0.1, 0.5, 1.0, 3.0, 10.0]))
+    add("delta_recursion", "delta_recursion", delta_recursion_check)
     if not checks:
         raise ValueError(f"selectors {selectors!r} matched no checks")
     return VerificationReport(seed=seed, checks=tuple(checks))
@@ -802,9 +745,3 @@ def _decomposition_cases():
         (3, [0.2, 0.8], ([0.15, 0.8, 0.4], [0.85, 0.3, 0.6])),
         (3, [0.3, 0.3, 0.4], ([0.15, 0.8, 0.4], [0.85, 0.3, 0.6], [0.5, 0.5, 0.2])),
     ]
-
-
-def _rename(report: CheckReport, name: str) -> CheckReport:
-    import dataclasses
-
-    return dataclasses.replace(report, name=name)

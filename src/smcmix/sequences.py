@@ -196,15 +196,10 @@ def _tempering_init_proposal(target: TargetMixture, beta1: float) -> GaussianCom
     """Level-1 proposal of a tempering ladder: the Gaussian with the mean and
     covariance of the mixture of the tempered components N(mu_i, Sigma_i/beta1)."""
     gauss = target.component_gaussians()
-    w = target.weights
-    means = np.stack([g.mean for g in gauss])
-    m = np.sum(w[:, None] * means, axis=0)
-    d = gauss[0].dim
-    cov = np.zeros((d, d))
-    for wi, g, mu in zip(w, gauss, means):
-        cov += wi * (g.cov / beta1 + np.outer(mu, mu))
-    cov -= np.outer(m, m)
-    return GaussianComponent(m, cov)
+    tempered = TargetMixture.gaussian(
+        target.weights, [g.mean for g in gauss], [g.cov / beta1 for g in gauss]
+    )
+    return GaussianComponent(tempered.mean(), tempered.cov())
 
 
 def build_power_tempering(

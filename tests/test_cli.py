@@ -404,6 +404,13 @@ class TestVerify:
                      "--suite", "contraction", "--suite", "delta_recursion"])
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["markov_contraction", "poissonized_semigroup"])
+    def test_suite_selects_a_check_by_its_printed_name(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--seed", "0", "verify", "--suite", name]) == 0
+        doc = json.loads((out / "verify.json").read_text())
+        assert [c["name"] for c in doc["checks"]] == [name]
+
     def test_unknown_suite_is_config_error(self, tmp_path):
         assert main(["--out", str(tmp_path), "verify", "--suite", "bogus"]) == 2
 

@@ -49,6 +49,13 @@ class TestDirichletForm:
             4.0 * dirichlet_form(TWO_STATE, f), rel=1e-14
         )
 
+    def test_stack_of_rows_matches_single_calls(self, rng):
+        chain = glauber_transition_matrix(product_pmf([0.3, 0.6, 0.45]), 3)
+        F = rng.standard_normal((25, 8))
+        single = np.array([dirichlet_form(chain, f) for f in F])
+        assert isinstance(single[0], float)
+        np.testing.assert_allclose(dirichlet_form(chain, F), single, rtol=1e-14)
+
     def test_inner_product_equals_pairwise_sum_when_reversible(self, rng):
         chain = glauber_transition_matrix(product_pmf([0.3, 0.6, 0.45]), 3)
         for _ in range(100):
@@ -75,6 +82,17 @@ class TestGeneratorDecomposition:
         mix = mh_mixture([0.2, 0.8], pmfs)
         report = check_generator_decomposition(mix, 1000, rng)
         assert report.passed
+
+    def test_failure_witness_holds_the_smallest_slack(self):
+        # a holding mixture chain (P = I) has no Dirichlet energy to spare
+        mix = oracle.standard_glauber_mixture(3)
+        frozen = FiniteMixture(chain=FiniteChain(P=np.eye(8), pi=mix.chain.pi),
+                               components=mix.components, weights=mix.weights)
+        report = check_generator_decomposition(frozen, 20, np.random.default_rng(3))
+        assert not report.passed
+        assert report.min_slack == pytest.approx(-0.169, abs=1e-3)
+        assert report.witness["f"].shape == (8,)
+        assert report.witness["slack"] == report.min_slack
 
     def test_mixture_requires_consistent_weights(self):
         good = glauber_mixture([0.5, 0.5], ([0.2, 0.7], [0.6, 0.3]))
@@ -137,6 +155,32 @@ class TestVarianceDecay:
         assert report.passed
         assert report.min_slack >= -1e-12
         assert report.details["min_second_difference"] >= -1e-10
+
+    def test_matches_per_trial_loop(self):
+        mix = oracle.standard_glauber_mixture(3)
+        t_grid, grid = [0.1, 1.0, 5.0], np.linspace(0.0, 5.0, 50)
+        report = variance_decay_check(mix, t_grid, 30, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        pi = mix.chain.pi
+        c_star = max(poincare_constant(c) for c in mix.components)
+
+        def var(p, g):
+            return float(p @ (g - p @ g) ** 2)
+
+        slacks, seconds = [], []
+        for _ in range(30):
+            f = rng.standard_normal(8)
+            f /= np.max(np.abs(f))
+            for t in t_grid:
+                g = semigroup(mix.chain, t) @ f
+                lhs = sum(w * var(c.pi, g) for w, c in zip(mix.weights, mix.components))
+                slacks.append(c_star / (2.0 * t) * var(pi, f) - lhs)
+            curve = np.array([var(pi, semigroup(mix.chain, s) @ f) for s in grid])
+            seconds.append(np.min(curve[2:] - 2.0 * curve[1:-1] + curve[:-2]))
+        assert report.min_slack == pytest.approx(min(slacks), abs=1e-14)
+        assert report.details["min_second_difference"] == pytest.approx(
+            min(seconds), rel=1e-9, abs=1e-15
+        )
 
 
 class TestInterIntra:
@@ -207,6 +251,16 @@ class TestHypercontractivity:
         )
         assert report.details["c_star"] == 50.0
         assert report.passed
+
+
+    def test_too_small_constant_fails_with_time_witness(self):
+        mix = oracle.standard_glauber_mixture(3)
+        report = hypercontractivity_check(
+            mix, 2.0, [0.01, 0.05, 0.1], 50, np.random.default_rng(4), c_star=0.2
+        )
+        assert not report.passed
+        assert report.witness["t"] == 0.1
+        assert report.witness["slack"] == report.min_slack
 
 
 class TestEntropy:

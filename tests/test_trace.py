@@ -42,3 +42,18 @@ def test_mixture_shapes_report_every_shape(bench_trace):
     assert len(metrics) == 2 * len(bench_trace.SHAPES) == 8
     for name, (value, unit) in metrics.items():
         assert unit == "ns" and math.isfinite(value) and value > 0, name
+
+
+def test_tracer_records_oracle_layers(tmp_path, bench_trace):
+    # a check that bound `semigroup` locally would trace as 0 calls
+    cfg = write_json(tmp_path / "c.json",
+                     {"schema_version": 1, "verify": {"trials_scale": 0.05}})
+    with bench_trace.Tracer(smcmix) as tracer:
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--seed", "0",
+                     "verify", "--suite", "decomposition", "--suite", "variance_decay",
+                     "--suite", "hypercontractivity"]) == 0
+    spans = tracer.raw()
+    for layer in ("oracle.decomposition", "oracle.variance_decay",
+                  "oracle.hypercontractivity", "oracle.lsi_estimate", "oracle.semigroup"):
+        assert spans.get(layer, {}).get("calls", 0) > 0, layer
+    assert tracer.trials > 0
