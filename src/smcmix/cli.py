@@ -300,7 +300,7 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     config, exact = build_smc_config(exp, seed_override=master_seed)
     results = _run_replicates(exp, config, master_seed, n_rep, threads)
 
-    etas = np.array([r.eta for r in results])
+    stats = smc.summarize_etas([r.eta for r in results], exact)
     nus = [r.nu for r in results]
     doc = {
         "schema_version": 1,
@@ -326,12 +326,12 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
             for i, r in enumerate(results)
         ],
         "summary": {
-            "mean_eta": float(etas.mean()),
-            "var_eta": float(etas.var(ddof=1)) if n_rep > 1 else 0.0,
+            "mean_eta": stats["mean_eta"],
+            "var_eta": stats["variance"],
             "mean_nu": (
                 float(np.mean([v for v in nus])) if all(v is not None for v in nus) else None
             ),
-            "mse": None if exact is None else float(np.mean((etas - exact) ** 2)),
+            "mse": stats["mse"],
             "exact_value": exact,
         },
     }
@@ -366,7 +366,9 @@ _ASSUMPTION_KEYS = ("n", "M", "w_star", "gamma", "c_star")
 
 
 def _derive_assumptions(cfg: dict) -> dict:
-    """Fill n, M, w_star, gamma, c_star from the experiment's analytic ladder."""
+    """Fill n, M, w_star, gamma, c_star from the experiment's analytic ladder,
+    and for a convolution ladder, whose levels keep the target weights
+    exactly, also ``per_level_weights``."""
     exp = cfg.get("experiment")
     if exp is None:
         raise ConfigError(
@@ -383,13 +385,16 @@ def _derive_assumptions(cfg: dict) -> dict:
         w_star = sequences.tempered_weight_lower_bound(target, betas=betas)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return {
+    derived = {
         "n": ladder.n_levels,
         "M": target.n_components,
         "w_star": w_star,
         "gamma": ladder.gamma_bound,
         "c_star": c_star,
     }
+    if exp["ladder"]["kind"] == "convolution":
+        derived["per_level_weights"] = (tuple(target.weights.tolist()),) * ladder.n_levels
+    return derived
 
 
 def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
@@ -404,6 +409,8 @@ def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
     c_star = merged["c_star"]
     if np.ndim(c_star) == 0:
         c_star = [float(c_star)]
+    # exact weights describe the derived mixture, not an explicitly given M or w_star
+    weights = None if "M" in b or "w_star" in b else derived.get("per_level_weights")
     return bounds.AssumptionParams(
         n=int(merged["n"]),
         M=int(merged["M"]),
@@ -414,6 +421,7 @@ def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
         epsilon=float(b["epsilon"]),
         delta=float(b.get("delta", 0.1)),
         p=int(b.get("p", 4)),
+        per_level_weights=weights,
     )
 
 
@@ -568,7 +576,7 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
 
 def _write_json(path: str, doc: dict):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

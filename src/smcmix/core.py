@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
-from .gaussians import GaussianComponent
+from .gaussians import _LOG_2PI, GaussianComponent
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, kernels imports core at runtime
     from .kernels import KernelSpec
@@ -37,12 +37,11 @@ __all__ = [
     "eval_mixture_logdensity",
     "mixture_grad_logdensity",
     "check_gradient",
+    "effective_sample_size",
     "validate_ladder",
 ]
 
 MAX_FINITE_STATES = 2 ** 14
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 class DegenerateWeightsError(RuntimeError):
@@ -390,10 +389,10 @@ class Ladder:
 class ParticleEnsemble:
     """N particle states at one level, plus the running ν bookkeeping.
 
-    ``nu_scale`` is the running product of empirical normalized-ratio means;
-    it is exactly 1 for a freshly initialized ensemble.  ``lane_ids`` give
-    each particle a persistent identity so that runs are invariant to the
-    storage order of the ensemble.  ``log_weights`` are the unnormalized log
+    ``nu_scale`` is the product of the empirical normalized-ratio means of
+    the levels passed; it is exactly 1 for a freshly initialized ensemble.
+    ``lane_ids`` give each particle a persistent identity so that runs are
+    invariant to the storage order of the ensemble.  ``log_weights`` are the unnormalized log
     importance weights of a proposal draw; None means equally weighted.
     """
 
@@ -431,6 +430,11 @@ class ParticleEnsemble:
     @property
     def n_particles(self) -> int:
         return self.particles.shape[0]
+
+
+def effective_sample_size(weights: np.ndarray) -> float:
+    """ESS (Σw)² / Σw² of nonnegative, not all zero, weights."""
+    return float(weights.sum() ** 2 / np.sum(weights * weights))
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,11 @@ from .core import (
     Level,
     ParticleEnsemble,
     TargetMixture,
+    effective_sample_size,
     eval_mixture_logdensity,
     mixture_grad_logdensity,
 )
-from .gaussians import GaussianComponent, power_normalizer
+from .gaussians import _LOG_2PI, GaussianComponent, power_normalizer
 from .kernels import KernelSpec
 
 __all__ = [
@@ -41,8 +42,6 @@ __all__ = [
     "sample_initial",
     "default_probes",
 ]
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def power_tempering_gamma(
     dbeta = beta_i - beta_prev
     log_dets = np.array([g.log_det_cov for g in gauss])
     out = (
-        -np.log(target.weights.min())
+        -np.log(target.w_star)
         + 0.5 * d * np.log(beta_i / beta_prev)
         + 0.5 * dbeta * (log_dets.max() - log_dets.min())
     )
@@ -123,12 +122,14 @@ def power_tempering_gamma(
 def tempered_component_lsi(target: TargetMixture, component: int, beta_i: float) -> float:
     """Log-Sobolev upper bound for one tempered mixture component.
 
-    (1/min_j alpha_j) * lambda_max(Sigma_component) / beta_i.
+    (1/min_j alpha_j) * lambda_max(Sigma_component) / beta_i.  Any
+    beta_i > 0 is accepted, so a last level that build_power_tempering
+    takes as beta = 1 (within 1e-12) has a bound too.
     """
-    if not 0 < beta_i <= 1:
-        raise ValueError("beta must lie in (0, 1]")
+    if not beta_i > 0:
+        raise ValueError("beta must be positive")
     gauss = target.component_gaussians()
-    return float(gauss[component].lambda_max / beta_i / target.weights.min())
+    return float(gauss[component].lambda_max / beta_i / target.w_star)
 
 
 def tempered_weight_lower_bound(
@@ -141,7 +142,7 @@ def tempered_weight_lower_bound(
     schedule, which is why ``betas`` is required in that case.
     """
     gauss = target.component_gaussians()
-    alpha_min = target.weights.min()
+    alpha_min = target.w_star
     log_dets = np.array([g.log_det_cov for g in gauss])
     if np.max(np.abs(log_dets - log_dets[0])) < 1e-12 and all(
         np.allclose(g.cov, gauss[0].cov, atol=1e-12) for g in gauss
@@ -158,9 +159,13 @@ def tempered_weight_lower_bound(
 
 
 def lsi_convolution_bound(c1: float, c2: float) -> float:
-    """Log-Sobolev constant of a convolution: sum of the factors' constants."""
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("constants must be positive")
+    """Log-Sobolev constant of a convolution: sum of the factors' constants.
+
+    ``c1`` must be positive; ``c2 = 0`` stands for no noise (a point mass),
+    so the un-noised final level of a convolution ladder keeps ``c1``.
+    """
+    if c1 <= 0 or c2 < 0:
+        raise ValueError("c1 must be positive and c2 nonnegative")
     return c1 + c2
 
 
@@ -232,7 +237,6 @@ def build_power_tempering(
             stacklevel=2,
         )
     budgets = _as_budgets(time_budget, len(betas))
-    lam = max(g.lambda_max for g in gauss)
     proposal = _tempering_init_proposal(target, betas[0]) if target.n_components > 1 else None
     levels = []
     gamma = 1.0
@@ -268,7 +272,9 @@ def build_power_tempering(
                 time_budget=budgets[i],
                 ratio_to_prev=ratio,
                 normalized_ratio=normalized,
-                lsi_constant_bound=lam / beta / target.weights.min(),
+                lsi_constant_bound=max(
+                    tempered_component_lsi(target, j, beta) for j in range(len(gauss))
+                ),
                 ratio_bound=bound,
                 mixture=target if abs(beta - 1.0) < 1e-15 else None,
                 init_proposal=proposal if i == 0 else None,
@@ -361,7 +367,7 @@ def build_gaussian_convolution(
                 time_budget=budgets[k],
                 ratio_to_prev=ratio,
                 normalized_ratio=ratio,  # all levels are normalized mixtures
-                lsi_constant_bound=base_lsi + noise,
+                lsi_constant_bound=lsi_convolution_bound(base_lsi, noise),
                 ratio_bound=bound,
                 mixture=mix,
             )
@@ -452,8 +458,7 @@ def init_sampler(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> Pa
         raise ValueError("level 1 has no exact sampler and no Gaussian proposal")
     draws = proposal.sample(rng, n_samples)
     log_w = np.asarray(level.density.log_density(draws), dtype=float) - proposal.logpdf(draws)
-    w = np.exp(log_w - np.max(log_w))
-    ess_frac = float(w.sum() ** 2 / np.sum(w * w)) / n_samples
+    ess_frac = effective_sample_size(np.exp(log_w - np.max(log_w))) / n_samples
     return ParticleEnsemble(1, draws, init_acceptance_rate=ess_frac, log_weights=log_w)
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DegenerateWeightsError, Ladder, ParticleEnsemble
+from .core import DegenerateWeightsError, Ladder, ParticleEnsemble, effective_sample_size
 from .kernels import apply_kernel
 from .sequences import sample_initial
 
@@ -37,7 +37,6 @@ __all__ = [
     "run_replicates",
     "mse_over_runs",
     "summarize_etas",
-    "jackknife_se",
 ]
 
 
@@ -148,7 +147,6 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
     ess_log, wsum_log, wall_log = [], [], []
     normalized_ok = log_w is None and all(lv.normalized_ratio is not None for lv in levels[1:])
     nbar_log = [] if normalized_ok else None
-    nu_scale = 1.0
     trajectory = [particles.copy()] if config.record_trajectory else None
 
     for k in range(1, n):
@@ -162,15 +160,13 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
         if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
             raise DegenerateWeightsError(f"degenerate weights at level {k + 1}")
         wsum_log.append(float(np.mean(g)) if w is g else float(w.sum() / carried.sum()))
-        ess_log.append(float(w.sum() ** 2 / np.sum(w * w)))
+        ess_log.append(effective_sample_size(w))
         if normalized_ok:
             if level.normalized_ratio is level.ratio_to_prev:
                 gbar = g
             else:
                 gbar = np.atleast_1d(np.asarray(level.normalized_ratio(particles), dtype=float))
-            nbar = float(np.mean(gbar))
-            nbar_log.append(nbar)
-            nu_scale *= nbar
+            nbar_log.append(float(np.mean(gbar)))
         ancestors = multinomial_resample(w, N, resample_rngs[k - 1])
         particles = particles[ancestors]
         particles = apply_kernel(level, particles, kernel_rngs[k - 1])
@@ -183,18 +179,18 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
         eta = _mean_exact(values)
     else:
         eta = float(np.average(values, weights=np.exp(log_w - np.max(log_w))))
-    nu = nu_scale * eta if normalized_ok else None
+    nu_scale = float(math.prod(nbar_log)) if normalized_ok else 1.0
     final = ParticleEnsemble(
         level_index=n,
         particles=particles,
-        nu_scale=nu_scale if n > 1 else 1.0,
+        nu_scale=nu_scale,
         init_acceptance_rate=init_rate,
         log_weights=log_w,
     )
     return SmcRunResult(
         final_ensemble=final,
         eta_estimate=eta,
-        nu_estimate=nu,
+        nu_estimate=nu_scale * eta if normalized_ok else None,
         ess_per_level=tuple(ess_log),
         weight_sums_per_level=tuple(wsum_log),
         normalized_weight_sums_per_level=tuple(nbar_log) if normalized_ok else None,
@@ -235,30 +231,49 @@ def run_replicates(config: SmcConfig, n_replicates: int) -> list:
     return results
 
 
-def jackknife_se(samples: np.ndarray, statistic) -> float:
-    """Leave-one-out standard error of a statistic of i.i.d. samples."""
-    n = samples.shape[0]
-    if n < 2:
-        return float("nan")
-    loo = np.array([statistic(np.delete(samples, i)) for i in range(n)])
-    return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
+def _jackknife_se(loo: np.ndarray) -> float:
+    """Jackknife standard error from the R leave-one-out values of a statistic."""
+    r = loo.shape[0]
+    return float(np.sqrt((r - 1) / r * np.sum((loo - loo.mean()) ** 2)))
 
 
-def summarize_etas(etas, exact_value: float) -> dict:
-    """Empirical MSE / variance / squared bias of replicate estimates of
-    ``exact_value``, each with its jackknife standard error."""
+def summarize_etas(etas, exact_value: Optional[float]) -> dict:
+    """Empirical MSE / variance / squared bias of R replicate estimates of
+    ``exact_value``, each with its jackknife standard error.
+
+    The leave-one-out values come in closed form, so the whole summary is
+    O(R): with m the mean, d_i = x_i - m and SS = Σ d_i², dropping x_i leaves
+    the mean m - d_i/(R-1), the sum of squares SS - R/(R-1) d_i² and the
+    squared-error sum minus (x_i - exact)².  A standard error that is not
+    defined is None: all three at R = 1 and the variance's at R = 2.  With
+    ``exact_value`` None only the mean and the variance are given.
+    """
     etas = np.asarray(etas, dtype=float)
-    n = etas.shape[0]
-    return {
-        "mse": float(np.mean((etas - exact_value) ** 2)),
-        "variance": float(np.var(etas, ddof=1)) if n > 1 else 0.0,
-        "bias_sq": float((etas.mean() - exact_value) ** 2),
-        "mean_eta": float(etas.mean()),
-        "mse_se": jackknife_se(etas, lambda s: np.mean((s - exact_value) ** 2)),
-        "variance_se": jackknife_se(etas, lambda s: np.var(s, ddof=1)),
-        "bias_sq_se": jackknife_se(etas, lambda s: (np.mean(s) - exact_value) ** 2),
-        "n_replicates": int(n),
+    r = etas.shape[0]
+    mean = etas.mean()
+    out = {
+        "mse": None,
+        "variance": float(np.var(etas, ddof=1)) if r > 1 else 0.0,
+        "bias_sq": None,
+        "mean_eta": float(mean),
+        "mse_se": None,
+        "variance_se": None,
+        "bias_sq_se": None,
+        "n_replicates": int(r),
     }
+    dev = etas - mean
+    if r > 2:
+        ss = np.sum(dev ** 2)
+        out["variance_se"] = _jackknife_se((ss - r / (r - 1) * dev ** 2) / (r - 2))
+    if exact_value is None:
+        return out
+    sq = (etas - exact_value) ** 2
+    out["mse"] = float(np.mean(sq))
+    out["bias_sq"] = float((mean - exact_value) ** 2)
+    if r > 1:
+        out["mse_se"] = _jackknife_se((np.sum(sq) - sq) / (r - 1))
+        out["bias_sq_se"] = _jackknife_se((mean - exact_value - dev / (r - 1)) ** 2)
+    return out
 
 
 def mse_over_runs(config: SmcConfig, n_replicates: int, exact_value: float) -> dict:

@@ -67,6 +67,23 @@ def finite_experiment(tmp_path, **overrides):
     )
 
 
+def strict_json(path):
+    """Parse a written document, refusing NaN and Infinity (not JSON)."""
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def assert_summary_from_replicates(doc):
+    """``run.json``'s summary is ``summarize_etas`` of its replicate etas."""
+    summary = doc["summary"]
+    stats = smc.summarize_etas([r["eta"] for r in doc["replicates"]], summary["exact_value"])
+    assert summary["mean_eta"] == stats["mean_eta"]
+    assert summary["var_eta"] == stats["variance"]
+    assert summary["mse"] == stats["mse"]
+
+
 def levels_without_wall_time(path):
     with open(path) as fh:
         return [row[:-1] for row in csv.reader(fh)]
@@ -112,9 +129,11 @@ class TestRun:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "--threads", "1", "run"]) == 0
-        doc = json.loads((out / "run.json").read_text())
+        doc = strict_json(out / "run.json")
         assert doc["schema_version"] == 1
         assert len(doc["replicates"]) == 3
+        assert doc["summary"]["mse"] is None  # no exact value
+        assert_summary_from_replicates(doc)
         with open(out / "replicates.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3
@@ -203,6 +222,7 @@ class TestRun:
         doc = json.loads((out / "run.json").read_text())
         assert doc["summary"]["exact_value"] == pytest.approx(float(pmf2[0]))
         assert doc["summary"]["mse"] is not None
+        assert_summary_from_replicates(doc)
 
     def test_from_theorem_time_policy(self, tmp_path):
         # single Gaussian: gamma = 2^{d/2} per step, t_k = 2 C*_k gamma^7
@@ -351,6 +371,27 @@ class TestBounds:
         assert doc["inputs"]["n"] == 4
         assert doc["inputs"]["gamma"] > 1.0
 
+    @pytest.mark.parametrize("ladder,given,beta", [
+        # convolution levels keep the target weights: beta = 1 + sum_i 1/w_i
+        ({"kind": "convolution", "betas": [0.25, 1.0], "sigma": 2.0}, {},
+         1.0 + 1.0 / 0.3 + 1.0 / 0.7),
+        # tempering weights are only bounded: beta = 1 + M/w_star, w_star = 0.3^2
+        ({"kind": "tempering", "n_levels": 4, "beta_min": 0.1}, {}, 1.0 + 2.0 / 0.09),
+        # an explicit M describes another mixture than the experiment's
+        ({"kind": "convolution", "betas": [0.25, 1.0], "sigma": 2.0}, {"M": 2},
+         1.0 + 2.0 / 0.09),
+    ])
+    def test_single_step_beta_from_derived_weights(self, tmp_path, ladder, given, beta):
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"schema_version": 1, "experiment": base_experiment(ladder=ladder),
+             "bounds": {"mode": "tv", "epsilon": 0.5, "f_sup_bound": 1.0, **given}},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
+        doc = strict_json(out / "bounds.json")
+        assert doc["beta"] == pytest.approx(beta, rel=1e-15)
+
     def test_feasibility_cap_flagged(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "c.json",
@@ -392,9 +433,10 @@ class TestVerify:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "verify"]) == 1
-        doc = json.loads((out / "verify.json").read_text())
+        doc = strict_json(out / "verify.json")
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["chain_validation"]
+        assert failed[0]["min_slack"] is None  # no slack: -inf is not JSON
         assert "rows must sum to 1" in failed[0]["details"]["error"]
 
     def test_quick_suites_pass(self, tmp_path):
@@ -463,6 +505,22 @@ class TestSweep:
         assert main(["--config", cfg, "--out", str(pooled), "--threads", "2", "sweep"]) == 0
         for out in ("sweep.json", "sweep.csv"):
             assert (serial / out).read_bytes() == (pooled / out).read_bytes(), out
+
+    def test_two_replicates_write_strict_json(self, tmp_path):
+        exp = finite_experiment(tmp_path)
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"schema_version": 1, "experiment": exp,
+             "sweep": {"parameter": "n_particles", "values": [50, 100], "replicates": 2}},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--threads", "1", "sweep"]) == 0
+        points = strict_json(out / "sweep.json")["points"]
+        assert [p["variance_se"] for p in points] == [None, None]
+        assert all(p["mse_se"] is not None and p["bias_sq_se"] is not None for p in points)
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["variance_se"] for r in rows] == ["", ""]
 
     def test_needs_exact_value(self, tmp_path):
         cfg = write_json(

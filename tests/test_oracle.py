@@ -368,6 +368,18 @@ class TestSuite:
         assert all(c.name.startswith("entropy") for c in report.checks)
         assert report.all_passed
 
+    def test_quick_suite_passes_every_check(self):
+        report = oracle.run_verification_suite(trials_scale=0.05, seed=0)
+        assert [c.name for c in report.checks if not c.passed] == []
+        poissonized = next(c for c in report.checks if c.name == "poissonized_semigroup")
+        assert poissonized.n_trials == 5_000
+        assert poissonized.details["tv_tol"] == 0.01 * math.sqrt(20.0)
+
+    def test_non_finite_slack_serializes_as_null(self):
+        report = oracle.CheckReport("x", False, -math.inf, 1, details={"v": float("nan")})
+        doc = report.to_dict()
+        assert doc["min_slack"] is None and doc["details"]["v"] is None
+
     def test_unknown_selector_rejected(self):
         with pytest.raises(ValueError, match="matched no checks"):
             oracle.run_verification_suite(selectors=["nonsense"], seed=0)

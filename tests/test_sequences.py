@@ -102,6 +102,26 @@ class TestPowerTempering:
         )
 
 
+    @pytest.mark.parametrize("covs", [
+        [np.eye(2), np.eye(2)],
+        [np.diag([0.5, 3.0]), np.array([[2.0, 0.6], [0.6, 1.0]])],
+    ])
+    def test_level_lsi_is_largest_component_lsi(self, covs):
+        target = TargetMixture.gaussian([0.3, 0.7], [[-2.0, 0.0], [2.0, 1.0]], covs)
+        ladder = build_power_tempering(target, geometric_schedule(5, 0.07, d=2))
+        for level, beta in zip(ladder.levels, geometric_schedule(5, 0.07, d=2).betas):
+            assert level.lsi_constant_bound == max(
+                tempered_component_lsi(target, i, beta) for i in range(2)
+            )
+
+    def test_last_beta_within_tolerance_of_one_builds(self, bimodal_target):
+        schedule = TemperingSchedule((0.5, 1.0 + 1e-13), d=2)
+        ladder = build_power_tempering(bimodal_target, schedule)
+        assert ladder.levels[-1].lsi_constant_bound == pytest.approx(1.0 / 0.3)
+        with pytest.raises(ValueError, match="positive"):
+            tempered_component_lsi(bimodal_target, 0, 0.0)
+
+
 class TestPowerTemperingGamma:
     def test_limit_is_inverse_min_weight(self):
         target = equal_cov_target()
@@ -198,6 +218,10 @@ class TestTemperedConstants:
     def test_lsi_convolution_bound(self):
         assert lsi_convolution_bound(1.0, 1e-12) == pytest.approx(1.0)
         assert lsi_convolution_bound(1.0, 2.0) == 3.0
+        assert lsi_convolution_bound(1.7, 0.0) == 1.7  # no noise: the un-noised level
+        for c1, c2 in ((1.0, -1e-12), (0.0, 1.0), (-1.0, 1.0)):
+            with pytest.raises(ValueError, match="c1 must be positive"):
+                lsi_convolution_bound(c1, c2)
 
 
 class TestGaussianConvolution:
@@ -231,6 +255,10 @@ class TestGaussianConvolution:
         ladder = build_gaussian_convolution(bimodal_target, sched)
         assert ladder.levels[0].lsi_constant_bound == pytest.approx(1.0 + 4.0 / 0.5)
         assert ladder.levels[-1].lsi_constant_bound == pytest.approx(1.0)
+        base = max(g.lambda_max for g in bimodal_target.component_gaussians())
+        noises = [4.0 / 0.5, 4.0 / 1.0, 0.0]
+        for level, noise in zip(ladder.levels, noises, strict=True):
+            assert level.lsi_constant_bound == lsi_convolution_bound(base, noise)
 
     def test_empirical_ratio_never_exceeds_bound(self, bimodal_target, rng):
         sched = TemperingSchedule(betas=(0.25, 0.5, 1.0), d=2, sigma=1.0)

@@ -250,7 +250,17 @@ class TestNuEstimator:
     def test_recorded_nu_matches_helper(self, finite_ladder):
         ladder, _, _ = finite_ladder
         result = run_smc(finite_config(ladder))
-        assert nu_estimate(result) == pytest.approx(result.nu_estimate, rel=1e-15)
+        assert nu_estimate(result) == result.nu_estimate
+        assert result.final_ensemble.nu_scale == math.prod(
+            result.normalized_weight_sums_per_level
+        )
+
+
+def loop_jackknife_se(samples: np.ndarray, statistic) -> float:
+    """Reference jackknife: recompute the statistic on each leave-one-out sample."""
+    n = samples.shape[0]
+    loo = np.array([statistic(np.delete(samples, i)) for i in range(n)])
+    return float(np.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
 
 
 def exhaustive_two_particle_mse(pmf1, pmf2, S2, f_values, exact):
@@ -290,7 +300,44 @@ class TestMseOverRuns:
         assert out["mse"] == pytest.approx(2.0 / 3.0 * out["variance"] + out["bias_sq"])
         # leave-one-out bias_sq values 4, 2.25, 0.25: se = sqrt(2/3 * 169/36) = 13/6
         assert out["bias_sq_se"] == pytest.approx(13.0 / 6.0)
+        # leave-one-out variances 8, 12.5, 0.5: se = sqrt(2/3 * 73.5) = 7
+        assert out["variance_se"] == pytest.approx(7.0)
+        # leave-one-out MSEs 8, 8.5, 0.5: se = sqrt(2/3 * 241/6) = sqrt(241)/3
+        assert out["mse_se"] == pytest.approx(math.sqrt(241.0) / 3.0)
         assert out["n_replicates"] == 3
+
+    @pytest.mark.parametrize("r", [2, 3, 5, 40, 500])
+    @pytest.mark.parametrize("kind", ["uniform", "narrow", "lattice"])
+    @pytest.mark.parametrize("exact", ["mean", "fixed", "first"])
+    def test_closed_form_errors_match_loop(self, r, kind, exact):
+        rng = np.random.default_rng(r)
+        x = {
+            "uniform": rng.random(r),
+            "narrow": 0.7 + 0.01 * rng.standard_normal(r),
+            "lattice": rng.integers(0, 5, r) / 512.0,
+        }[kind]
+        e = {"mean": float(x.mean()), "fixed": 0.7, "first": float(x[0])}[exact]
+        out = summarize_etas(x, e)
+        reference = {
+            "mse_se": loop_jackknife_se(x, lambda s: np.mean((s - e) ** 2)),
+            "bias_sq_se": loop_jackknife_se(x, lambda s: (np.mean(s) - e) ** 2),
+        }
+        if r > 2:
+            reference["variance_se"] = loop_jackknife_se(x, lambda s: np.var(s, ddof=1))
+        else:  # one value left: no variance to drop a replicate from
+            assert out["variance_se"] is None
+        for key, value in reference.items():
+            assert out[key] == pytest.approx(value, rel=1e-10, abs=1e-14), key
+
+    def test_undefined_errors_are_none(self):
+        out = summarize_etas([0.25], exact_value=0.5)
+        assert out["variance"] == 0.0 and out["mse"] == 0.0625
+        assert out["mse_se"] is None and out["variance_se"] is None
+        assert out["bias_sq_se"] is None
+        no_exact = summarize_etas([0.25, 0.5, 1.0], exact_value=None)
+        assert no_exact["mean_eta"] == pytest.approx(7.0 / 12.0)
+        assert no_exact["mse"] is None and no_exact["bias_sq_se"] is None
+        assert no_exact["variance_se"] is not None
 
     def test_constant_estimand_zero_mse(self, finite_ladder):
         ladder, _, _ = finite_ladder
