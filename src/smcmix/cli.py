@@ -255,16 +255,14 @@ class _Replicate(NamedTuple):
 
 
 def _run_chunk(config, point, seeds) -> list:
-    config = _at_point(config, point)
-    out = []
-    for seed in seeds:
-        r = smc.run_smc(replace(config, master_seed=seed))
-        out.append(_Replicate(
+    return [
+        _Replicate(
             r.eta_estimate, r.nu_estimate, r.ess_per_level, r.weight_sums_per_level,
             r.normalized_weight_sums_per_level, r.level_wall_times,
             r.final_ensemble.init_acceptance_rate,
-        ))
-    return out
+        )
+        for r in smc.run_seeded(_at_point(config, point), seeds)
+    ]
 
 
 def _pool_chunk(task) -> list:
@@ -274,15 +272,14 @@ def _pool_chunk(task) -> list:
     return _run_chunk(config, point, seeds)
 
 
-def _run_replicates(exp: dict, config, master_seed: int, n_rep: int, threads: int,
-                    point=None) -> list:
-    """``_Replicate`` records of replicates ``0..n_rep-1`` of ``config`` at
-    ``point``, in index order.
+def _run_replicates(exp: dict, config, seeds: list, threads: int, point=None) -> list:
+    """``_Replicate`` records of ``config`` at ``point``, one per seed, in
+    order.
 
-    With ``threads > 1`` the replicate seeds are split into contiguous chunks,
-    one per worker process, and each worker rebuilds the config from ``exp``.
+    With ``threads > 1`` the seeds are split into contiguous chunks, one per
+    worker process, and each worker rebuilds the config from ``exp``.
     """
-    seeds = [smc.replicate_seed(master_seed, i) for i in range(n_rep)]
+    n_rep = len(seeds)
     if threads <= 1 or n_rep == 1:
         return _run_chunk(config, point, seeds)
     size = -(-n_rep // threads)
@@ -298,7 +295,8 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     master_seed = int(exp["master_seed"] if seed_override is None else seed_override)
     n_rep = exp["replicates"]
     config, exact = build_smc_config(exp, seed_override=master_seed)
-    results = _run_replicates(exp, config, master_seed, n_rep, threads)
+    seeds = [smc.replicate_seed(master_seed, i) for i in range(n_rep)]
+    results = _run_replicates(exp, config, seeds, threads)
 
     stats = smc.summarize_etas([r.eta for r in results], exact)
     nus = [r.nu for r in results]
@@ -311,7 +309,7 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
         "replicates": [
             {
                 "replicate": i,
-                "seed": smc.replicate_seed(master_seed, i),
+                "seed": seed,
                 "eta": float(r.eta),
                 "nu": None if r.nu is None else float(r.nu),
                 "ess_per_level": [float(v) for v in r.ess_per_level],
@@ -323,7 +321,7 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
                 ),
                 "init_acceptance_rate": float(r.init_acceptance_rate),
             }
-            for i, r in enumerate(results)
+            for i, (seed, r) in enumerate(zip(seeds, results))
         ],
         "summary": {
             "mean_eta": stats["mean_eta"],
@@ -349,15 +347,8 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     with open(os.path.join(out_dir, "replicates.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "seed", "eta", "nu"])
-        for i, r in enumerate(results):
-            writer.writerow(
-                [
-                    i,
-                    smc.replicate_seed(master_seed, i),
-                    f"{r.eta!r}",
-                    "" if r.nu is None else f"{r.nu!r}",
-                ]
-            )
+        for i, (seed, r) in enumerate(zip(seeds, results)):
+            writer.writerow([i, seed, f"{r.eta!r}", "" if r.nu is None else f"{r.nu!r}"])
     print(f"wrote {out_dir}/run.json, levels.csv, replicates.csv")
     return 0
 
@@ -366,9 +357,13 @@ _ASSUMPTION_KEYS = ("n", "M", "w_star", "gamma", "c_star")
 
 
 def _derive_assumptions(cfg: dict) -> dict:
-    """Fill n, M, w_star, gamma, c_star from the experiment's analytic ladder,
-    and for a convolution ladder, whose levels keep the target weights
-    exactly, also ``per_level_weights``."""
+    """Fill n, M, w_star, gamma, c_star from the experiment's analytic ladder.
+
+    A convolution ladder's levels keep the target weights exactly, so its
+    ``w_star`` is the smallest target weight and it also gives
+    ``per_level_weights``; a tempering ladder's ``w_star`` is the lower bound
+    ``tempered_weight_lower_bound`` on its levels' weights.
+    """
     exp = cfg.get("experiment")
     if exp is None:
         raise ConfigError(
@@ -380,20 +375,21 @@ def _derive_assumptions(cfg: dict) -> dict:
     c_star = [lv.lsi_constant_bound for lv in ladder.levels]
     if any(c is None for c in c_star):
         raise ConfigError("ladder provides no log-Sobolev bound; supply c_star")
-    betas = list(_schedule(exp["ladder"], target.dim).betas)
-    try:
-        w_star = sequences.tempered_weight_lower_bound(target, betas=betas)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     derived = {
         "n": ladder.n_levels,
         "M": target.n_components,
-        "w_star": w_star,
         "gamma": ladder.gamma_bound,
         "c_star": c_star,
     }
     if exp["ladder"]["kind"] == "convolution":
+        derived["w_star"] = target.w_star
         derived["per_level_weights"] = (tuple(target.weights.tolist()),) * ladder.n_levels
+        return derived
+    betas = list(_schedule(exp["ladder"], target.dim).betas)
+    try:
+        derived["w_star"] = sequences.tempered_weight_lower_bound(target, betas=betas)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return derived
 
 
@@ -547,10 +543,11 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     base_config, exact = build_smc_config(exp, seed_override=master_seed)
     if exact is None:
         raise ConfigError("sweep needs exact_value in the experiment (or a finite target)")
+    seeds = [smc.replicate_seed(master_seed, i) for i in range(sweep["replicates"])]
     points = []
     for value in sweep["values"]:
-        results = _run_replicates(exp, base_config, master_seed, sweep["replicates"],
-                                  threads, point=(sweep["parameter"], value))
+        results = _run_replicates(exp, base_config, seeds, threads,
+                                  point=(sweep["parameter"], value))
         stats = smc.summarize_etas([r.eta for r in results], exact)
         points.append({"value": float(value), **stats})
     doc = {

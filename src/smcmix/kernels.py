@@ -74,8 +74,9 @@ def ula_evolve(density: DensitySpec, x, t: float, h: float, rng: np.random.Gener
     """Endpoint of ceil(t/h) unadjusted-Langevin steps started at ``x``.
 
     Each step is ``x <- x + h * grad_log_density(x) + sqrt(2h) * xi`` with
-    standard normal ``xi``.  ``x`` may be one state ``(d,)`` or a batch
-    ``(N, d)``; with ``t=0`` the input is returned unchanged.
+    standard normal ``xi``, updated in place on a copy of ``x`` with the
+    noise drawn into one reused buffer.  ``x`` may be one state ``(d,)`` or a
+    batch ``(N, d)``; with ``t=0`` the input is returned unchanged.
     """
     if density.grad_log_density is None:
         raise ValueError("Langevin kernel requires a gradient")
@@ -86,12 +87,16 @@ def ula_evolve(density: DensitySpec, x, t: float, h: float, rng: np.random.Gener
     state = np.atleast_2d(x).copy()
     n_steps = int(np.ceil(t / h))
     root = np.sqrt(2.0 * h)
+    noise = np.empty_like(state)
     for _ in range(n_steps):
         grad = np.asarray(density.grad_log_density(state), dtype=float)
         if not np.all(np.isfinite(grad)):
             bad = state[~np.isfinite(grad).all(axis=1)][0]
             raise FloatingPointError(f"non-finite gradient at state {bad}")
-        state = state + h * grad + root * rng.standard_normal(state.shape)
+        state += h * grad
+        rng.standard_normal(out=noise)
+        noise *= root
+        state += noise
     return state[0] if single else state
 
 
@@ -113,15 +118,24 @@ def mh_step(density: DensitySpec, x, proposal_scale: float, rng: np.random.Gener
     return out[0] if single else out
 
 
-def _poisson_jumps(state: np.ndarray, t: float, rng: np.random.Generator, step) -> np.ndarray:
-    """Apply ``step(states, rng)`` K ~ Poisson(t) times to each entry of
-    ``state``, in place; each particle draws its own jump count."""
+def _poisson_jumps(state: np.ndarray, t: float, rngs, step) -> np.ndarray:
+    """Apply K ~ Poisson(t) jumps to each particle of the (B, N, ...) block
+    ``state``, in place.  Row b draws its N jump counts from ``rngs[b]``; at
+    every jump ``step(states, rngs, counts)`` moves the still-active
+    particles of all rows, stacked in row order, ``counts[b]`` of them from
+    row b, whose randomness it draws from ``rngs[b]``."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    jumps = rng.poisson(t, size=state.shape[0])
-    for j in range(int(jumps.max(initial=0))):
+    jumps = np.empty(state.shape[:2], dtype=np.int64)
+    for row, rng in zip(jumps, rngs):
+        row[:] = rng.poisson(t, size=state.shape[1])
+    n_jumps = int(jumps.max(initial=0))
+    # remaining[b, j]: how many particles of row b jump more than j times
+    hist = [np.bincount(row, minlength=n_jumps + 1) for row in jumps]
+    remaining = state.shape[1] - np.cumsum(hist, axis=1)
+    for j in range(n_jumps):
         active = jumps > j
-        state[active] = step(state[active], rng)
+        state[active] = step(state[active], rngs, remaining[:, j])
     return state
 
 
@@ -129,10 +143,10 @@ def mh_evolve(density: DensitySpec, x, t: float, proposal_scale: float, rng: np.
     """Poissonized Metropolis chain: K ~ Poisson(t) steps per particle."""
     x = np.asarray(x, dtype=float)
     state = _poisson_jumps(
-        np.atleast_2d(x).copy(), t, rng,
-        lambda states, rng: mh_step(density, states, proposal_scale, rng),
+        np.atleast_2d(x)[None].copy(), t, (rng,),
+        lambda states, rngs, counts: mh_step(density, states, proposal_scale, rngs[0]),
     )
-    return state[0] if x.ndim == 1 else state
+    return state[0, 0] if x.ndim == 1 else state[0]
 
 
 def glauber_transition_matrix(pmf, d: int) -> FiniteChain:
@@ -187,6 +201,20 @@ def mh_transition_matrix(pmf, proposal=None) -> FiniteChain:
     return FiniteChain(P=Q, pi=pmf)
 
 
+def _chain_step(chain: FiniteChain):
+    """One jump of ``chain`` for stacked rows of states: each row's uniforms
+    come from its own generator, the table lookup runs once for all rows."""
+    cum = np.cumsum(chain.P, axis=1)
+
+    def step(states, rngs, counts):
+        parts = [rng.random(c) for rng, c in zip(rngs, counts.tolist())]
+        u = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        nxt = (cum[states] < u[:, None]).sum(axis=1)
+        return np.minimum(nxt, chain.n_states - 1, out=nxt)
+
+    return step
+
+
 def poissonized_evolve(chain, x, t: float, rng: np.random.Generator):
     """Continuous-time evolution by e^{t(P-I)}: Poisson(t) jumps of P.
 
@@ -194,31 +222,36 @@ def poissonized_evolve(chain, x, t: float, rng: np.random.Generator):
     applying one discrete step to an index array.  ``x`` is a state index or
     an array of indices; each particle draws its own jump count.
     """
-    state = np.atleast_1d(np.asarray(x, dtype=np.int64)).copy()
+    state = np.atleast_1d(np.asarray(x, dtype=np.int64))[None].copy()
     if isinstance(chain, FiniteChain):
-        cum = np.cumsum(chain.P, axis=1)
-
-        def step(states, rng):
-            u = rng.random(states.shape[0])
-            nxt = (cum[states] < u[:, None]).sum(axis=1)
-            return np.minimum(nxt, chain.n_states - 1)
-
+        step = _chain_step(chain)
     else:
-        step = chain
-    state = _poisson_jumps(state, t, rng, step)
+        def step(states, rngs, counts):
+            return chain(states, rngs[0])
+    state = _poisson_jumps(state, t, (rng,), step)[0]
     return int(state[0]) if np.ndim(x) == 0 else state
 
 
-def apply_kernel(level: Level, particles: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Smooth an ensemble with the level's kernel for its time budget."""
+def apply_kernel(level: Level, particles: np.ndarray, rngs) -> np.ndarray:
+    """Smooth a (B, N, ...) block of ensembles with the level's kernel for
+    its time budget; row b draws from ``rngs[b]`` only.
+
+    A finite chain moves the whole block at once; Langevin and Metropolis
+    kernels evolve one row at a time.
+    """
     spec = level.kernel
     t = level.time_budget
-    if spec.kind == "langevin":
-        return ula_evolve(level.density, particles, t, spec.step_size, rng)
-    if spec.kind == "metropolis_hastings":
-        return mh_evolve(level.density, particles, t, spec.proposal_scale, rng)
     if spec.kind in ("glauber", "finite"):
         if level.chain is None:
             raise ValueError(f"{spec.kind} kernel requires an explicit chain on the level")
-        return poissonized_evolve(level.chain, particles, t, rng)
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
+        return _poisson_jumps(particles.astype(np.int64), t, rngs, _chain_step(level.chain))
+    if spec.kind == "langevin":
+        def evolve(x, rng):
+            return ula_evolve(level.density, x, t, spec.step_size, rng)
+    elif spec.kind == "metropolis_hastings":
+        def evolve(x, rng):
+            return mh_evolve(level.density, x, t, spec.proposal_scale, rng)
+    else:
+        raise ValueError(f"unknown kernel kind {spec.kind!r}")
+    rows = [evolve(x, rng) for x, rng in zip(particles, rngs)]
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)

@@ -8,6 +8,17 @@ initialization and, per level, one stream for resampling and one for kernel
 smoothing.  Replicates derive independent seeds from
 ``(master_seed, replicate_index)``.
 
+One driver runs a block of B replicates as a (B, N) array: the ratio, the
+estimand and the finite kernel's table lookup see the whole block at once,
+while every replicate draws only from its own streams into its own row, so
+each result is bitwise that of a lone ``run_smc``.  Replicates of a ladder
+over finite states (level 1 has a pmf) run in blocks of up to 2^16
+particle-states (2^14 particles on four states).  Euclidean ladders run one
+replicate at a time: a BLAS product over a longer stack of points may round
+differently from the same product over one replicate's points (by ~1e-17 at
+d = 32), which would make a result depend on how many replicates shared its
+block.
+
 Run results are invariant to the storage order of the particle ensemble:
 particles carry lane ids and the driver canonicalizes their order on entry,
 so permuting an injected initial ensemble together with its lane ids (and
@@ -35,6 +46,7 @@ __all__ = [
     "nu_estimate",
     "replicate_seed",
     "run_replicates",
+    "run_seeded",
     "mse_over_runs",
     "summarize_etas",
 ]
@@ -87,23 +99,36 @@ def _mean_exact(values: np.ndarray) -> float:
     return base + math.fsum((values - base).tolist()) / values.shape[0]
 
 
-def multinomial_resample(weights, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
     """``n_draws`` i.i.d. categorical draws proportional to ``weights``.
 
-    Self-normalizes internally; raises DegenerateWeightsError when the
-    weights are all zero, negative, or non-finite.
+    ``weights`` is a vector with one generator ``rng``, or a (B, N) block of
+    rows with a sequence of B generators: row b draws its uniforms from
+    ``rng[b]`` and gets the draws a vector call on that row would give.  The
+    result indexes the flattened weights, shape ``weights.shape[:-1] +
+    (n_draws,)``.  Self-normalizes each row; raises DegenerateWeightsError
+    when a row's weights are all zero, negative, or non-finite.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
+    rows = w.ndim == 2
+    if not rows:
+        if w.ndim != 1:
+            raise DegenerateWeightsError("degenerate weights: empty or not a vector")
+        w, rng = w[None], (rng,)
+    if w.shape[1] == 0:
         raise DegenerateWeightsError("degenerate weights: empty or not a vector")
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise DegenerateWeightsError("degenerate weights: negative or non-finite")
-    total = w.sum()
-    if total <= 0:
+    total = w.sum(axis=1, keepdims=True)
+    if np.any(total <= 0):
         raise DegenerateWeightsError("degenerate weights: all zero")
-    cum = np.cumsum(w) / total
-    idx = np.searchsorted(cum, rng.random(n_draws), side="right")
-    return np.minimum(idx, w.size - 1).astype(np.int64)
+    cum = np.cumsum(w, axis=1) / total
+    idx = np.empty((w.shape[0], n_draws), dtype=np.int64)
+    for row, c, gen in zip(idx, cum, rng):
+        row[:] = np.searchsorted(c, gen.random(n_draws), side="right")
+    np.minimum(idx, w.shape[1] - 1, out=idx)
+    idx += np.arange(0, w.size, w.shape[1])[:, None]
+    return idx if rows else idx[0]
 
 
 def _streams(master_seed: int, n_levels: int):
@@ -113,6 +138,120 @@ def _streams(master_seed: int, n_levels: int):
     resample = [np.random.default_rng(c) for c in children[1 : n_levels]]
     kernel = [np.random.default_rng(c) for c in children[n_levels :]]
     return init, resample, kernel
+
+
+# particles times states per block of finite-state replicates: the finite
+# kernel's table lookup builds a (particles, states) array, so this keeps it
+# and the block's other arrays near half a megabyte
+_BLOCK_CELLS = 2 ** 16
+
+
+def _block_size(config: SmcConfig) -> int:
+    """Replicates per block: as many as keep particles times states within
+    ``_BLOCK_CELLS`` on a ladder over finite states, one otherwise (see the
+    module docstring)."""
+    first = config.ladder.levels[0]
+    if config.record_trajectory or first.pmf is None:
+        return 1
+    return max(1, _BLOCK_CELLS // (config.n_particles * first.pmf.size))
+
+
+def _by_row(per_level: list, n_rows: int) -> list:
+    """Per-level (B,) arrays as one tuple of Python floats per row."""
+    if not per_level:
+        return [()] * n_rows
+    return [tuple(r) for r in np.array(per_level).T.tolist()]
+
+
+def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
+    """One run of ``config`` per seed, as one (B, N) block; see ``run_smc``.
+
+    Row b draws its level-1 sample, its resampling uniforms and its kernel
+    randomness from the streams of ``seeds[b]`` only.  A block's level time
+    is shared equally by its replicates' ``level_wall_times``.
+    """
+    ladder = config.ladder
+    levels = ladder.levels
+    n = len(levels)
+    N = config.n_particles
+    B = len(seeds)
+    init_rngs, resample_rngs, kernel_rngs = zip(*(_streams(s, n) for s in seeds))
+
+    if initial_ensemble is None:
+        ensembles = [sample_initial(ladder, N, rng) for rng in init_rngs]
+    else:
+        if initial_ensemble.n_particles != N:
+            raise ValueError("initial ensemble size does not match the config")
+        ensembles = [initial_ensemble]
+    orders = [np.argsort(e.lane_ids, kind="stable") for e in ensembles]
+    particles = np.stack([np.asarray(e.particles)[o] for e, o in zip(ensembles, orders)])
+    log_w = None
+    if ensembles[0].log_weights is not None:
+        log_w = np.stack([e.log_weights[o] for e, o in zip(ensembles, orders)])
+    init_rates = [e.init_acceptance_rate for e in ensembles]
+    del ensembles, orders  # the block holds the particles now
+    state_shape = particles.shape[2:]
+
+    ess_log, wsum_log, wall_log = [], [], []
+    normalized_ok = log_w is None and all(lv.normalized_ratio is not None for lv in levels[1:])
+    nbar_log = [] if normalized_ok else None
+    trajectory = [particles[0].copy()] if config.record_trajectory else None
+
+    for k in range(1, n):
+        t0 = time.perf_counter()
+        level = levels[k]
+        flat = particles.reshape(B * N, *state_shape)
+        g = np.asarray(level.ratio_to_prev(flat), dtype=float).reshape(B, N)
+        w = g
+        if log_w is not None:  # importance-weighted level-1 draw
+            carried = np.exp(log_w - np.max(log_w, axis=1, keepdims=True))
+            w, log_w = g * carried, None
+        total = w.sum(axis=1)
+        if not np.all(np.isfinite(w)) or np.any(w < 0) or np.any(total <= 0):
+            raise DegenerateWeightsError(f"degenerate weights at level {k + 1}")
+        wsum_log.append(g.mean(axis=1) if w is g else total / carried.sum(axis=1))
+        ess_log.append(effective_sample_size(w))
+        if normalized_ok:
+            if level.normalized_ratio is level.ratio_to_prev:
+                gbar = g
+            else:
+                gbar = np.asarray(level.normalized_ratio(flat), dtype=float).reshape(B, N)
+            nbar_log.append(gbar.mean(axis=1))
+        ancestors = multinomial_resample(w, N, [rngs[k - 1] for rngs in resample_rngs])
+        particles = flat[ancestors]
+        particles = apply_kernel(level, particles, [rngs[k - 1] for rngs in kernel_rngs])
+        wall_log.append((time.perf_counter() - t0) / B)
+        if trajectory is not None:
+            trajectory.append(particles[0].copy())
+
+    values = np.asarray(config.estimand(particles.reshape(B * N, *state_shape)), dtype=float)
+    values = values.reshape(B, N)
+    ess_rows, wsum_rows = _by_row(ess_log, B), _by_row(wsum_log, B)
+    nbar_rows = _by_row(nbar_log, B) if normalized_ok else [None] * B
+    results = []
+    for b, seed in enumerate(seeds):
+        if log_w is None:
+            eta = _mean_exact(values[b])
+        else:
+            eta = float(np.average(values[b], weights=np.exp(log_w[b] - np.max(log_w[b]))))
+        final = ParticleEnsemble(
+            level_index=n,
+            particles=particles[b],
+            init_acceptance_rate=init_rates[b],
+            log_weights=None if log_w is None else log_w[b],
+        )
+        results.append(SmcRunResult(
+            final_ensemble=final,
+            eta_estimate=eta,
+            nu_estimate=math.prod(nbar_rows[b]) * eta if normalized_ok else None,
+            ess_per_level=ess_rows[b],
+            weight_sums_per_level=wsum_rows[b],
+            normalized_weight_sums_per_level=nbar_rows[b],
+            level_wall_times=tuple(wall_log),
+            master_seed=seed,
+            trajectory=tuple(trajectory) if trajectory is not None else None,
+        ))
+    return results
 
 
 def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = None) -> SmcRunResult:
@@ -127,77 +266,20 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
     ``ratio_to_prev`` (convolution and finite ladders), the raw ratios are
     reused for ν.  Deterministic given the master seed.
     """
-    ladder = config.ladder
-    levels = ladder.levels
-    n = len(levels)
-    N = config.n_particles
-    init_rng, resample_rngs, kernel_rngs = _streams(config.master_seed, n)
+    return _run_block(config, [config.master_seed], initial_ensemble)[0]
 
-    if initial_ensemble is None:
-        ens = sample_initial(ladder, N, init_rng)
-    else:
-        ens = initial_ensemble
-        if ens.n_particles != N:
-            raise ValueError("initial ensemble size does not match the config")
-    order = np.argsort(ens.lane_ids, kind="stable")
-    particles = np.asarray(ens.particles)[order]
-    log_w = None if ens.log_weights is None else ens.log_weights[order]
-    init_rate = ens.init_acceptance_rate
 
-    ess_log, wsum_log, wall_log = [], [], []
-    normalized_ok = log_w is None and all(lv.normalized_ratio is not None for lv in levels[1:])
-    nbar_log = [] if normalized_ok else None
-    trajectory = [particles.copy()] if config.record_trajectory else None
-
-    for k in range(1, n):
-        t0 = time.perf_counter()
-        level = levels[k]
-        g = np.atleast_1d(np.asarray(level.ratio_to_prev(particles), dtype=float))
-        w = g
-        if log_w is not None:  # importance-weighted level-1 draw
-            carried = np.exp(log_w - np.max(log_w))
-            w, log_w = g * carried, None
-        if not np.all(np.isfinite(w)) or np.any(w < 0) or w.sum() <= 0:
-            raise DegenerateWeightsError(f"degenerate weights at level {k + 1}")
-        wsum_log.append(float(np.mean(g)) if w is g else float(w.sum() / carried.sum()))
-        ess_log.append(effective_sample_size(w))
-        if normalized_ok:
-            if level.normalized_ratio is level.ratio_to_prev:
-                gbar = g
-            else:
-                gbar = np.atleast_1d(np.asarray(level.normalized_ratio(particles), dtype=float))
-            nbar_log.append(float(np.mean(gbar)))
-        ancestors = multinomial_resample(w, N, resample_rngs[k - 1])
-        particles = particles[ancestors]
-        particles = apply_kernel(level, particles, kernel_rngs[k - 1])
-        wall_log.append(time.perf_counter() - t0)
-        if trajectory is not None:
-            trajectory.append(particles.copy())
-
-    values = np.atleast_1d(np.asarray(config.estimand(particles), dtype=float))
-    if log_w is None:
-        eta = _mean_exact(values)
-    else:
-        eta = float(np.average(values, weights=np.exp(log_w - np.max(log_w))))
-    nu_scale = float(math.prod(nbar_log)) if normalized_ok else 1.0
-    final = ParticleEnsemble(
-        level_index=n,
-        particles=particles,
-        nu_scale=nu_scale,
-        init_acceptance_rate=init_rate,
-        log_weights=log_w,
-    )
-    return SmcRunResult(
-        final_ensemble=final,
-        eta_estimate=eta,
-        nu_estimate=nu_scale * eta if normalized_ok else None,
-        ess_per_level=tuple(ess_log),
-        weight_sums_per_level=tuple(wsum_log),
-        normalized_weight_sums_per_level=tuple(nbar_log) if normalized_ok else None,
-        level_wall_times=tuple(wall_log),
-        master_seed=config.master_seed,
-        trajectory=tuple(trajectory) if trajectory is not None else None,
-    )
+def run_seeded(config: SmcConfig, seeds):
+    """Yield one run of ``config`` per master seed, in order, each bitwise
+    equal to ``run_smc`` at that seed; finite-state replicates run in
+    blocks, and a block's arrays are freed once its runs are consumed."""
+    size = _block_size(config)
+    if size == 1:
+        for s in seeds:
+            yield run_smc(replace(config, master_seed=s))
+        return
+    for i in range(0, len(seeds), size):
+        yield from _run_block(config, seeds[i:i + size])
 
 
 def nu_estimate(result: SmcRunResult, z_ratio_correction: Optional[float] = None) -> float:
@@ -224,11 +306,8 @@ def replicate_seed(master_seed: int, index: int) -> int:
 
 def run_replicates(config: SmcConfig, n_replicates: int) -> list:
     """Independent seeded replicates of one configuration, in index order."""
-    results = []
-    for i in range(n_replicates):
-        seeded = replace(config, master_seed=replicate_seed(config.master_seed, i))
-        results.append(run_smc(seeded))
-    return results
+    seeds = [replicate_seed(config.master_seed, i) for i in range(n_replicates)]
+    return list(run_seeded(config, seeds))
 
 
 def _jackknife_se(loo: np.ndarray) -> float:

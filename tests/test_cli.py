@@ -155,7 +155,9 @@ class TestRun:
         # replicates are merged by index: process-pool output is byte-identical
         experiments = {
             "tempering": base_experiment(),  # 3 replicates: chunks of 2 and 1
-            "finite": finite_experiment(tmp_path, n_particles=300, replicates=5),
+            # blocks of 2^16 // (300 * 4) = 54 replicates: serial blocks 54, 54,
+            # 12, pooled chunks of 60 each split into 54 and 6
+            "finite": finite_experiment(tmp_path, n_particles=300, replicates=120),
         }
         for name, exp in experiments.items():
             cfg = write_json(tmp_path / f"{name}.json",
@@ -377,9 +379,9 @@ class TestBounds:
          1.0 + 1.0 / 0.3 + 1.0 / 0.7),
         # tempering weights are only bounded: beta = 1 + M/w_star, w_star = 0.3^2
         ({"kind": "tempering", "n_levels": 4, "beta_min": 0.1}, {}, 1.0 + 2.0 / 0.09),
-        # an explicit M describes another mixture than the experiment's
-        ({"kind": "convolution", "betas": [0.25, 1.0], "sigma": 2.0}, {"M": 2},
-         1.0 + 2.0 / 0.09),
+        # an explicit M and w_star describe another mixture than the experiment's
+        ({"kind": "convolution", "betas": [0.25, 1.0], "sigma": 2.0},
+         {"M": 2, "w_star": 0.09}, 1.0 + 2.0 / 0.09),
     ])
     def test_single_step_beta_from_derived_weights(self, tmp_path, ladder, given, beta):
         cfg = write_json(
@@ -391,6 +393,24 @@ class TestBounds:
         assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
         doc = strict_json(out / "bounds.json")
         assert doc["beta"] == pytest.approx(beta, rel=1e-15)
+
+    @pytest.mark.parametrize("ladder,w_star", [
+        # convolution levels keep the target weights: the smallest one
+        ({"kind": "convolution", "betas": [0.25, 1.0], "sigma": 2.0}, 0.3),
+        # tempering levels only have the lower bound alpha_min^2
+        ({"kind": "tempering", "n_levels": 4, "beta_min": 0.1}, 0.3 ** 2),
+    ])
+    @pytest.mark.parametrize("given", [{}, {"M": 2}])
+    def test_derived_w_star(self, tmp_path, ladder, w_star, given):
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"schema_version": 1, "experiment": base_experiment(ladder=ladder),
+             "bounds": {"mode": "tv", "epsilon": 0.5, "f_sup_bound": 1.0, **given}},
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
+        assert strict_json(out / "bounds.json")["inputs"]["w_star"] == pytest.approx(
+            w_star, rel=1e-15)
 
     def test_feasibility_cap_flagged(self, tmp_path, capsys):
         cfg = write_json(

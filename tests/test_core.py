@@ -170,14 +170,9 @@ class TestGradients:
 
 
 class TestEnsembles:
-    def test_fresh_ensemble_nu_scale_is_one(self):
+    def test_fresh_ensemble_lane_ids_are_identity(self):
         ens = ParticleEnsemble(1, np.zeros((4, 2)))
-        assert ens.nu_scale == 1.0
         assert np.array_equal(ens.lane_ids, np.arange(4))
-
-    def test_level_one_nu_scale_enforced(self):
-        with pytest.raises(ValueError, match="nu_scale"):
-            ParticleEnsemble(1, np.zeros((4, 2)), nu_scale=2.0)
 
     def test_lane_ids_must_match_size(self):
         with pytest.raises(ValueError, match="lane_ids"):

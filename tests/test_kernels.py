@@ -35,6 +35,17 @@ class TestUla:
         out = ula_evolve(STANDARD_NORMAL, x, t=0.0, h=0.1, rng=rng)
         np.testing.assert_array_equal(out, x)
 
+    def test_in_place_update_matches_reference_steps(self, rng):
+        # x <- x + h grad + sqrt(2h) xi, written out with fresh arrays
+        x = rng.normal(size=(50, 3))
+        h, t = 0.07, 0.5
+        ref, draws = x.copy(), np.random.default_rng(4)
+        for _ in range(math.ceil(t / h)):
+            ref = ref + h * -ref + math.sqrt(2.0 * h) * draws.standard_normal(ref.shape)
+        out = ula_evolve(STANDARD_NORMAL, x, t=t, h=h, rng=np.random.default_rng(4))
+        np.testing.assert_array_equal(out, ref)
+        assert not np.shares_memory(out, x)
+
     def test_ar1_stationary_variance(self, rng):
         h = 0.1
         exact = discrete_stationary_variance(h)

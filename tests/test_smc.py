@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from smcmix import sequences
-from smcmix.core import DegenerateWeightsError, ParticleEnsemble, TargetMixture
+from smcmix import sequences, smc
+from smcmix.core import (
+    DegenerateWeightsError,
+    FiniteChain,
+    ParticleEnsemble,
+    TargetMixture,
+    effective_sample_size,
+)
 from smcmix.kernels import glauber_transition_matrix
-from smcmix.oracle import semigroup
+from smcmix.oracle import product_pmf, semigroup
 from smcmix.smc import (
     SmcConfig,
     mse_over_runs,
@@ -120,6 +126,110 @@ class TestExchangeability:
         np.testing.assert_array_equal(
             a.final_ensemble.particles, b.final_ensemble.particles
         )
+
+
+BLOCK = 4  # replicates per block once the cap is patched to BLOCK * N * states
+
+
+def spied_blocks(monkeypatch, n_particles, n_states):
+    """Patch the block cap to ``BLOCK`` replicates and record block sizes."""
+    monkeypatch.setattr(smc, "_BLOCK_CELLS", BLOCK * n_particles * n_states)
+    sizes = []
+    run_block = smc._run_block
+
+    def spy(config, seeds, initial_ensemble=None):
+        sizes.append(len(seeds))
+        return run_block(config, seeds, initial_ensemble)
+
+    monkeypatch.setattr(smc, "_run_block", spy)
+    return sizes
+
+
+def assert_same_run(a, b):
+    assert a.master_seed == b.master_seed
+    assert a.eta_estimate == b.eta_estimate
+    assert a.nu_estimate == b.nu_estimate
+    assert a.ess_per_level == b.ess_per_level
+    assert a.weight_sums_per_level == b.weight_sums_per_level
+    assert a.normalized_weight_sums_per_level == b.normalized_weight_sums_per_level
+    assert a.final_ensemble.init_acceptance_rate == b.final_ensemble.init_acceptance_rate
+    np.testing.assert_array_equal(a.final_ensemble.particles, b.final_ensemble.particles)
+    assert a.final_ensemble.particles.dtype == b.final_ensemble.particles.dtype
+
+
+def three_bit_ladder(n_levels):
+    """A {0,1}^3 ladder of product pmfs, Glauber smoothing, t = 1.3."""
+    probs = ([0.2, 0.7, 0.4], [0.5, 0.5, 0.3], [0.8, 0.3, 0.6])[:n_levels]
+    pmfs = [product_pmf(q) for q in probs]
+    chains = [None] + [glauber_transition_matrix(p, 3) for p in pmfs[1:]]
+    return sequences.build_finite_ladder(pmfs, chains, time_budget=1.3)
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n_particles", [1, 2, 64])
+    @pytest.mark.parametrize("n_levels", [1, 3])
+    @pytest.mark.parametrize("n_rep", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_block_equals_lone_runs(self, monkeypatch, n_particles, n_levels, n_rep):
+        config = finite_config(three_bit_ladder(n_levels), n_particles=n_particles, seed=31,
+                               f=lambda x: (np.asarray(x) % 3).astype(float))
+        lone = [run_smc(dataclasses.replace(config, master_seed=replicate_seed(31, i)))
+                for i in range(n_rep)]
+        sizes = spied_blocks(monkeypatch, n_particles, 8)
+        blocked = run_replicates(config, n_rep)
+        assert sizes == [BLOCK] * (n_rep // BLOCK) + ([n_rep % BLOCK] if n_rep % BLOCK else [])
+        assert len(blocked) == n_rep
+        for a, b in zip(blocked, lone):
+            assert_same_run(a, b)
+
+    def test_euclidean_and_traced_runs_stay_alone(self, monkeypatch, bimodal_target,
+                                                  finite_ladder):
+        tempering = sequences.build_power_tempering(
+            bimodal_target, sequences.geometric_schedule(3, 0.2, 2), time_budget=0.1
+        )
+        config = SmcConfig(ladder=tempering, n_particles=8, master_seed=2,
+                           estimand=lambda x: np.atleast_2d(x)[:, 0])
+        sizes = spied_blocks(monkeypatch, 8, 4)
+        run_replicates(config, 3)
+        traced = dataclasses.replace(finite_config(finite_ladder[0], n_particles=8),
+                                     record_trajectory=True)
+        run_replicates(traced, 3)
+        assert sizes == [1] * 6
+
+    def test_degenerate_row_inside_block_names_level(self, monkeypatch):
+        # state 1 has no mass at level 2: a one-particle replicate started there
+        # has all-zero weights
+        chain = FiniteChain(P=np.array([[1.0, 0.0], [1.0, 0.0]]), pi=np.array([1.0, 0.0]))
+        ladder = sequences.build_finite_ladder([[0.5, 0.5], [1.0, 0.0]], [None, chain])
+        config = finite_config(ladder, n_particles=1, seed=3)
+        seeds = [replicate_seed(3, i) for i in range(BLOCK)]
+        failing = []
+        for i, seed in enumerate(seeds):
+            try:
+                run_smc(dataclasses.replace(config, master_seed=seed))
+            except DegenerateWeightsError as exc:
+                assert "level 2" in str(exc)
+                failing.append(i)
+        assert 0 < len(failing) < BLOCK  # the block mixes sound and degenerate rows
+        sizes = spied_blocks(monkeypatch, 1, 2)
+        with pytest.raises(DegenerateWeightsError, match="degenerate weights at level 2"):
+            run_replicates(config, BLOCK)
+        assert sizes == [BLOCK]
+
+    def test_row_resampling_matches_vector_calls(self):
+        w = np.random.default_rng(0).random((5, 33))
+        w[2, :30] = 0.0
+        rows = multinomial_resample(w, 40, [np.random.default_rng(s) for s in range(5)])
+        assert rows.shape == (5, 40)
+        for b in range(5):
+            alone = multinomial_resample(w[b], 40, np.random.default_rng(b))
+            np.testing.assert_array_equal(rows[b], alone + 33 * b)
+
+    def test_row_ess_matches_vector_calls(self):
+        # the reference squares a numpy float64 scalar sum, as the 1-D ESS did
+        w = np.random.default_rng(1).random((2000, 64)) * 7.0
+        reference = [float(r.sum() ** 2 / np.sum(r * r)) for r in w]
+        assert effective_sample_size(w).tolist() == reference
+        assert [effective_sample_size(r) for r in w] == reference
 
 
 class TestRatioEvaluations:
@@ -251,8 +361,8 @@ class TestNuEstimator:
         ladder, _, _ = finite_ladder
         result = run_smc(finite_config(ladder))
         assert nu_estimate(result) == result.nu_estimate
-        assert result.final_ensemble.nu_scale == math.prod(
-            result.normalized_weight_sums_per_level
+        assert result.nu_estimate == (
+            math.prod(result.normalized_weight_sums_per_level) * result.eta_estimate
         )
 
 
