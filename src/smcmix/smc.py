@@ -274,6 +274,9 @@ def run_seeded(config: SmcConfig, seeds):
     equal to ``run_smc`` at that seed; finite-state replicates run in
     blocks, and a block's arrays are freed once its runs are consumed."""
     size = _block_size(config)
+    # blocks of one go through run_smc so that tools wrapping it (the
+    # benchmark's tracer) still see every Euclidean run; the loop below gives
+    # the same results at size 1
     if size == 1:
         for s in seeds:
             yield run_smc(replace(config, master_seed=s))

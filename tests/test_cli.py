@@ -379,9 +379,15 @@ class TestBounds:
          1.0 + 1.0 / 0.3 + 1.0 / 0.7),
         # tempering weights are only bounded: beta = 1 + M/w_star, w_star = 0.3^2
         ({"kind": "tempering", "n_levels": 4, "beta_min": 0.1}, {}, 1.0 + 2.0 / 0.09),
-        # an explicit M and w_star describe another mixture than the experiment's
+        # an explicit M or w_star describes another mixture than the
+        # experiment's: the worst case over M weights of at least w_star
         ({"kind": "convolution", "betas": [0.25, 1.0], "sigma": 2.0},
          {"M": 2, "w_star": 0.09}, 1.0 + 2.0 / 0.09),
+        # M alone keeps the derived w_star, the smallest target weight
+        ({"kind": "convolution", "betas": [0.25, 1.0], "sigma": 2.0},
+         {"M": 2}, 1.0 + 2.0 / 0.3),
+        ({"kind": "convolution", "betas": [0.25, 1.0], "sigma": 2.0},
+         {"w_star": 0.09}, 1.0 + 2.0 / 0.09),
     ])
     def test_single_step_beta_from_derived_weights(self, tmp_path, ladder, given, beta):
         cfg = write_json(
