@@ -5,7 +5,7 @@ Subpackages
 core       shared domain types (densities, mixtures, ladders, ensembles, chains)
 gaussians  Gaussian components and their closed-form pieces
 sequences  ladder builders (power tempering, Gaussian convolution) and constants
-kernels    Langevin / Metropolis / Glauber / finite-chain smoothing kernels
+kernels    Langevin / Metropolis kernels, Glauber / Metropolis chains, chain jumps
 smc        the sampler, estimators, and replicate harness
 bounds     closed-form constants and N / t prescriptions
 oracle     exact finite-state verification of the underlying inequalities

@@ -89,12 +89,16 @@ class SingleStepConstants(NamedTuple):
     beta: float
 
 
+def _beta(weights) -> float:
+    """Single-step beta = 1 + sum_i 1/w_i of one level's mixture weights."""
+    return 1.0 + sum(1.0 / float(w) for w in weights)
+
+
 def single_step_constants(c_star: float, gamma: float, t: float, weights) -> SingleStepConstants:
     """One-step constants: lam = c_star*gamma/(2t), beta = 1 + sum_i 1/w_i."""
     if t <= 0:
         raise ValueError("t must be positive")
-    beta = 1.0 + float(sum(1.0 / float(w) for w in weights))
-    return SingleStepConstants(lam=c_star * gamma / (2.0 * t), beta=beta)
+    return SingleStepConstants(lam=c_star * gamma / (2.0 * t), beta=_beta(weights))
 
 
 def delta_recursion(p_target: int, alpha: float, beta: float, gamma: float) -> dict:
@@ -241,9 +245,7 @@ class BoundReport:
 
 def _beta_from_params(params: AssumptionParams) -> float:
     if params.per_level_weights is not None:
-        return max(
-            1.0 + sum(1.0 / float(w) for w in level) for level in params.per_level_weights
-        )
+        return max(_beta(level) for level in params.per_level_weights)
     return 1.0 + params.M / params.w_star
 
 
@@ -358,17 +360,8 @@ def prescribe_convolution(
     # Levels beyond the noised ones (the exact target) carry no extra noise.
     per_level = list(params.c_star_per_level)
     noise = (noise + [0.0] * len(per_level))[: len(per_level)]
-    augmented = AssumptionParams(
-        n=params.n,
-        M=params.M,
-        w_star=params.w_star,
-        gamma=gamma,
-        c_star_per_level=tuple(c + nz for c, nz in zip(per_level, noise)),
-        f_sup_bound=params.f_sup_bound,
-        epsilon=params.epsilon,
-        delta=params.delta,
-        p=params.p,
-        per_level_weights=params.per_level_weights,
+    augmented = dataclasses.replace(
+        params, gamma=gamma, c_star_per_level=tuple(c + nz for c, nz in zip(per_level, noise))
     )
     report = prescribe_main(augmented, mode="tv", alpha=alpha)
     return dataclasses.replace(report, which_theorem="convolution")

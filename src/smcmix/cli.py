@@ -89,9 +89,7 @@ def _load_finite_ladder(path: str):
     for i, level in enumerate(doc["levels"]):
         pmfs.append(np.asarray(level["pmf"], dtype=float))
         P = level.get("P")
-        if P is None:
-            if i > 0:
-                raise ConfigError(f"level {i + 1} of the ladder file needs a matrix P")
+        if P is None:  # refused after level 1 by build_finite_ladder
             chains.append(None)
         else:
             try:
@@ -150,6 +148,9 @@ def _build_ladder(exp: dict):
     finite = target_spec["kind"] == "finite_ladder_file"
     if finite != (ladder_spec["kind"] == "from_file"):
         raise ConfigError("finite ladder targets and ladder.kind = from_file go together")
+    if finite and "kernel" in exp:
+        raise ConfigError("a from_file ladder is smoothed by the chains P of its file; "
+                          "remove the kernel section")
     try:
         if finite:
             target = None
@@ -171,25 +172,41 @@ def _build_ladder(exp: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def _build_estimand(spec: dict, target):
+def _estimand_index(spec: dict, key: str, size: int, what: str) -> int:
+    """``spec[key]`` (default 0), refused unless it is below ``size``."""
+    index = spec.get(key, 0)
+    if index >= size:
+        raise ConfigError(f"estimand {key} {index} is out of range: it must be below "
+                          f"{size}, the number of {what}")
+    return index
+
+
+def _coordinate(x, coord: int):
+    """Coordinate ``coord`` of each state; a finite state is its own index."""
+    x = np.asarray(x)
+    return x if x.ndim == 1 else x[:, coord]
+
+
+def _build_estimand(spec: dict, ladder, target):
+    """The estimand ``spec`` names.  A finite state is one coordinate, its
+    index, and each state is its own mode."""
     name = spec["name"]
+    n_coords = 1 if target is None else target.dim
     if name == "constant":
         value = spec.get("value", 1.0)
         return lambda x: np.full(np.shape(x)[0], float(value))
     if name == "indicator_halfspace":
-        coord = spec.get("coordinate", 0)
+        coord = _estimand_index(spec, "coordinate", n_coords, "coordinates")
         thr = spec.get("threshold", 0.0)
-        return lambda x: (np.atleast_2d(x)[:, coord] > thr).astype(float)
+        return lambda x: (_coordinate(x, coord) > thr).astype(float)
     if name == "coordinate_mean":
-        coord = spec.get("coordinate", 0)
-
-        def f(x):
-            x = np.asarray(x)
-            return x.astype(float) if x.ndim == 1 else x[:, coord].astype(float)
-
-        return f
+        coord = _estimand_index(spec, "coordinate", n_coords, "coordinates")
+        return lambda x: _coordinate(x, coord).astype(float)
     if name == "mode_indicator":
-        idx = spec.get("mode_index", 0)
+        if target is None:
+            idx = _estimand_index(spec, "mode_index", ladder.levels[-1].pmf.size, "states")
+        else:
+            idx = _estimand_index(spec, "mode_index", target.n_components, "modes")
 
         def f(x):
             x = np.asarray(x)
@@ -223,14 +240,13 @@ def _at_point(config, point):
     return replace(config, ladder=_with_budgets(config.ladder, float(value)))
 
 
-def build_smc_config(exp: dict, seed_override=None):
+def build_smc_config(exp: dict):
     ladder, target = _build_ladder(exp)
-    estimand = _build_estimand(exp["estimand"], target)
-    seed = exp["master_seed"] if seed_override is None else seed_override
+    estimand = _build_estimand(exp["estimand"], ladder, target)
     config = smc.SmcConfig(
         ladder=ladder,
         n_particles=exp["n_particles"],
-        master_seed=int(seed),
+        master_seed=int(exp["master_seed"]),
         estimand=estimand,
     )
     return config, _exact_value(exp, ladder, estimand)
@@ -294,7 +310,7 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     exp = cfg["experiment"]
     master_seed = int(exp["master_seed"] if seed_override is None else seed_override)
     n_rep = exp["replicates"]
-    config, exact = build_smc_config(exp, seed_override=master_seed)
+    config, exact = build_smc_config(exp)
     seeds = [smc.replicate_seed(master_seed, i) for i in range(n_rep)]
     results = _run_replicates(exp, config, seeds, threads)
 
@@ -421,7 +437,7 @@ def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
     )
 
 
-def cmd_bounds(cfg: dict, out_dir, seed_override) -> int:
+def cmd_bounds(cfg: dict, out_dir) -> int:
     if "bounds" not in cfg:
         raise ConfigError("bounds needs a 'bounds' section")
     b = cfg["bounds"]
@@ -540,7 +556,7 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     sweep = cfg["sweep"]
     exp = cfg["experiment"]
     master_seed = int(exp["master_seed"] if seed_override is None else seed_override)
-    base_config, exact = build_smc_config(exp, seed_override=master_seed)
+    base_config, exact = build_smc_config(exp)
     if exact is None:
         raise ConfigError("sweep needs exact_value in the experiment (or a finite target)")
     seeds = [smc.replicate_seed(master_seed, i) for i in range(sweep["replicates"])]
@@ -607,7 +623,7 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             if cfg is None:
                 raise ConfigError("bounds requires --config")
-            return cmd_bounds(cfg, args.out, args.seed)
+            return cmd_bounds(cfg, args.out)
         if args.command == "verify":
             return cmd_verify(cfg, args.out, args.seed, args.suites)
         if args.command == "sweep":

@@ -336,13 +336,15 @@ class Level:
     ``ratio_to_prev`` is the unnormalized density ratio g against the previous
     level (absent at level 1); ``normalized_ratio`` is available when the
     normalizers are known.  ``time_budget`` is the continuous smoothing time
-    applied after resampling into this level.  ``init_proposal`` is the
+    applied after resampling into this level, by Poissonized jumps of
+    ``chain`` when the level has one and by ``kernel`` otherwise (a level
+    over finite states has no ``kernel``).  ``init_proposal`` is the
     Gaussian a first level without an exact sampler is drawn from; the draws
     carry importance weights density / proposal.
     """
 
     density: DensitySpec
-    kernel: "KernelSpec"
+    kernel: Optional["KernelSpec"]
     time_budget: float
     ratio_to_prev: Optional[Callable[[np.ndarray], np.ndarray]] = None
     normalized_ratio: Optional[Callable[[np.ndarray], np.ndarray]] = None

@@ -5,9 +5,14 @@ Continuous time budgets map to kernels as follows:
 * ``langevin``: ceil(t/h) Euler-Maruyama steps of size h (unadjusted
   Langevin; the ideal diffusion is what the theory analyzes, the step size is
   an artifact knob).
-* ``metropolis_hastings`` / ``glauber`` / ``finite``: Poissonized jumps,
-  K ~ Poisson(t) applications of the discrete chain, which is exact in law
-  for the semigroup e^{t(P-I)}.
+* ``metropolis_hastings``: Poissonized jumps, K ~ Poisson(t) random-walk
+  Metropolis steps.
+* a level's explicit ``FiniteChain`` (Glauber dynamics from
+  ``glauber_transition_matrix``, a Metropolis chain from
+  ``mh_transition_matrix``, or any chain of a ladder file): Poissonized
+  jumps of the chain, which is exact in law for the semigroup e^{t(P-I)}.
+  A level that holds a chain is always smoothed by it; ``KernelSpec`` only
+  configures the Euclidean kernels.
 
 All kernels take an explicit ``numpy.random.Generator``; there is no global
 RNG anywhere in this package.
@@ -33,12 +38,12 @@ __all__ = [
     "default_step_size",
 ]
 
-KERNEL_KINDS = ("langevin", "metropolis_hastings", "glauber", "finite")
+KERNEL_KINDS = ("langevin", "metropolis_hastings")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Which smoothing kernel a level uses and its tuning knobs.
+    """Which Euclidean smoothing kernel a level uses and its tuning knobs.
 
     ``step_size`` is the Langevin discretization step h; ``proposal_scale``
     the isotropic-Gaussian proposal std for Metropolis-Hastings.  The time
@@ -215,43 +220,34 @@ def _chain_step(chain: FiniteChain):
     return step
 
 
-def poissonized_evolve(chain, x, t: float, rng: np.random.Generator):
+def poissonized_evolve(chain: FiniteChain, x, t: float, rng: np.random.Generator):
     """Continuous-time evolution by e^{t(P-I)}: Poisson(t) jumps of P.
 
-    ``chain`` is a FiniteChain or a jump sampler ``(states, rng) -> states``
-    applying one discrete step to an index array.  ``x`` is a state index or
-    an array of indices; each particle draws its own jump count.
+    ``x`` is a state index or an array of indices; each particle draws its
+    own jump count.
     """
     state = np.atleast_1d(np.asarray(x, dtype=np.int64))[None].copy()
-    if isinstance(chain, FiniteChain):
-        step = _chain_step(chain)
-    else:
-        def step(states, rngs, counts):
-            return chain(states, rngs[0])
-    state = _poisson_jumps(state, t, (rng,), step)[0]
+    state = _poisson_jumps(state, t, (rng,), _chain_step(chain))[0]
     return int(state[0]) if np.ndim(x) == 0 else state
 
 
 def apply_kernel(level: Level, particles: np.ndarray, rngs) -> np.ndarray:
-    """Smooth a (B, N, ...) block of ensembles with the level's kernel for
-    its time budget; row b draws from ``rngs[b]`` only.
+    """Smooth a (B, N, ...) block of ensembles for the level's time budget;
+    row b draws from ``rngs[b]`` only.
 
-    A finite chain moves the whole block at once; Langevin and Metropolis
-    kernels evolve one row at a time.
+    A level with a ``chain`` moves the whole block at once by Poissonized
+    jumps of that chain; otherwise its ``KernelSpec`` (Langevin or
+    Metropolis) evolves one row at a time.
     """
-    spec = level.kernel
     t = level.time_budget
-    if spec.kind in ("glauber", "finite"):
-        if level.chain is None:
-            raise ValueError(f"{spec.kind} kernel requires an explicit chain on the level")
+    if level.chain is not None:
         return _poisson_jumps(particles.astype(np.int64), t, rngs, _chain_step(level.chain))
+    spec = level.kernel
     if spec.kind == "langevin":
         def evolve(x, rng):
             return ula_evolve(level.density, x, t, spec.step_size, rng)
-    elif spec.kind == "metropolis_hastings":
+    else:
         def evolve(x, rng):
             return mh_evolve(level.density, x, t, spec.proposal_scale, rng)
-    else:
-        raise ValueError(f"unknown kernel kind {spec.kind!r}")
     rows = [evolve(x, rng) for x, rng in zip(particles, rngs)]
     return rows[0][None] if len(rows) == 1 else np.stack(rows)

@@ -379,8 +379,9 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     """Ladder over an enumerated state space with explicit smoothing chains.
 
     ``pmfs`` are the per-level stationary pmfs (normalized, so ratios are the
-    exact normalized ratios) and ``chains`` the per-level FiniteChains; the
-    level-1 chain may be None since no smoothing happens there.
+    exact normalized ratios) and ``chains`` the per-level FiniteChains, each
+    level's smoothing kernel; the level-1 chain may be None since no
+    smoothing happens there.
     """
     pmfs = [np.asarray(p, dtype=float) / np.sum(p) for p in pmfs]
     if len(chains) != len(pmfs):
@@ -389,6 +390,8 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     levels = []
     gamma = 1.0
     for k, (pmf, chain) in enumerate(zip(pmfs, chains)):
+        if chain is None and k > 0:
+            raise ValueError(f"level {k + 1} needs a chain (transition matrix P) to smooth with")
         if chain is not None and np.max(np.abs(chain.pi - pmf)) > 1e-10:
             raise ValueError(f"chain at level {k + 1} is not stationary for its pmf")
 
@@ -411,7 +414,7 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
         levels.append(
             Level(
                 density=DensitySpec(log_density=log_density, log_normalizer=0.0),
-                kernel=KernelSpec(kind="finite"),
+                kernel=None,
                 time_budget=budgets[k],
                 ratio_to_prev=ratio,
                 normalized_ratio=ratio,

@@ -43,11 +43,9 @@ __all__ = [
     "SmcRunResult",
     "multinomial_resample",
     "run_smc",
-    "nu_estimate",
     "replicate_seed",
     "run_replicates",
     "run_seeded",
-    "mse_over_runs",
     "summarize_etas",
 ]
 
@@ -63,7 +61,6 @@ class SmcConfig:
     n_particles: int
     master_seed: int
     estimand: Callable[[np.ndarray], np.ndarray]
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if self.n_particles < 1:
@@ -77,9 +74,10 @@ class SmcRunResult:
     ``weight_sums_per_level`` holds the empirical means of the raw
     (unnormalized) ratios used for resampling, self-normalized by the
     level-1 importance weights at the first step; ``nu_estimate`` is the
-    unbiased weighted estimator when normalized ratios were available and
-    level 1 was drawn unweighted, else None.  Wall times are excluded from
-    any serialized payload that must be reproducible.
+    unbiased weighted estimator, the product of
+    ``normalized_weight_sums_per_level`` times eta, when normalized ratios
+    were available and level 1 was drawn unweighted, else None.  Wall times
+    are excluded from any serialized payload that must be reproducible.
     """
 
     final_ensemble: ParticleEnsemble
@@ -90,7 +88,6 @@ class SmcRunResult:
     normalized_weight_sums_per_level: Optional[tuple]
     level_wall_times: tuple
     master_seed: int
-    trajectory: Optional[tuple] = None
 
 
 def _mean_exact(values: np.ndarray) -> float:
@@ -151,7 +148,7 @@ def _block_size(config: SmcConfig) -> int:
     ``_BLOCK_CELLS`` on a ladder over finite states, one otherwise (see the
     module docstring)."""
     first = config.ladder.levels[0]
-    if config.record_trajectory or first.pmf is None:
+    if first.pmf is None:
         return 1
     return max(1, _BLOCK_CELLS // (config.n_particles * first.pmf.size))
 
@@ -195,7 +192,6 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
     ess_log, wsum_log, wall_log = [], [], []
     normalized_ok = log_w is None and all(lv.normalized_ratio is not None for lv in levels[1:])
     nbar_log = [] if normalized_ok else None
-    trajectory = [particles[0].copy()] if config.record_trajectory else None
 
     for k in range(1, n):
         t0 = time.perf_counter()
@@ -221,8 +217,6 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
         particles = flat[ancestors]
         particles = apply_kernel(level, particles, [rngs[k - 1] for rngs in kernel_rngs])
         wall_log.append((time.perf_counter() - t0) / B)
-        if trajectory is not None:
-            trajectory.append(particles[0].copy())
 
     values = np.asarray(config.estimand(particles.reshape(B * N, *state_shape)), dtype=float)
     values = values.reshape(B, N)
@@ -249,7 +243,6 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
             normalized_weight_sums_per_level=nbar_rows[b],
             level_wall_times=tuple(wall_log),
             master_seed=seed,
-            trajectory=tuple(trajectory) if trajectory is not None else None,
         ))
     return results
 
@@ -283,22 +276,6 @@ def run_seeded(config: SmcConfig, seeds):
         return
     for i in range(0, len(seeds), size):
         yield from _run_block(config, seeds[i:i + size])
-
-
-def nu_estimate(result: SmcRunResult, z_ratio_correction: Optional[float] = None) -> float:
-    """Weighted unbiased estimator: product of ratio means times eta.
-
-    Uses the recorded normalized ratio means when available; otherwise a
-    ``z_ratio_correction`` equal to Z_1/Z_n must be supplied to rescale the
-    raw ratio means, and its absence is an error.
-    """
-    if result.normalized_weight_sums_per_level is not None:
-        scale = math.prod(result.normalized_weight_sums_per_level)
-        return scale * result.eta_estimate
-    if z_ratio_correction is None:
-        raise ValueError("normalizers unavailable and no Z-ratio correction supplied")
-    scale = z_ratio_correction * math.prod(result.weight_sums_per_level)
-    return scale * result.eta_estimate
 
 
 def replicate_seed(master_seed: int, index: int) -> int:
@@ -357,12 +334,3 @@ def summarize_etas(etas, exact_value: Optional[float]) -> dict:
         out["bias_sq_se"] = _jackknife_se((mean - exact_value - dev / (r - 1)) ** 2)
     return out
 
-
-def mse_over_runs(config: SmcConfig, n_replicates: int, exact_value: float) -> dict:
-    """``summarize_etas`` over ``n_replicates`` seeded replicates of ``config``.
-
-    ``exact_value`` is the true integral mu_n(f) (analytic or from the
-    finite-state oracle).
-    """
-    etas = [r.eta_estimate for r in run_replicates(config, n_replicates)]
-    return summarize_etas(etas, exact_value)

@@ -59,12 +59,12 @@ def finite_ladder_file(tmp_path):
 
 def finite_experiment(tmp_path, **overrides):
     path, _ = finite_ladder_file(tmp_path)
-    return base_experiment(
-        target={"kind": "finite_ladder_file", "path": path},
-        ladder={"kind": "from_file"},
-        estimand={"name": "mode_indicator", "mode_index": 0},
+    return base_experiment(**{
+        "target": {"kind": "finite_ladder_file", "path": path},
+        "ladder": {"kind": "from_file"},
+        "estimand": {"name": "mode_indicator", "mode_index": 0},
         **overrides,
-    )
+    })
 
 
 def strict_json(path):
@@ -87,6 +87,15 @@ def assert_summary_from_replicates(doc):
 def levels_without_wall_time(path):
     with open(path) as fh:
         return [row[:-1] for row in csv.reader(fh)]
+
+
+def run_exit_code(tmp_path, exp):
+    cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+    return main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1", "run"])
+
+
+SCHEMA_KERNEL_KINDS = cli._load_schema("config.schema.json")[
+    "$defs"]["experiment"]["properties"]["kernel"]["properties"]["kind"]["enum"]
 
 
 class TestConfigValidation:
@@ -121,8 +130,30 @@ class TestConfigValidation:
                      "run"]) == 2
         assert "time budgets" in capsys.readouterr().err
 
+    def test_ladder_file_level_without_chain_refused(self, tmp_path, capsys):
+        doc = {"kind": "finite_ladder",
+               "levels": [{"pmf": [0.5, 0.5], "P": None}, {"pmf": [0.2, 0.8]}]}
+        path = write_json(tmp_path / "no_chain.json", doc)
+        exp = finite_experiment(tmp_path, target={"kind": "finite_ladder_file", "path": path})
+        assert run_exit_code(tmp_path, exp) == 2
+        assert "level 2 needs a chain" in capsys.readouterr().err
+
+    def test_kernel_section_with_ladder_file_refused(self, tmp_path, capsys):
+        exp = finite_experiment(tmp_path, kernel={"kind": "metropolis_hastings"})
+        assert run_exit_code(tmp_path, exp) == 2
+        assert "smoothed by the chains P of its file" in capsys.readouterr().err
+
 
 class TestRun:
+    @pytest.mark.parametrize("kind", SCHEMA_KERNEL_KINDS)
+    def test_every_schema_kernel_kind_runs(self, tmp_path, kind):
+        exp = base_experiment(
+            ladder={"kind": "convolution", "n_levels": 3, "beta_min": 0.1, "sigma": 3.0},
+            kernel={"kind": kind}, time_policy={"mode": "explicit", "t": 0.2},
+            n_particles=50, replicates=1,
+        )
+        assert run_exit_code(tmp_path, exp) == 0
+
     def test_outputs_written_and_valid(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "c.json", {"schema_version": 1, "experiment": base_experiment()}
@@ -568,3 +599,40 @@ class TestEstimands:
         assert main(["--config", cfg, "--out", str(out), "--threads", "1", "run"]) == 0
         doc = json.loads((out / "run.json").read_text())
         assert doc["replicates"][0]["eta"] == 2.5
+
+    @pytest.mark.parametrize("finite,estimand,message", [
+        (False, {"name": "indicator_halfspace", "coordinate": 5}, "2, the number of coordinates"),
+        (False, {"name": "coordinate_mean", "coordinate": 2}, "2, the number of coordinates"),
+        (False, {"name": "mode_indicator", "mode_index": 7}, "2, the number of modes"),
+        (False, {"name": "mode_indicator", "mode_index": 2}, "2, the number of modes"),
+        (True, {"name": "mode_indicator", "mode_index": 4}, "4, the number of states"),
+        (True, {"name": "coordinate_mean", "coordinate": 1}, "1, the number of coordinates"),
+    ])
+    def test_out_of_range_index_is_config_error(self, tmp_path, capsys, finite, estimand,
+                                                message):
+        exp = (finite_experiment(tmp_path, estimand=estimand) if finite
+               else base_experiment(estimand=estimand))
+        assert run_exit_code(tmp_path, exp) == 2
+        err = capsys.readouterr().err
+        assert "out of range" in err and message in err
+
+    @pytest.mark.parametrize("finite,estimand", [
+        (False, {"name": "indicator_halfspace", "coordinate": 1}),
+        (False, {"name": "coordinate_mean", "coordinate": 1}),
+        (False, {"name": "mode_indicator", "mode_index": 1}),
+        (True, {"name": "mode_indicator", "mode_index": 3}),
+    ])
+    def test_in_range_index_runs(self, tmp_path, finite, estimand):
+        exp = (finite_experiment(tmp_path, estimand=estimand) if finite
+               else base_experiment(estimand=estimand))
+        assert run_exit_code(tmp_path, exp) == 0
+        # each estimand has a positive mean here; a missing mode would read 0
+        assert strict_json(tmp_path / "o" / "run.json")["summary"]["mean_eta"] > 0.0
+
+    def test_finite_halfspace_reads_the_state_index(self, tmp_path):
+        _, pmf2 = finite_ladder_file(tmp_path)
+        exp = finite_experiment(
+            tmp_path, estimand={"name": "indicator_halfspace", "threshold": 1.5})
+        assert run_exit_code(tmp_path, exp) == 0
+        exact = strict_json(tmp_path / "o" / "run.json")["summary"]["exact_value"]
+        assert exact == pytest.approx(pmf2[2] + pmf2[3])

@@ -215,21 +215,13 @@ class TestPoissonized:
         assert isinstance(out, int)
         assert 0 <= out < 4
 
-    def test_jump_sampler_callable(self, rng):
-        # incrementing jump sampler: endpoint counts the jumps, like the cycle
-        def bump(states, rng):
-            return states + 1
-
-        t, n = 2.1, 50_000
-        states = poissonized_evolve(bump, np.zeros(n, dtype=np.int64), t, rng)
-        se = math.sqrt(t / n)
-        assert abs(states.mean() - t) <= 3 * se
-
 
 class TestKernelSpec:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel kind"):
-            KernelSpec(kind="hamiltonian")
+        # a finite level is smoothed by its own chain, never by a kernel kind
+        for kind in ("hamiltonian", "glauber", "finite"):
+            with pytest.raises(ValueError, match="unknown kernel kind"):
+                KernelSpec(kind=kind)
 
     def test_positive_knobs_required(self):
         with pytest.raises(ValueError, match="step_size"):

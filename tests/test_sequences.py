@@ -10,6 +10,7 @@ from smcmix.core import DensitySpec, TargetMixture, eval_mixture_logdensity
 from smcmix.gaussians import GaussianComponent, power_normalizer
 from smcmix.sequences import (
     TemperingSchedule,
+    build_finite_ladder,
     build_gaussian_convolution,
     build_power_tempering,
     geometric_schedule,
@@ -342,6 +343,19 @@ class TestDefaultProbes:
 
         ladder, _, _ = finite_ladder
         np.testing.assert_array_equal(default_probes(ladder, rng), np.arange(4))
+
+
+class TestFiniteLadder:
+    def test_level_without_chain_refused_at_build(self, finite_ladder):
+        _, pmf1, pmf2 = finite_ladder
+        with pytest.raises(ValueError, match="level 2 needs a chain"):
+            build_finite_ladder([pmf1, pmf2], [None, None])
+
+    def test_levels_smooth_by_their_chain(self, finite_ladder):
+        # the chain is the kernel: a finite level carries no KernelSpec
+        ladder, _, _ = finite_ladder
+        assert [lv.kernel for lv in ladder.levels] == [None, None]
+        assert ladder.levels[0].chain is None and ladder.levels[1].chain is not None
 
 
 class TestPowerNormalizer:

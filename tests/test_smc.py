@@ -19,9 +19,7 @@ from smcmix.kernels import glauber_transition_matrix
 from smcmix.oracle import product_pmf, semigroup
 from smcmix.smc import (
     SmcConfig,
-    mse_over_runs,
     multinomial_resample,
-    nu_estimate,
     replicate_seed,
     run_replicates,
     run_smc,
@@ -181,8 +179,7 @@ class TestBlocks:
         for a, b in zip(blocked, lone):
             assert_same_run(a, b)
 
-    def test_euclidean_and_traced_runs_stay_alone(self, monkeypatch, bimodal_target,
-                                                  finite_ladder):
+    def test_euclidean_runs_stay_alone(self, monkeypatch, bimodal_target):
         tempering = sequences.build_power_tempering(
             bimodal_target, sequences.geometric_schedule(3, 0.2, 2), time_budget=0.1
         )
@@ -190,10 +187,7 @@ class TestBlocks:
                            estimand=lambda x: np.atleast_2d(x)[:, 0])
         sizes = spied_blocks(monkeypatch, 8, 4)
         run_replicates(config, 3)
-        traced = dataclasses.replace(finite_config(finite_ladder[0], n_particles=8),
-                                     record_trajectory=True)
-        run_replicates(traced, 3)
-        assert sizes == [1] * 6
+        assert sizes == [1] * 3
 
     def test_degenerate_row_inside_block_names_level(self, monkeypatch):
         # state 1 has no mass at level 2: a one-particle replicate started there
@@ -257,7 +251,9 @@ class TestRatioEvaluations:
                                    estimand=lambda x: np.atleast_2d(x)[:, 0]))
         assert calls == [2, 3]
         assert result.normalized_weight_sums_per_level == result.weight_sums_per_level
-        assert result.nu_estimate is not None
+        assert result.nu_estimate == (
+            math.prod(result.normalized_weight_sums_per_level) * result.eta_estimate
+        )
 
 
 class TestEstimators:
@@ -351,19 +347,7 @@ class TestNuEstimator:
         )
         result = run_smc(config)
         assert result.nu_estimate is None
-        with pytest.raises(ValueError, match="no Z-ratio correction"):
-            nu_estimate(result)
-        assert nu_estimate(result, z_ratio_correction=2.0) == pytest.approx(
-            2.0 * math.prod(result.weight_sums_per_level) * result.eta_estimate
-        )
-
-    def test_recorded_nu_matches_helper(self, finite_ladder):
-        ladder, _, _ = finite_ladder
-        result = run_smc(finite_config(ladder))
-        assert nu_estimate(result) == result.nu_estimate
-        assert result.nu_estimate == (
-            math.prod(result.normalized_weight_sums_per_level) * result.eta_estimate
-        )
+        assert result.normalized_weight_sums_per_level is None
 
 
 def loop_jackknife_se(samples: np.ndarray, statistic) -> float:
@@ -453,7 +437,7 @@ class TestMseOverRuns:
         ladder, _, _ = finite_ladder
         config = finite_config(ladder, n_particles=16,
                                f=lambda x: np.full(np.shape(x)[0], 0.4))
-        out = mse_over_runs(config, 20, exact_value=0.4)
+        out = summarize_etas([r.eta_estimate for r in run_replicates(config, 20)], 0.4)
         assert out["mse"] == 0.0
         assert out["bias_sq"] <= 1e-30  # mean of identical etas rounds once
 
@@ -464,14 +448,17 @@ class TestMseOverRuns:
         S2 = semigroup(ladder.levels[1].chain, 0.8)
         exact_mse = exhaustive_two_particle_mse(pmf1, pmf2, S2, f_values, exact)
         config = finite_config(ladder, n_particles=2, seed=40)
-        out = mse_over_runs(config, 3000, exact_value=exact)
+        out = summarize_etas([r.eta_estimate for r in run_replicates(config, 3000)], exact)
         assert abs(out["mse"] - exact_mse) <= 3 * out["mse_se"]
 
     def test_doubling_particles_halves_variance(self, finite_ladder):
         ladder, _, pmf2 = finite_ladder
         exact = float(pmf2[0])
-        small = mse_over_runs(finite_config(ladder, n_particles=64, seed=2), 600, exact)
-        large = mse_over_runs(finite_config(ladder, n_particles=128, seed=3), 600, exact)
+        small, large = (
+            summarize_etas([r.eta_estimate for r in run_replicates(config, 600)], exact)
+            for config in (finite_config(ladder, n_particles=64, seed=2),
+                           finite_config(ladder, n_particles=128, seed=3))
+        )
         ratio = small["variance"] / large["variance"]
         assert 1.4 <= ratio <= 2.9
 
@@ -489,12 +476,3 @@ class TestMarginalConvergence:
             marginal = counts / counts.sum()
             tv[n_particles] = 0.5 * np.abs(marginal - pmf2).sum()
         assert tv[10] > tv[100] > tv[1000]
-
-
-class TestTrajectory:
-    def test_recorded_when_requested(self, finite_ladder):
-        ladder, _, _ = finite_ladder
-        config = dataclasses.replace(finite_config(ladder), record_trajectory=True)
-        result = run_smc(config)
-        assert len(result.trajectory) == ladder.n_levels
-        assert run_smc(finite_config(ladder)).trajectory is None
