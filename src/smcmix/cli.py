@@ -157,7 +157,12 @@ def _build_ladder(exp: dict):
             ladder = _load_finite_ladder(target_spec["path"])
         else:
             target = _build_target(target_spec)
-            kernel = KernelSpec(**exp["kernel"]) if "kernel" in exp else None
+            section = exp.get("kernel")
+            # Langevin without a step size: the builders' per-level default_step_size
+            if section is None or (section["kind"] == "langevin" and "step_size" not in section):
+                kernel = None
+            else:
+                kernel = KernelSpec(**section)
             schedule = _schedule(ladder_spec, target.dim)
             if ladder_spec["kind"] == "tempering":
                 ladder = sequences.build_power_tempering(

@@ -3,8 +3,10 @@
 Conventions
 -----------
 * Euclidean states are float vectors of shape ``(d,)``; ensembles stack them
-  into ``(N, d)`` arrays.  Density callables are vectorized: they accept
-  ``(N, d)`` (or ``(d,)``) and return ``(N,)`` (or a scalar).
+  into ``(N, d)`` arrays and blocks of replicates into ``(B, N, d)``.  Density
+  callables are vectorized over leading batch axes: they accept ``(..., d)``
+  and return ``(...)`` (a scalar for ``(d,)``); a gradient returns the shape
+  of its input.
 * Finite / hypercube states are integer indices into an enumerated state list;
   ensembles are ``(N,)`` integer arrays.  A hypercube point ``x`` in
   ``{0,1}^d`` is enumerated with bit ``i`` of the index equal to ``x_i``.
@@ -182,14 +184,17 @@ class TargetMixture:
 
 
 def _mixture_terms(mixture: TargetMixture, x):
-    """One pass over all components at the points ``x`` of shape (..., d).
+    """One pass over all components at the points ``x`` of shape (..., N, d).
 
-    Returns ``zt`` (M, d, P) with ``zt_i = L_i^{-1} (x - m_i)^T`` for the P
-    points (``z_i = (x - m_i) L_i^{-T}``, stored point-minor so that every
-    elementwise step runs along P), the mixture log-density (P,) from a
-    max-shifted log-sum-exp, and the responsibilities (M, P).  A point where
-    every component term underflows to -inf gets log-density -inf (and NaN
-    responsibilities).
+    The leading axes are kept as B rows of N points (one point is one row of
+    one).  Returns ``zt`` (M, B, d, N) with ``zt_ib = L_i^{-1} (x_b - m_i)^T``
+    (``z_i = (x - m_i) L_i^{-T}``, stored point-minor so that every
+    elementwise step runs along N), the mixture log-density (B, N) from a
+    max-shifted log-sum-exp, and the responsibilities (M, B, N).  Each row
+    gets one (d, d) @ (d, N) product per component, and the components are
+    summed in index order, so a row's values are bitwise those of the row
+    alone.  A point where every component term underflows to -inf gets
+    log-density -inf (and NaN responsibilities).
     """
     packed = mixture._packed
     if packed is None:
@@ -201,17 +206,17 @@ def _mixture_terms(mixture: TargetMixture, x):
     x = np.asarray(x, dtype=float)
     if x.ndim > 0 and x.shape[-1] != d:
         raise ValueError(f"points of dimension {x.shape[-1]} for a mixture in dimension {d}")
-    xt = x.reshape(-1, d).T
-    zt = np.matmul(chol_inv, xt[None, :, :] - means[:, :, None])
-    # in place from here on: every fresh (M, P) array costs page faults at large P
-    log_terms = np.einsum("mdp,mdp->mp", zt, zt)
+    xt = x.reshape(-1, x.shape[-2] if x.ndim > 1 else 1, d).transpose(0, 2, 1)
+    zt = np.matmul(chol_inv[:, None], xt[None] - means[:, None, :, None])
+    # in place from here on: every fresh (M, B, N) array costs page faults at large N
+    log_terms = np.einsum("mbdn,mbdn->mbn", zt, zt)
     log_terms *= -0.5
-    log_terms += consts[:, None]
+    log_terms += consts[:, None, None]
     shift = log_terms.max(axis=0)
     shift[np.isneginf(shift)] = 0.0  # all terms -inf: keep -inf, not -inf - -inf
     log_terms -= shift
     resp = np.exp(log_terms, out=log_terms)
-    total = resp.sum(axis=0)
+    total = _sum_components(resp)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_density = np.log(total)
         resp /= total
@@ -219,10 +224,21 @@ def _mixture_terms(mixture: TargetMixture, x):
     return zt, log_density, resp
 
 
+def _sum_components(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading component axis in index order: ``sum(axis=0)``
+    picks its reduction order from the shape, so a row of a block could sum
+    differently from the row alone."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
     """log Σ w_i p_i(x) for a mixture of normalized Gaussian components.
 
-    ``x`` of shape (d,) gives a float, (..., d) an array of shape (...).  One
+    ``x`` of shape (d,) gives a float, (..., d) an array of shape (...); a
+    block (B, N, d) gives bitwise the B results of its (N, d) rows.  One
     vectorized pass over all components with a max-shifted log-sum-exp (see
     ``TargetMixture`` for the cached parameters).  A component without a
     normalizer raises ``ValueError("unnormalized mixture component")``, a
@@ -231,7 +247,7 @@ def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
     """
     _, log_density, _ = _mixture_terms(mixture, x)
     if np.ndim(x) <= 1:
-        return float(log_density[0])
+        return float(log_density[0, 0])
     return log_density.reshape(np.shape(x)[:-1])
 
 
@@ -240,13 +256,16 @@ def mixture_grad_logdensity(mixture: TargetMixture, x) -> np.ndarray:
 
     ``-Σ_i r_i(x) Σ_i^{-1} (x - m_i)`` with the responsibilities ``r_i``,
     computed as ``-Σ_i r_i z_i L_i^{-1}`` from the same pass as the
-    log-density; raises like ``eval_mixture_logdensity``.
+    log-density; a block (B, N, d) gives bitwise the gradients of its rows.
+    Raises like ``eval_mixture_logdensity``.
     """
     zt, _, resp = _mixture_terms(mixture, x)
-    zt *= resp[:, None, :]
-    grad_t = np.matmul(mixture._packed[1], zt).sum(axis=0)
+    zt *= resp[:, :, None, :]
+    grad_t = _sum_components(np.matmul(mixture._packed[1][:, None], zt))
     np.negative(grad_t, out=grad_t)
-    return grad_t.T.reshape(np.shape(x)) if np.ndim(x) > 1 else grad_t[:, 0]
+    if np.ndim(x) <= 1:
+        return grad_t[0, :, 0]
+    return grad_t.transpose(0, 2, 1).reshape(np.shape(x))
 
 
 def check_gradient(spec: DensitySpec, probes, rtol: float = 1e-5, step: float = 1e-5) -> float:
@@ -340,7 +359,13 @@ class Level:
     ``chain`` when the level has one and by ``kernel`` otherwise (a level
     over finite states has no ``kernel``).  ``init_proposal`` is the
     Gaussian a first level without an exact sampler is drawn from; the draws
-    carry importance weights density / proposal.
+    carry importance weights density / proposal.  A ``pmf`` gets its
+    cumulative distribution built once, for the categorical level-1 draw.
+
+    The callables of a Euclidean level accept points with leading batch axes
+    ``(..., d)``: the sampler hands a ladder whose levels carry a ``mixture``
+    its replicates as one (B, N, d) block (a lone run as its (N, d) points),
+    as the builders' callables allow.
     """
 
     density: DensitySpec
@@ -354,6 +379,7 @@ class Level:
     pmf: Optional[np.ndarray] = None
     chain: Optional[FiniteChain] = None
     init_proposal: Optional[GaussianComponent] = None
+    _cdf: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.time_budget < 0:
@@ -362,7 +388,10 @@ class Level:
             pmf = np.asarray(self.pmf, dtype=float)
             if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-12:
                 raise ValueError("level pmf must be a probability vector")
+            cdf = pmf.cumsum()
+            cdf /= cdf[-1]  # as Generator.choice normalizes it
             object.__setattr__(self, "pmf", pmf)
+            object.__setattr__(self, "_cdf", cdf)
 
 
 @dataclass(frozen=True, eq=False)

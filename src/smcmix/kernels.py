@@ -75,13 +75,17 @@ def default_step_size(hessian_bound: float) -> float:
     return 0.05 * min(1.0, 1.0 / hessian_bound)
 
 
-def ula_evolve(density: DensitySpec, x, t: float, h: float, rng: np.random.Generator):
+def ula_evolve(density: DensitySpec, x, t: float, h: float, rng):
     """Endpoint of ceil(t/h) unadjusted-Langevin steps started at ``x``.
 
     Each step is ``x <- x + h * grad_log_density(x) + sqrt(2h) * xi`` with
     standard normal ``xi``, updated in place on a copy of ``x`` with the
     noise drawn into one reused buffer.  ``x`` may be one state ``(d,)`` or a
-    batch ``(N, d)``; with ``t=0`` the input is returned unchanged.
+    batch ``(N, d)`` with one generator ``rng``, or a block ``(B, N, d)``
+    with a sequence of B generators: the gradient sees the whole block, and
+    row b draws its noise from ``rng[b]`` into its own (N, d) slice, so it
+    ends where an ``(N, d)`` call on that row would.  With ``t=0`` the input
+    is returned unchanged.
     """
     if density.grad_log_density is None:
         raise ValueError("Langevin kernel requires a gradient")
@@ -90,16 +94,19 @@ def ula_evolve(density: DensitySpec, x, t: float, h: float, rng: np.random.Gener
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     state = np.atleast_2d(x).copy()
+    rngs = rng if state.ndim == 3 else (rng,)
     n_steps = int(np.ceil(t / h))
     root = np.sqrt(2.0 * h)
     noise = np.empty_like(state)
+    rows = noise.reshape(len(rngs), *state.shape[-2:])
     for _ in range(n_steps):
         grad = np.asarray(density.grad_log_density(state), dtype=float)
         if not np.all(np.isfinite(grad)):
-            bad = state[~np.isfinite(grad).all(axis=1)][0]
+            bad = state[~np.isfinite(grad).all(axis=-1)][0]
             raise FloatingPointError(f"non-finite gradient at state {bad}")
         state += h * grad
-        rng.standard_normal(out=noise)
+        for row, gen in zip(rows, rngs):
+            gen.standard_normal(out=row)
         noise *= root
         state += noise
     return state[0] if single else state
@@ -236,18 +243,19 @@ def apply_kernel(level: Level, particles: np.ndarray, rngs) -> np.ndarray:
     row b draws from ``rngs[b]`` only.
 
     A level with a ``chain`` moves the whole block at once by Poissonized
-    jumps of that chain; otherwise its ``KernelSpec`` (Langevin or
-    Metropolis) evolves one row at a time.
+    jumps of that chain, and Langevin moves a block of more than one row
+    as one (B, N, d) array; a block of one evolves as its (N, d) row, so a
+    level's own callables see the shapes of a lone run.  Metropolis evolves
+    one row at a time.
     """
     t = level.time_budget
     if level.chain is not None:
         return _poisson_jumps(particles.astype(np.int64), t, rngs, _chain_step(level.chain))
     spec = level.kernel
     if spec.kind == "langevin":
-        def evolve(x, rng):
-            return ula_evolve(level.density, x, t, spec.step_size, rng)
-    else:
-        def evolve(x, rng):
-            return mh_evolve(level.density, x, t, spec.proposal_scale, rng)
-    rows = [evolve(x, rng) for x, rng in zip(particles, rngs)]
+        if len(rngs) == 1:
+            return ula_evolve(level.density, particles[0], t, spec.step_size, rngs[0])[None]
+        return ula_evolve(level.density, particles, t, spec.step_size, rngs)
+    rows = [mh_evolve(level.density, x, t, spec.proposal_scale, rng)
+            for x, rng in zip(particles, rngs)]
     return rows[0][None] if len(rows) == 1 else np.stack(rows)

@@ -448,8 +448,9 @@ def init_sampler(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> Pa
     """
     level = ladder.levels[0]
     if level.pmf is not None:
-        states = rng.choice(level.pmf.shape[0], size=n_samples, p=level.pmf)
-        return ParticleEnsemble(1, states.astype(np.int64))
+        # the draws of rng.choice(S, size=n, p=pmf), without re-checking the pmf
+        states = level._cdf.searchsorted(rng.random(n_samples), side="right")
+        return ParticleEnsemble(1, states.astype(np.int64, copy=False))
     if level.mixture is not None:
         draws = level.mixture.sample(rng, n_samples)
         return ParticleEnsemble(1, draws)

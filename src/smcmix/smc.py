@@ -9,15 +9,20 @@ smoothing.  Replicates derive independent seeds from
 ``(master_seed, replicate_index)``.
 
 One driver runs a block of B replicates as a (B, N) array: the ratio, the
-estimand and the finite kernel's table lookup see the whole block at once,
-while every replicate draws only from its own streams into its own row, so
-each result is bitwise that of a lone ``run_smc``.  Replicates of a ladder
-over finite states (level 1 has a pmf) run in blocks of up to 2^16
-particle-states (2^14 particles on four states).  Euclidean ladders run one
-replicate at a time: a BLAS product over a longer stack of points may round
-differently from the same product over one replicate's points (by ~1e-17 at
-d = 32), which would make a result depend on how many replicates shared its
-block.
+estimand, the Langevin gradient and the finite kernel's table lookup see the
+whole block at once, while every replicate draws only from its own streams
+into its own row, so each result is bitwise that of a lone ``run_smc``.
+Replicates run in blocks of up to 2^16 particle cells: a particle has S
+cells on a ladder over S finite states (level 1 has a pmf; 2^14 particles
+on four states) and M·d cells on a ladder whose levels carry a mixture of M
+components in dimension d.  Other ladders run one replicate at a time.  A
+Euclidean block keeps its (B, N, d) shape through the mixture evaluators:
+a flattened (B·N, d) stack rounds differently from each replicate's
+points alone (with numpy 2.4 and OpenBLAS 0.3.31: from d = 16 on for N >= 2,
+through the BLAS products, and from d = 2 on for N = 1, through the squared
+norms), but each (d, d) @ (d, N) slice of the block is the product of a lone
+run, and the components are summed in a fixed order, so a row's values do
+not depend on the block it shares.
 
 Run results are invariant to the storage order of the particle ensemble:
 particles carry lane ids and the driver canonicalizes their order on entry,
@@ -137,20 +142,25 @@ def _streams(master_seed: int, n_levels: int):
     return init, resample, kernel
 
 
-# particles times states per block of finite-state replicates: the finite
-# kernel's table lookup builds a (particles, states) array, so this keeps it
-# and the block's other arrays near half a megabyte
+# particle cells per block: the finite kernel's table lookup builds a
+# (particles, states) array and the mixture evaluators (M, B, d, N) ones, so
+# this keeps them and the block's other arrays near half a megabyte
 _BLOCK_CELLS = 2 ** 16
 
 
 def _block_size(config: SmcConfig) -> int:
-    """Replicates per block: as many as keep particles times states within
-    ``_BLOCK_CELLS`` on a ladder over finite states, one otherwise (see the
-    module docstring)."""
-    first = config.ladder.levels[0]
-    if first.pmf is None:
-        return 1
-    return max(1, _BLOCK_CELLS // (config.n_particles * first.pmf.size))
+    """Replicates per block: as many as keep particles times cells within
+    ``_BLOCK_CELLS``, one on a ladder with neither a pmf nor mixtures (see
+    the module docstring)."""
+    levels = config.ladder.levels
+    if levels[0].pmf is not None:
+        cells = levels[0].pmf.size
+    else:
+        mixtures = [lv.mixture for lv in levels if lv.mixture is not None]
+        if not mixtures:
+            return 1
+        cells = max(m.n_components * m.dim for m in mixtures)
+    return max(1, _BLOCK_CELLS // (config.n_particles * cells))
 
 
 def _by_row(per_level: list, n_rows: int) -> list:
@@ -196,8 +206,9 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
     for k in range(1, n):
         t0 = time.perf_counter()
         level = levels[k]
-        flat = particles.reshape(B * N, *state_shape)
-        g = np.asarray(level.ratio_to_prev(flat), dtype=float).reshape(B, N)
+        # a block of one is passed as its (N, ...) row: the shapes of a lone run
+        block = particles if B > 1 else particles[0]
+        g = np.asarray(level.ratio_to_prev(block), dtype=float).reshape(B, N)
         w = g
         if log_w is not None:  # importance-weighted level-1 draw
             carried = np.exp(log_w - np.max(log_w, axis=1, keepdims=True))
@@ -211,10 +222,10 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
             if level.normalized_ratio is level.ratio_to_prev:
                 gbar = g
             else:
-                gbar = np.asarray(level.normalized_ratio(flat), dtype=float).reshape(B, N)
+                gbar = np.asarray(level.normalized_ratio(block), dtype=float).reshape(B, N)
             nbar_log.append(gbar.mean(axis=1))
         ancestors = multinomial_resample(w, N, [rngs[k - 1] for rngs in resample_rngs])
-        particles = flat[ancestors]
+        particles = particles.reshape(B * N, *state_shape)[ancestors]
         particles = apply_kernel(level, particles, [rngs[k - 1] for rngs in kernel_rngs])
         wall_log.append((time.perf_counter() - t0) / B)
 
@@ -264,12 +275,13 @@ def run_smc(config: SmcConfig, initial_ensemble: Optional[ParticleEnsemble] = No
 
 def run_seeded(config: SmcConfig, seeds):
     """Yield one run of ``config`` per master seed, in order, each bitwise
-    equal to ``run_smc`` at that seed; finite-state replicates run in
-    blocks, and a block's arrays are freed once its runs are consumed."""
+    equal to ``run_smc`` at that seed; replicates run in blocks of
+    ``_block_size``, and a block's arrays are freed once its runs are
+    consumed."""
     size = _block_size(config)
     # blocks of one go through run_smc so that tools wrapping it (the
-    # benchmark's tracer) still see every Euclidean run; the loop below gives
-    # the same results at size 1
+    # benchmark's tracer) still see every run that forms no block; the loop
+    # below gives the same results at size 1
     if size == 1:
         for s in seeds:
             yield run_smc(replace(config, master_seed=s))

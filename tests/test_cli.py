@@ -347,6 +347,39 @@ class TestRun:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1", "run"]) == 3
         assert "non-finite gradient" in capsys.readouterr().err
 
+    def test_diverging_langevin_inside_a_block_exits_three(self, tmp_path, capsys):
+        # four replicates of 64 particles on a two-mode target form one block
+        exp = base_experiment(
+            ladder={"kind": "convolution", "betas": [0.5], "sigma": 1.0},
+            kernel={"kind": "langevin", "step_size": 5.0},
+            time_policy={"mode": "explicit", "t": 2000},
+            n_particles=64, replicates=4, master_seed=1,
+        )
+        assert smc._block_size(cli.build_smc_config(exp)[0]) >= 4
+        assert run_exit_code(tmp_path, exp) == 3
+        assert "non-finite gradient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ladder", ["tempering", "convolution"])
+    def test_langevin_without_step_size_takes_level_defaults(self, tmp_path, ladder):
+        # covariances 0.01 I: the level defaults are h = 0.0005 and below, where a
+        # fixed h = 0.05 collapses a tempering run's last ESS
+        spec = {"kind": ladder, "n_levels": 4, "beta_min": 0.1}
+        if ladder == "convolution":
+            spec["sigma"] = 1.0
+        exp = base_experiment(
+            target={"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                    "means": [[-3.0, -3.0], [3.0, 3.0]], "covariances": [0.01, 0.01]},
+            ladder=spec, n_particles=200, master_seed=7,
+        )
+        docs = []
+        for name, kernel in (("none", None), ("langevin", {"kind": "langevin"})):
+            cfg = write_json(tmp_path / f"{name}.json", {"schema_version": 1, "experiment": (
+                exp if kernel is None else {**exp, "kernel": kernel})})
+            out = tmp_path / name
+            assert main(["--config", cfg, "--out", str(out), "--threads", "1", "run"]) == 0
+            docs.append((out / "run.json").read_bytes())
+        assert docs[0] == docs[1]
+
     def test_tempering_starts_in_dimension_fifty(self, tmp_path):
         d = 50
         exp = base_experiment(

@@ -125,6 +125,24 @@ class TestFusedEvaluator:
         assert grad.shape == (500, d)
         assert np.all(np.abs(grad - ref_grad) <= 1e-10 * np.maximum(1.0, np.abs(ref_grad)))
 
+    @pytest.mark.parametrize("M", [1, 2, 8])
+    @pytest.mark.parametrize("d", [1, 2, 8, 32])
+    def test_block_rows_equal_lone_calls(self, M, d):
+        # the sampler evaluates a block of replicates as one (B, N, d) array;
+        # each row must come out bitwise as its (N, d) call (at N = 1 numpy's
+        # sum over the components picks a different order for a row alone)
+        rng = np.random.default_rng(100 * M + d)
+        mixture = random_mixture(rng, M, d)
+        for n in (1, 2, 7, 512):
+            for b in (2, 6, 16):
+                x = rng.normal(scale=3.0, size=(b, n, d))
+                log_density = eval_mixture_logdensity(mixture, x)
+                grad = mixture_grad_logdensity(mixture, x)
+                assert log_density.shape == (b, n) and grad.shape == (b, n, d)
+                for row, lone_log, lone_grad in zip(x, log_density, grad):
+                    assert eval_mixture_logdensity(mixture, row).tobytes() == lone_log.tobytes()
+                    assert mixture_grad_logdensity(mixture, row).tobytes() == lone_grad.tobytes()
+
     def test_far_points(self, bimodal_target):
         # every component term underflows: log-density -inf, not NaN
         assert eval_mixture_logdensity(bimodal_target, np.array([1e200, 1e200])) == -np.inf

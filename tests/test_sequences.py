@@ -277,6 +277,24 @@ class TestGaussianConvolution:
 
 
 class TestInitSampler:
+    def test_finite_draw_matches_generator_choice(self):
+        # the level's cached cdf gives the draws and generator state of rng.choice
+        rng = np.random.default_rng(12)
+        for i in range(50):
+            size = int(rng.integers(1, 1025))
+            pmf = rng.random(size) ** 3
+            pmf[rng.random(size) < 0.2] = 0.0
+            pmf[rng.integers(size)] += 0.5
+            pmf /= pmf.sum()
+            ladder = build_finite_ladder([pmf], [None])
+            n = int(rng.integers(1, 600))
+            a, b = np.random.default_rng(i), np.random.default_rng(i)
+            states = init_sampler(ladder, n, a).particles
+            want = b.choice(size, size=n, p=ladder.levels[0].pmf)
+            assert states.dtype == np.int64
+            assert states.tobytes() == want.tobytes()
+            assert a.random() == b.random()
+
     def test_gaussian_level_samples_directly(self):
         target = TargetMixture.gaussian([1.0], [[2.0]], [[[1.5]]])
         ladder = build_power_tempering(target, TemperingSchedule(betas=(0.5, 1.0), d=1))

@@ -15,7 +15,7 @@ from smcmix.core import (
     TargetMixture,
     effective_sample_size,
 )
-from smcmix.kernels import glauber_transition_matrix
+from smcmix.kernels import KernelSpec, glauber_transition_matrix
 from smcmix.oracle import product_pmf, semigroup
 from smcmix.smc import (
     SmcConfig,
@@ -163,6 +163,28 @@ def three_bit_ladder(n_levels):
     return sequences.build_finite_ladder(pmfs, chains, time_budget=1.3)
 
 
+def euclidean_config(kind, bimodal_target):
+    """Small Euclidean runs: the two-mode target tempered (level 1 drawn with
+    importance weights), one Gaussian tempered (nu estimated), or the
+    two-mode target convolved, smoothed by Langevin or Metropolis."""
+    if kind == "one_component":
+        one = TargetMixture.gaussian([1.0], [[1.0, -2.0]], [[[2.0, 0.3], [0.3, 1.0]]])
+        ladder = sequences.build_power_tempering(
+            one, sequences.geometric_schedule(3, 0.2, 2), time_budget=0.3)
+    elif kind == "tempering":
+        ladder = sequences.build_power_tempering(
+            bimodal_target, sequences.geometric_schedule(3, 0.2, 2), time_budget=0.3)
+    else:
+        kernel = KernelSpec(kind="metropolis_hastings", proposal_scale=0.8) \
+            if kind == "convolution_mh" else None
+        ladder = sequences.build_gaussian_convolution(
+            bimodal_target, sequences.TemperingSchedule(betas=(0.2, 0.6), d=2, sigma=2.0),
+            kernel=kernel, time_budget=1.5 if kernel else 0.3,
+        )
+    return SmcConfig(ladder=ladder, n_particles=16, master_seed=9,
+                     estimand=lambda x: np.atleast_2d(x)[:, 0])
+
+
 class TestBlocks:
     @pytest.mark.parametrize("n_particles", [1, 2, 64])
     @pytest.mark.parametrize("n_levels", [1, 3])
@@ -179,15 +201,52 @@ class TestBlocks:
         for a, b in zip(blocked, lone):
             assert_same_run(a, b)
 
-    def test_euclidean_runs_stay_alone(self, monkeypatch, bimodal_target):
-        tempering = sequences.build_power_tempering(
-            bimodal_target, sequences.geometric_schedule(3, 0.2, 2), time_budget=0.1
+    @pytest.mark.parametrize("kind", ["tempering", "one_component", "convolution",
+                                      "convolution_mh"])
+    @pytest.mark.parametrize("n_rep", [BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3])
+    def test_euclidean_block_equals_lone_runs(self, monkeypatch, bimodal_target, kind, n_rep):
+        config = euclidean_config(kind, bimodal_target)
+        lone = [run_smc(dataclasses.replace(config, master_seed=replicate_seed(9, i)))
+                for i in range(n_rep)]
+        cells = config.ladder.levels[-1].mixture.n_components * 2
+        sizes = spied_blocks(monkeypatch, config.n_particles, cells)
+        blocked = run_replicates(config, n_rep)
+        assert sizes == [BLOCK] * (n_rep // BLOCK) + ([n_rep % BLOCK] if n_rep % BLOCK else [])
+        for a, b in zip(blocked, lone):
+            assert_same_run(a, b)
+        assert (blocked[0].nu_estimate is None) == (kind == "tempering")
+
+    def test_block_ratio_sees_the_block_and_a_lone_run_its_points(self, bimodal_target):
+        built = euclidean_config("convolution", bimodal_target)
+        shapes = []
+
+        def seen(lv):
+            def ratio(x):
+                shapes.append(np.shape(x))
+                return lv.ratio_to_prev(x)
+            return dataclasses.replace(lv, ratio_to_prev=ratio, normalized_ratio=ratio)
+
+        levels = [built.ladder.levels[0]] + [seen(lv) for lv in built.ladder.levels[1:]]
+        config = dataclasses.replace(
+            built, ladder=dataclasses.replace(built.ladder, levels=tuple(levels)))
+        run_replicates(config, 3)
+        assert shapes == [(3, config.n_particles, 2)] * 2
+        shapes.clear()
+        run_smc(config)
+        assert shapes == [(config.n_particles, 2)] * 2
+
+    def test_nonfinite_gradient_inside_block_raises(self, monkeypatch, bimodal_target):
+        # ULA with step 5 on the target overflows the state
+        ladder = sequences.build_gaussian_convolution(
+            bimodal_target, sequences.TemperingSchedule(betas=(0.5,), d=2, sigma=1.0),
+            kernel=KernelSpec(kind="langevin", step_size=5.0), time_budget=2000.0,
         )
-        config = SmcConfig(ladder=tempering, n_particles=8, master_seed=2,
+        config = SmcConfig(ladder=ladder, n_particles=8, master_seed=1,
                            estimand=lambda x: np.atleast_2d(x)[:, 0])
         sizes = spied_blocks(monkeypatch, 8, 4)
-        run_replicates(config, 3)
-        assert sizes == [1] * 3
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            run_replicates(config, BLOCK)
+        assert sizes == [BLOCK]
 
     def test_degenerate_row_inside_block_names_level(self, monkeypatch):
         # state 1 has no mass at level 2: a one-particle replicate started there
