@@ -3,9 +3,10 @@ verification suite, and sweep a grid with per-point MSE.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 runtime
 degeneracy (degenerate weights, non-finite Langevin gradients).  All
-randomness flows from the master seed (the --seed flag overrides the config)
-and every emitted JSON document validates against the schema files shipped
-under ``smcmix/schemas``.
+randomness flows from the master seed (the --seed flag overrides the config).
+A config is validated against ``smcmix/schemas/config.schema.json`` on load;
+every emitted JSON document conforms to its schema under ``smcmix/schemas``,
+which the test suite checks rather than each command at run time.
 """
 
 from __future__ import annotations
@@ -208,20 +209,17 @@ def _build_estimand(spec: dict, ladder, target):
         coord = _estimand_index(spec, "coordinate", n_coords, "coordinates")
         return lambda x: _coordinate(x, coord).astype(float)
     if name == "mode_indicator":
-        if target is None:
+        if target is None:  # a finite state is its own mode
             idx = _estimand_index(spec, "mode_index", ladder.levels[-1].pmf.size, "states")
-        else:
-            idx = _estimand_index(spec, "mode_index", target.n_components, "modes")
+            return lambda x: (np.asarray(x) == idx).astype(float)
+        idx = _estimand_index(spec, "mode_index", target.n_components, "modes")
+        means = np.stack([g.mean for g in target.components])
 
-        def f(x):
-            x = np.asarray(x)
-            if x.ndim == 1:  # finite states: point indicator
-                return (x == idx).astype(float)
-            means = np.stack([g.mean for g in target.component_gaussians()])
-            d2 = np.sum((x[:, None, :] - means[None, :, :]) ** 2, axis=2)
+        def nearest_mode(x):
+            d2 = np.sum((np.asarray(x)[:, None, :] - means[None, :, :]) ** 2, axis=2)
             return (np.argmin(d2, axis=1) == idx).astype(float)
 
-        return f
+        return nearest_mode
     raise ConfigError(f"unknown estimand {name!r}")
 
 
@@ -354,7 +352,6 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
             "exact_value": exact,
         },
     }
-    _validate(doc, "run_result.schema.json", "run result")
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "run.json"), doc)
     with open(os.path.join(out_dir, "levels.csv"), "w", newline="") as fh:
@@ -428,18 +425,21 @@ def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
         c_star = [float(c_star)]
     # exact weights describe the derived mixture, not an explicitly given M or w_star
     weights = None if "M" in b or "w_star" in b else derived.get("per_level_weights")
-    return bounds.AssumptionParams(
-        n=int(merged["n"]),
-        M=int(merged["M"]),
-        w_star=float(merged["w_star"]),
-        gamma=float(merged["gamma"]),
-        c_star_per_level=tuple(float(c) for c in c_star),
-        f_sup_bound=float(b["f_sup_bound"]),
-        epsilon=float(b["epsilon"]),
-        delta=float(b.get("delta", 0.1)),
-        p=int(b.get("p", 4)),
-        per_level_weights=weights,
-    )
+    try:
+        return bounds.AssumptionParams(
+            n=int(merged["n"]),
+            M=int(merged["M"]),
+            w_star=float(merged["w_star"]),
+            gamma=float(merged["gamma"]),
+            c_star_per_level=tuple(float(c) for c in c_star),
+            f_sup_bound=float(b["f_sup_bound"]),
+            epsilon=float(b["epsilon"]),
+            delta=float(b.get("delta", 0.1)),
+            p=int(b.get("p", 4)),
+            per_level_weights=weights,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_bounds(cfg: dict, out_dir) -> int:
@@ -461,7 +461,6 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
     doc = {"schema_version": 1, **report.to_dict()}
     doc["feasible"] = cap is None or report.prescribed_N <= cap
     doc["feasibility_cap"] = cap
-    _validate(doc, "bound_report.schema.json", "bound report")
     print(json.dumps(doc, indent=2, sort_keys=True))
     print()
     print(format_bound_table(report, feasible=doc["feasible"], cap=cap))
@@ -521,7 +520,6 @@ def cmd_verify(cfg: dict | None, out_dir, seed_override, args_suites) -> int:
     all_checks = tuple(checks) + report.checks
     report = oracle.VerificationReport(seed=seed, checks=all_checks)
     doc = report.to_dict()
-    _validate(doc, "verify_report.schema.json", "verify report")
     print(json.dumps(doc, indent=2, sort_keys=True))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -560,6 +558,10 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
         raise ConfigError("sweep needs both 'sweep' and 'experiment' sections")
     sweep = cfg["sweep"]
     exp = cfg["experiment"]
+    if sweep["parameter"] == "n_particles":
+        bad = [v for v in sweep["values"] if v < 1 or v != int(v)]
+        if bad:
+            raise ConfigError(f"sweep values of n_particles must be whole numbers >= 1, got {bad}")
     master_seed = int(exp["master_seed"] if seed_override is None else seed_override)
     base_config, exact = build_smc_config(exp)
     if exact is None:
@@ -578,7 +580,6 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
         "exact_value": exact,
         "points": points,
     }
-    _validate(doc, "sweep_result.schema.json", "sweep result")
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "sweep.json"), doc)
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:

@@ -2,6 +2,9 @@
 
 Conventions
 -----------
+* A target is a Gaussian mixture by type: ``TargetMixture`` holds
+  ``GaussianComponent``s, which is what the closed-form ratio, log-Sobolev
+  and weight bounds of the ladder builders cover.
 * Euclidean states are float vectors of shape ``(d,)``; ensembles stack them
   into ``(N, d)`` arrays and blocks of replicates into ``(B, N, d)``.  Density
   callables are vectorized over leading batch axes: they accept ``(..., d)``
@@ -56,7 +59,7 @@ class NonReversibleChainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DensitySpec:
-    """An unnormalized density with optional gradient and normalizer.
+    """An unnormalized density with an optional gradient.
 
     Attributes
     ----------
@@ -64,73 +67,58 @@ class DensitySpec:
         Vectorized log of the unnormalized density.
     grad_log_density : callable, optional
         Vectorized gradient of ``log_density`` (required for Langevin kernels).
-    log_normalizer : float, optional
-        ``log Z`` with ``p(x) = exp(log_density(x)) / Z``, when known.
     gaussian : GaussianComponent, optional
-        Set when the density is a known Gaussian, enabling closed-form
-        constants downstream.
+        Set when the density is a known normalized Gaussian, which a first
+        level is then drawn from exactly.
     """
 
     log_density: Callable[[np.ndarray], np.ndarray]
     grad_log_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    log_normalizer: Optional[float] = None
     gaussian: Optional[GaussianComponent] = None
-
-    @classmethod
-    def from_gaussian(cls, component: GaussianComponent) -> "DensitySpec":
-        """Normalized Gaussian density (log_normalizer = 0)."""
-        return cls(
-            log_density=component.logpdf,
-            grad_log_density=component.grad_logpdf,
-            log_normalizer=0.0,
-            gaussian=component,
-        )
 
 
 @dataclass(frozen=True, eq=False)
 class TargetMixture:
-    """Weighted mixture of component densities.
+    """Weighted mixture of Gaussian components.
 
-    Weights must be positive and sum to one (tolerance 1e-12).  When every
-    component is a normalized Gaussian (``DensitySpec.gaussian`` set and a
-    known ``log_normalizer``), construction packs, once, what the mixture
-    evaluators need: the stacked means (M, d), the stacked ``L_i^{-T}`` and
-    ``L_i^{-1}`` of each component's Cholesky factor ``Σ_i = L_i L_i^T``, and
-    the constants ``log w_i - ½(d log 2π + log|Σ_i|)``.  Otherwise the pack
-    is None and ``eval_mixture_logdensity`` / ``mixture_grad_logdensity``
-    raise; the remaining methods need only ``component_gaussians``.
+    ``components`` are ``GaussianComponent``s of one dimension (anything else
+    raises ``TypeError``, mixed dimensions ``ValueError``); weights must be
+    positive and sum to one (tolerance 1e-12).  Construction packs, once,
+    what the mixture evaluators need: the stacked means (M, d), the stacked
+    ``L_i^{-T}`` and ``L_i^{-1}`` of each component's Cholesky factor
+    ``Σ_i = L_i L_i^T``, and the constants ``log w_i - ½(d log 2π + log|Σ_i|)``.
     """
 
     components: tuple
     weights: np.ndarray
-    _packed: Optional[tuple] = field(init=False, repr=False, default=None)
+    _packed: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
         w = np.asarray(self.weights, dtype=float)
         if len(comps) < 1:
             raise ValueError("mixture needs at least one component")
+        if not all(isinstance(c, GaussianComponent) for c in comps):
+            raise TypeError("mixture components must be GaussianComponent instances")
+        if len({c.dim for c in comps}) != 1:
+            raise ValueError("mixture components must share one dimension")
         if w.shape != (len(comps),):
             raise ValueError("weights length does not match component count")
         if np.any(w <= 0.0):
             raise ValueError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
+        chol_inv = np.stack([g._chol_inv for g in comps])
+        log_dets = np.array([g.log_det_cov for g in comps])
+        packed = (
+            np.stack([g.mean for g in comps]),
+            np.ascontiguousarray(chol_inv.transpose(0, 2, 1)),
+            chol_inv,
+            np.log(w) - 0.5 * (comps[0].dim * _LOG_2PI + log_dets),
+        )
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
-        gauss = [c.gaussian for c in comps]
-        if all(g is not None for g in gauss) and all(
-            c.log_normalizer is not None for c in comps
-        ):
-            chol_inv = np.stack([g._chol_inv for g in gauss])
-            log_dets = np.array([g.log_det_cov for g in gauss])
-            packed = (
-                np.stack([g.mean for g in gauss]),
-                np.ascontiguousarray(chol_inv.transpose(0, 2, 1)),
-                chol_inv,
-                np.log(w) - 0.5 * (gauss[0].dim * _LOG_2PI + log_dets),
-            )
-            object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "_packed", packed)
 
     @property
     def n_components(self) -> int:
@@ -143,42 +131,28 @@ class TargetMixture:
 
     @property
     def dim(self) -> int:
-        g = self.component_gaussians()
-        return g[0].dim
+        return self.components[0].dim
 
     @classmethod
     def gaussian(cls, weights, means, covs) -> "TargetMixture":
         """Mixture of Gaussians from explicit parameters."""
-        comps = tuple(
-            DensitySpec.from_gaussian(GaussianComponent(m, c))
-            for m, c in zip(means, covs)
-        )
+        comps = tuple(GaussianComponent(m, c) for m, c in zip(means, covs))
         return cls(components=comps, weights=np.asarray(weights, dtype=float))
 
-    def component_gaussians(self) -> tuple:
-        """Gaussian parameters of every component, or raise if any is unknown."""
-        gauss = tuple(c.gaussian for c in self.components)
-        if any(g is None for g in gauss):
-            raise ValueError("mixture component is not Gaussian")
-        return gauss
-
     def mean(self) -> np.ndarray:
-        gauss = self.component_gaussians()
-        return np.sum(self.weights[:, None] * np.stack([g.mean for g in gauss]), axis=0)
+        return np.sum(self.weights[:, None] * np.stack([g.mean for g in self.components]), axis=0)
 
     def cov(self) -> np.ndarray:
-        gauss = self.component_gaussians()
         m = self.mean()
-        out = np.zeros((gauss[0].dim, gauss[0].dim))
-        for w, g in zip(self.weights, gauss):
+        out = np.zeros((self.dim, self.dim))
+        for w, g in zip(self.weights, self.components):
             out += w * (g.cov + np.outer(g.mean, g.mean))
         return out - np.outer(m, m)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Exact mixture samples (Gaussian components only), shape (n, d)."""
-        gauss = self.component_gaussians()
+        """Exact mixture samples, shape (n, d)."""
         counts = rng.multinomial(n, self.weights)
-        parts = [g.sample(rng, c) for g, c in zip(gauss, counts) if c > 0]
+        parts = [g.sample(rng, c) for g, c in zip(self.components, counts) if c > 0]
         out = np.concatenate(parts, axis=0)
         return out[rng.permutation(n)]
 
@@ -196,12 +170,7 @@ def _mixture_terms(mixture: TargetMixture, x):
     alone.  A point where every component term underflows to -inf gets
     log-density -inf (and NaN responsibilities).
     """
-    packed = mixture._packed
-    if packed is None:
-        if any(c.log_normalizer is None for c in mixture.components):
-            raise ValueError("unnormalized mixture component")
-        raise ValueError("mixture component is not Gaussian")
-    means, _, chol_inv, consts = packed
+    means, _, chol_inv, consts = mixture._packed
     d = means.shape[1]
     x = np.asarray(x, dtype=float)
     if x.ndim > 0 and x.shape[-1] != d:
@@ -235,15 +204,13 @@ def _sum_components(terms: np.ndarray) -> np.ndarray:
 
 
 def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
-    """log Σ w_i p_i(x) for a mixture of normalized Gaussian components.
+    """log Σ w_i p_i(x) for a Gaussian mixture.
 
     ``x`` of shape (d,) gives a float, (..., d) an array of shape (...); a
     block (B, N, d) gives bitwise the B results of its (N, d) rows.  One
     vectorized pass over all components with a max-shifted log-sum-exp (see
-    ``TargetMixture`` for the cached parameters).  A component without a
-    normalizer raises ``ValueError("unnormalized mixture component")``, a
-    normalized non-Gaussian one ``ValueError("mixture component is not
-    Gaussian")``.
+    ``TargetMixture`` for the cached parameters).  Points of another
+    dimension than the mixture's raise ``ValueError``.
     """
     _, log_density, _ = _mixture_terms(mixture, x)
     if np.ndim(x) <= 1:
@@ -418,14 +385,13 @@ class Ladder:
 
 @dataclass(frozen=True, eq=False)
 class ParticleEnsemble:
-    """N particle states at one level.
+    """N particle states: Euclidean points (N, d) or finite state indices (N,).
 
     ``lane_ids`` give each particle a persistent identity so that runs are
     invariant to the storage order of the ensemble.  ``log_weights`` are the unnormalized log
     importance weights of a proposal draw; None means equally weighted.
     """
 
-    level_index: int
     particles: np.ndarray
     lane_ids: Optional[np.ndarray] = None
     init_acceptance_rate: float = 1.0
@@ -435,8 +401,6 @@ class ParticleEnsemble:
         particles = np.asarray(self.particles)
         if particles.shape[0] < 1:
             raise ValueError("ensemble needs at least one particle")
-        if self.level_index < 1:
-            raise ValueError("level index is 1-based")
         lanes = self.lane_ids
         if lanes is None:
             lanes = np.arange(particles.shape[0], dtype=np.int64)

@@ -1,8 +1,8 @@
 """Measure ladders (power tempering, Gaussian convolution) and their constants.
 
-Both builders require Gaussian mixture targets so that the density-ratio
-bounds, log-Sobolev bounds, and weight lower bounds are available in closed
-form; anything else is rejected rather than silently losing the analytics.
+Both builders take a ``TargetMixture``, a Gaussian mixture by type, so the
+density-ratio bounds, log-Sobolev bounds, and weight lower bounds are
+available in closed form for every ladder they build.
 """
 
 from __future__ import annotations
@@ -105,10 +105,9 @@ def power_tempering_gamma(
     """
     if not beta_i > beta_prev > 0:
         raise ValueError("need beta_i > beta_prev > 0")
-    gauss = target.component_gaussians()
-    d = gauss[0].dim
+    d = target.dim
     dbeta = beta_i - beta_prev
-    log_dets = np.array([g.log_det_cov for g in gauss])
+    log_dets = np.array([g.log_det_cov for g in target.components])
     out = (
         -np.log(target.w_star)
         + 0.5 * d * np.log(beta_i / beta_prev)
@@ -128,8 +127,7 @@ def tempered_component_lsi(target: TargetMixture, component: int, beta_i: float)
     """
     if not beta_i > 0:
         raise ValueError("beta must be positive")
-    gauss = target.component_gaussians()
-    return float(gauss[component].lambda_max / beta_i / target.w_star)
+    return float(target.components[component].lambda_max / beta_i / target.w_star)
 
 
 def tempered_weight_lower_bound(
@@ -141,7 +139,7 @@ def tempered_weight_lower_bound(
     picks up the worst ratio of the component power normalizers over the
     schedule, which is why ``betas`` is required in that case.
     """
-    gauss = target.component_gaussians()
+    gauss = target.components
     alpha_min = target.w_star
     log_dets = np.array([g.log_det_cov for g in gauss])
     if np.max(np.abs(log_dets - log_dets[0])) < 1e-12 and all(
@@ -170,11 +168,9 @@ def lsi_convolution_bound(c1: float, c2: float) -> float:
 
 
 def _tempered_density(target: TargetMixture, beta: float) -> DensitySpec:
-    log_normalizer = None
     gaussian = None
     if target.n_components == 1:
-        g = target.component_gaussians()[0]
-        log_normalizer = power_normalizer(g, beta)
+        g = target.components[0]
         # q^beta is itself Gaussian with covariance scaled by 1/beta.
         gaussian = GaussianComponent(g.mean, g.cov / beta)
 
@@ -184,23 +180,17 @@ def _tempered_density(target: TargetMixture, beta: float) -> DensitySpec:
     def grad(x, _beta=beta):
         return _beta * mixture_grad_logdensity(target, x)
 
-    return DensitySpec(
-        log_density=log_density,
-        grad_log_density=grad,
-        log_normalizer=log_normalizer,
-        gaussian=gaussian,
-    )
+    return DensitySpec(log_density=log_density, grad_log_density=grad, gaussian=gaussian)
 
 
 def _hessian_bound(target: TargetMixture, beta: float) -> float:
-    gauss = target.component_gaussians()
-    return beta * max(1.0 / g.lambda_min for g in gauss)
+    return beta * max(1.0 / g.lambda_min for g in target.components)
 
 
 def _tempering_init_proposal(target: TargetMixture, beta1: float) -> GaussianComponent:
     """Level-1 proposal of a tempering ladder: the Gaussian with the mean and
     covariance of the mixture of the tempered components N(mu_i, Sigma_i/beta1)."""
-    gauss = target.component_gaussians()
+    gauss = target.components
     tempered = TargetMixture.gaussian(
         target.weights, [g.mean for g in gauss], [g.cov / beta1 for g in gauss]
     )
@@ -223,11 +213,11 @@ def build_power_tempering(
     multi-component level 1 has no exact sampler below beta = 1 and carries
     the Gaussian ``init_proposal`` from _tempering_init_proposal instead.
     """
-    gauss = target.component_gaussians()  # rejects non-Gaussian targets
+    gauss = target.components
     betas = schedule.betas
     if abs(betas[-1] - 1.0) > 1e-12:
         raise ValueError("power tempering requires beta_n = 1")
-    if schedule.d != gauss[0].dim:
+    if schedule.d != target.dim:
         raise ValueError("schedule dimension does not match the target")
     if not conservative_gamma:
         warnings.warn(
@@ -297,10 +287,10 @@ def build_gaussian_convolution(
     (beta_k/beta_{k-1})^{d/2} for noised steps and the closed-form determinant
     ratio for the final de-noising step.
     """
-    gauss = target.component_gaussians()
+    gauss = target.components
     if schedule.sigma is None:
         raise ValueError("convolution schedule needs sigma")
-    d = gauss[0].dim
+    d = target.dim
     if schedule.d != d:
         raise ValueError("schedule dimension does not match the target")
     sigma2 = schedule.sigma ** 2
@@ -310,9 +300,7 @@ def build_gaussian_convolution(
 
     mixtures = [
         TargetMixture(
-            components=tuple(
-                DensitySpec.from_gaussian(g.convolved(sigma2 / beta)) for g in gauss
-            ),
+            components=tuple(g.convolved(sigma2 / beta) for g in gauss),
             weights=target.weights,
         )
         for beta in betas
@@ -357,12 +345,7 @@ def build_gaussian_convolution(
             gamma = max(gamma, bound)
         levels.append(
             Level(
-                density=DensitySpec(
-                    log_density=log_density,
-                    grad_log_density=grad,
-                    log_normalizer=0.0,
-                    gaussian=mix.components[0].gaussian if mix.n_components == 1 else None,
-                ),
+                density=DensitySpec(log_density=log_density, grad_log_density=grad),
                 kernel=spec,
                 time_budget=budgets[k],
                 ratio_to_prev=ratio,
@@ -413,7 +396,7 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
             gamma = max(gamma, bound)
         levels.append(
             Level(
-                density=DensitySpec(log_density=log_density, log_normalizer=0.0),
+                density=DensitySpec(log_density=log_density),
                 kernel=None,
                 time_budget=budgets[k],
                 ratio_to_prev=ratio,
@@ -450,20 +433,20 @@ def init_sampler(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> Pa
     if level.pmf is not None:
         # the draws of rng.choice(S, size=n, p=pmf), without re-checking the pmf
         states = level._cdf.searchsorted(rng.random(n_samples), side="right")
-        return ParticleEnsemble(1, states.astype(np.int64, copy=False))
+        return ParticleEnsemble(states.astype(np.int64, copy=False))
     if level.mixture is not None:
         draws = level.mixture.sample(rng, n_samples)
-        return ParticleEnsemble(1, draws)
+        return ParticleEnsemble(draws)
     if level.density.gaussian is not None:
         draws = level.density.gaussian.sample(rng, n_samples)
-        return ParticleEnsemble(1, draws)
+        return ParticleEnsemble(draws)
     proposal = level.init_proposal
     if proposal is None:
         raise ValueError("level 1 has no exact sampler and no Gaussian proposal")
     draws = proposal.sample(rng, n_samples)
     log_w = np.asarray(level.density.log_density(draws), dtype=float) - proposal.logpdf(draws)
     ess_frac = effective_sample_size(np.exp(log_w - np.max(log_w))) / n_samples
-    return ParticleEnsemble(1, draws, init_acceptance_rate=ess_frac, log_weights=log_w)
+    return ParticleEnsemble(draws, init_acceptance_rate=ess_frac, log_weights=log_w)
 
 
 def sample_initial(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> ParticleEnsemble:

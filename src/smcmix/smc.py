@@ -240,7 +240,6 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
         else:
             eta = float(np.average(values[b], weights=np.exp(log_w[b] - np.max(log_w[b]))))
         final = ParticleEnsemble(
-            level_index=n,
             particles=particles[b],
             init_acceptance_rate=init_rates[b],
             log_weights=None if log_w is None else log_w[b],

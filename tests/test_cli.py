@@ -4,6 +4,7 @@ import csv
 import json
 import pickle
 
+import jsonschema
 import pytest
 
 from smcmix import cli, oracle, smc
@@ -67,12 +68,28 @@ def finite_experiment(tmp_path, **overrides):
     })
 
 
-def strict_json(path):
-    """Parse a written document, refusing NaN and Infinity (not JSON)."""
+OUTPUT_SCHEMAS = {
+    "run.json": "run_result.schema.json",
+    "sweep.json": "sweep_result.schema.json",
+    "bounds.json": "bound_report.schema.json",
+    "verify.json": "verify_report.schema.json",
+}
+
+
+def assert_conforms(doc, schema_name):
+    """The commands do not check what they emit: every output test does."""
+    jsonschema.Draft202012Validator(cli._load_schema(schema_name)).validate(doc)
+
+
+def read_output(path):
+    """Parse a written document, refusing NaN and Infinity (not JSON), and
+    check it against the schema of its file name."""
     def refuse(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
 
-    return json.loads(path.read_text(), parse_constant=refuse)
+    doc = json.loads(path.read_text(), parse_constant=refuse)
+    assert_conforms(doc, OUTPUT_SCHEMAS[path.name])
+    return doc
 
 
 def assert_summary_from_replicates(doc):
@@ -143,6 +160,14 @@ class TestConfigValidation:
         assert run_exit_code(tmp_path, exp) == 2
         assert "smoothed by the chains P of its file" in capsys.readouterr().err
 
+    def test_components_of_different_dimensions_refused(self, tmp_path, capsys):
+        exp = base_experiment(target={
+            "kind": "gaussian_mixture", "weights": [0.5, 0.5], "means": [[0.0], [1.0, 1.0]],
+            "covariances": [[[1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+        })
+        assert run_exit_code(tmp_path, exp) == 2
+        assert "one dimension" in capsys.readouterr().err
+
 
 class TestRun:
     @pytest.mark.parametrize("kind", SCHEMA_KERNEL_KINDS)
@@ -153,6 +178,7 @@ class TestRun:
             n_particles=50, replicates=1,
         )
         assert run_exit_code(tmp_path, exp) == 0
+        read_output(tmp_path / "o" / "run.json")
 
     def test_outputs_written_and_valid(self, tmp_path, capsys):
         cfg = write_json(
@@ -160,7 +186,7 @@ class TestRun:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "--threads", "1", "run"]) == 0
-        doc = strict_json(out / "run.json")
+        doc = read_output(out / "run.json")
         assert doc["schema_version"] == 1
         assert len(doc["replicates"]) == 3
         assert doc["summary"]["mse"] is None  # no exact value
@@ -172,6 +198,15 @@ class TestRun:
         with open(out / "levels.csv") as fh:
             level_rows = list(csv.DictReader(fh))
         assert len(level_rows) == 3 * 3  # replicates x (levels - 1)
+
+    def test_output_check_refuses_a_document_off_its_schema(self, tmp_path):
+        assert run_exit_code(tmp_path, base_experiment(replicates=1, n_particles=50)) == 0
+        path = tmp_path / "o" / "run.json"
+        doc = read_output(path)
+        del doc["replicates"][0]["eta"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(jsonschema.ValidationError, match="'eta' is a required property"):
+            read_output(path)
 
     def test_same_seed_byte_identical_json(self, tmp_path):
         cfg = write_json(
@@ -235,8 +270,8 @@ class TestRun:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["--config", cfg, "--out", str(out1), "--threads", "1", "run"])
         main(["--config", cfg, "--out", str(out2), "--seed", "99", "--threads", "1", "run"])
-        a = json.loads((out1 / "run.json").read_text())
-        b = json.loads((out2 / "run.json").read_text())
+        a = read_output(out1 / "run.json")
+        b = read_output(out2 / "run.json")
         assert a["master_seed"] == 11 and b["master_seed"] == 99
         assert a["replicates"][0]["eta"] != b["replicates"][0]["eta"]
 
@@ -252,7 +287,7 @@ class TestRun:
         cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "--threads", "1", "run"]) == 0
-        doc = json.loads((out / "run.json").read_text())
+        doc = read_output(out / "run.json")
         assert doc["summary"]["exact_value"] == pytest.approx(float(pmf2[0]))
         assert doc["summary"]["mse"] is not None
         assert_summary_from_replicates(doc)
@@ -393,7 +428,7 @@ class TestRun:
         cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
         out = tmp_path / "o"
         assert main(["--config", cfg, "--out", str(out), "--threads", "1", "run"]) == 0
-        rate = json.loads((out / "run.json").read_text())["replicates"][0]["init_acceptance_rate"]
+        rate = read_output(out / "run.json")["replicates"][0]["init_acceptance_rate"]
         assert 0 < rate <= 1
 
 
@@ -404,7 +439,7 @@ class TestBounds:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
-        doc = json.loads((out / "bounds.json").read_text())
+        doc = read_output(out / "bounds.json")
         assert doc["prescribed_N"] == 128
         assert doc["prescribed_t_per_level"] == [2.0]
         printed = capsys.readouterr().out
@@ -418,7 +453,7 @@ class TestBounds:
             )
             out = tmp_path / mode
             assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
-            doc = json.loads((out / "bounds.json").read_text())
+            doc = read_output(out / "bounds.json")
             assert doc["n_variance_branch"] == pytest.approx(expected)
 
     def test_derives_constants_from_experiment(self, tmp_path):
@@ -432,7 +467,7 @@ class TestBounds:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
-        doc = json.loads((out / "bounds.json").read_text())
+        doc = read_output(out / "bounds.json")
         assert doc["inputs"]["M"] == 2
         assert doc["inputs"]["n"] == 4
         assert doc["inputs"]["gamma"] > 1.0
@@ -461,7 +496,7 @@ class TestBounds:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
-        doc = strict_json(out / "bounds.json")
+        doc = read_output(out / "bounds.json")
         assert doc["beta"] == pytest.approx(beta, rel=1e-15)
 
     @pytest.mark.parametrize("ladder,w_star", [
@@ -479,7 +514,7 @@ class TestBounds:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
-        assert strict_json(out / "bounds.json")["inputs"]["w_star"] == pytest.approx(
+        assert read_output(out / "bounds.json")["inputs"]["w_star"] == pytest.approx(
             w_star, rel=1e-15)
 
     def test_feasibility_cap_flagged(self, tmp_path, capsys):
@@ -492,6 +527,7 @@ class TestBounds:
         assert main(["--config", cfg, "bounds"]) == 0
         captured = capsys.readouterr()
         doc = json.loads(captured.out.split("\n\n")[0])
+        assert_conforms(doc, "bound_report.schema.json")
         assert doc["feasible"] is False
         assert "exceeds the cap" in captured.err
 
@@ -503,6 +539,18 @@ class TestBounds:
         )
         assert main(["--config", cfg, "bounds"]) == 2
 
+    @pytest.mark.parametrize("given,message", [
+        ({"n": 3, "c_star": [1.0, 2.0]}, "c_star per level"),
+        ({"p": 6}, "power of 2"),
+    ])
+    def test_invalid_explicit_constant_is_config_error(self, tmp_path, capsys, given,
+                                                       message):
+        cfg = write_json(tmp_path / "c.json",
+                         {"schema_version": 1, "bounds": bounds_section(**given)})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "bounds"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
 
 class TestVerify:
     def test_selector_runs_only_decomposition(self, tmp_path, capsys):
@@ -510,7 +558,7 @@ class TestVerify:
         code = main(["--out", str(out), "--seed", "0", "verify",
                      "--suite", "decomposition"])
         assert code == 0
-        doc = json.loads((out / "verify.json").read_text())
+        doc = read_output(out / "verify.json")
         assert doc["all_passed"] is True
         assert all(c["name"].startswith("decomposition") for c in doc["checks"])
 
@@ -523,7 +571,7 @@ class TestVerify:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "verify"]) == 1
-        doc = strict_json(out / "verify.json")
+        doc = read_output(out / "verify.json")
         failed = [c for c in doc["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["chain_validation"]
         assert failed[0]["min_slack"] is None  # no slack: -inf is not JSON
@@ -540,7 +588,7 @@ class TestVerify:
     def test_suite_selects_a_check_by_its_printed_name(self, tmp_path, name):
         out = tmp_path / "out"
         assert main(["--out", str(out), "--seed", "0", "verify", "--suite", name]) == 0
-        doc = json.loads((out / "verify.json").read_text())
+        doc = read_output(out / "verify.json")
         assert [c["name"] for c in doc["checks"]] == [name]
 
     def test_unknown_suite_is_config_error(self, tmp_path):
@@ -549,7 +597,7 @@ class TestVerify:
     def test_full_suite_on_default_seed_passes(self, tmp_path):
         out = tmp_path / "out"
         assert main(["--out", str(out), "--seed", "0", "verify"]) == 0
-        doc = json.loads((out / "verify.json").read_text())
+        doc = read_output(out / "verify.json")
         assert doc["all_passed"] is True
         names = {c["name"] for c in doc["checks"]}
         assert {"variance_decay", "single_step", "hypercontractivity",
@@ -577,7 +625,7 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [float(r["value"]) for r in rows] == [50.0, 100.0]
         assert all(float(r["mse"]) >= 0 for r in rows)
-        doc = json.loads((out / "sweep.json").read_text())
+        doc = read_output(out / "sweep.json")
         assert doc["parameter"] == "n_particles"
 
     @pytest.mark.parametrize("parameter,values", [
@@ -605,7 +653,7 @@ class TestSweep:
         )
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "--threads", "1", "sweep"]) == 0
-        points = strict_json(out / "sweep.json")["points"]
+        points = read_output(out / "sweep.json")["points"]
         assert [p["variance_se"] for p in points] == [None, None]
         assert all(p["mse_se"] is not None and p["bias_sq_se"] is not None for p in points)
         with open(out / "sweep.csv") as fh:
@@ -621,6 +669,22 @@ class TestSweep:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
                      "sweep"]) == 2
 
+    @pytest.mark.parametrize("values", [[0.5], [50, 2.7]])
+    def test_particle_counts_that_cannot_run_refused(self, tmp_path, capsys, monkeypatch,
+                                                     values):
+        # 0.5 used to fail mid-sweep, 2.7 to run silently at N = 2
+        ran = []
+        monkeypatch.setattr(cli, "_run_replicates", lambda *args, **kw: ran.append(args))
+        cfg = write_json(
+            tmp_path / "c.json",
+            {"schema_version": 1, "experiment": finite_experiment(tmp_path),
+             "sweep": {"parameter": "n_particles", "values": values, "replicates": 3}},
+        )
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
+                     "sweep"]) == 2
+        assert "whole numbers >= 1" in capsys.readouterr().err
+        assert ran == []
+
 
 class TestEstimands:
     def test_constant_and_coordinate(self, tmp_path):
@@ -630,7 +694,7 @@ class TestEstimands:
         cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "--threads", "1", "run"]) == 0
-        doc = json.loads((out / "run.json").read_text())
+        doc = read_output(out / "run.json")
         assert doc["replicates"][0]["eta"] == 2.5
 
     @pytest.mark.parametrize("finite,estimand,message", [
@@ -660,12 +724,12 @@ class TestEstimands:
                else base_experiment(estimand=estimand))
         assert run_exit_code(tmp_path, exp) == 0
         # each estimand has a positive mean here; a missing mode would read 0
-        assert strict_json(tmp_path / "o" / "run.json")["summary"]["mean_eta"] > 0.0
+        assert read_output(tmp_path / "o" / "run.json")["summary"]["mean_eta"] > 0.0
 
     def test_finite_halfspace_reads_the_state_index(self, tmp_path):
         _, pmf2 = finite_ladder_file(tmp_path)
         exp = finite_experiment(
             tmp_path, estimand={"name": "indicator_halfspace", "threshold": 1.5})
         assert run_exit_code(tmp_path, exp) == 0
-        exact = strict_json(tmp_path / "o" / "run.json")["summary"]["exact_value"]
+        exact = read_output(tmp_path / "o" / "run.json")["summary"]["exact_value"]
         assert exact == pytest.approx(pmf2[2] + pmf2[3])

@@ -65,10 +65,17 @@ class TestMixtureLogDensity:
         np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
     def test_unnormalized_component_rejected(self):
+        # a mixture holds Gaussian components only: a density is refused when built
         spec = DensitySpec(log_density=lambda x: np.zeros(np.shape(x)[0]))
-        m = TargetMixture(components=(spec,), weights=np.array([1.0]))
-        with pytest.raises(ValueError, match="unnormalized mixture component"):
-            eval_mixture_logdensity(m, np.zeros((2, 1)))
+        with pytest.raises(TypeError, match="GaussianComponent"):
+            TargetMixture(components=(spec,), weights=np.array([1.0]))
+
+    def test_components_of_different_dimensions_rejected(self):
+        comps = (GaussianComponent([0.0], 1.0), GaussianComponent([1.0, 1.0], np.eye(2)))
+        with pytest.raises(ValueError, match="share one dimension"):
+            TargetMixture(components=comps, weights=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="share one dimension"):
+            TargetMixture.gaussian([0.5, 0.5], [[0.0], [1.0, 1.0]], [[[1.0]], np.eye(2)])
 
     @given(
         weights=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4),
@@ -103,7 +110,7 @@ def random_mixture(rng, M, d):
 
 def per_component_reference(mixture, x):
     """Log-density and gradient from each component's own logpdf / grad_logpdf."""
-    gauss = mixture.component_gaussians()
+    gauss = mixture.components
     logs = np.stack([math.log(w) + g.logpdf(x) for w, g in zip(mixture.weights, gauss)])
     log_density = logsumexp(logs, axis=0)
     resp = np.exp(logs - log_density)
@@ -161,11 +168,11 @@ class TestFusedEvaluator:
                 fn(bimodal_target, np.zeros((4, 3)))
 
     def test_normalized_non_gaussian_component_rejected(self):
-        spec = DensitySpec(log_density=lambda x: np.zeros(np.shape(x)[0]), log_normalizer=0.0)
-        m = TargetMixture(components=(spec,), weights=np.array([1.0]))
-        for fn in (eval_mixture_logdensity, mixture_grad_logdensity):
-            with pytest.raises(ValueError, match="not Gaussian"):
-                fn(m, np.zeros((2, 1)))
+        # a normalized density, even a Gaussian's, is not a GaussianComponent
+        g = GaussianComponent([0.0], 1.0)
+        spec = DensitySpec(log_density=g.logpdf, grad_log_density=g.grad_logpdf, gaussian=g)
+        with pytest.raises(TypeError, match="GaussianComponent"):
+            TargetMixture(components=(spec,), weights=np.array([1.0]))
 
 
 class TestGradients:
@@ -189,12 +196,12 @@ class TestGradients:
 
 class TestEnsembles:
     def test_fresh_ensemble_lane_ids_are_identity(self):
-        ens = ParticleEnsemble(1, np.zeros((4, 2)))
+        ens = ParticleEnsemble(np.zeros((4, 2)))
         assert np.array_equal(ens.lane_ids, np.arange(4))
 
     def test_lane_ids_must_match_size(self):
         with pytest.raises(ValueError, match="lane_ids"):
-            ParticleEnsemble(1, np.zeros((4, 2)), lane_ids=np.arange(3))
+            ParticleEnsemble(np.zeros((4, 2)), lane_ids=np.arange(3))
 
 
 class TestFiniteChain:

@@ -79,10 +79,10 @@ class TestPowerTempering:
         )
 
     def test_non_gaussian_target_rejected(self):
-        spec = DensitySpec(log_density=lambda x: np.zeros(len(x)), log_normalizer=0.0)
-        target = TargetMixture(components=(spec,), weights=np.array([1.0]))
-        with pytest.raises(ValueError, match="not Gaussian"):
-            build_power_tempering(target, TemperingSchedule(betas=(1.0,), d=1))
+        # no non-Gaussian target reaches a builder: the mixture refuses it when built
+        spec = DensitySpec(log_density=lambda x: np.zeros(len(x)))
+        with pytest.raises(TypeError, match="GaussianComponent"):
+            TargetMixture(components=(spec,), weights=np.array([1.0]))
 
     def test_warning_surfaced_once_per_build(self, bimodal_target):
         with pytest.warns(RuntimeWarning, match="plain closed form"):
@@ -92,7 +92,7 @@ class TestPowerTempering:
         # single Gaussian: both ratios exist, linked by the normalizer ratio
         target = TargetMixture.gaussian([1.0], [[0.5, -0.5]], [1.3 * np.eye(2)])
         ladder = build_power_tempering(target, TemperingSchedule(betas=(0.4, 1.0), d=2))
-        comp = target.component_gaussians()[0]
+        comp = target.components[0]
         z_shift = math.exp(power_normalizer(comp, 0.4) - power_normalizer(comp, 1.0))
         probes = rng.normal(scale=2.0, size=(200, 2))
         level = ladder.levels[1]
@@ -242,7 +242,7 @@ class TestGaussianConvolution:
         target = TargetMixture.gaussian([1.0], [[0.0]], [[[1.0]]])
         sched = TemperingSchedule(betas=(1.0,), d=1, sigma=1.0)
         ladder = build_gaussian_convolution(target, sched)
-        level_cov = ladder.levels[0].mixture.components[0].gaussian.cov
+        level_cov = ladder.levels[0].mixture.components[0].cov
         assert level_cov[0, 0] == pytest.approx(2.0)
 
     def test_weights_preserved_exactly(self, bimodal_target):
@@ -256,7 +256,7 @@ class TestGaussianConvolution:
         ladder = build_gaussian_convolution(bimodal_target, sched)
         assert ladder.levels[0].lsi_constant_bound == pytest.approx(1.0 + 4.0 / 0.5)
         assert ladder.levels[-1].lsi_constant_bound == pytest.approx(1.0)
-        base = max(g.lambda_max for g in bimodal_target.component_gaussians())
+        base = max(g.lambda_max for g in bimodal_target.components)
         noises = [4.0 / 0.5, 4.0 / 1.0, 0.0]
         for level, noise in zip(ladder.levels, noises, strict=True):
             assert level.lsi_constant_bound == lsi_convolution_bound(base, noise)

@@ -100,7 +100,7 @@ class TestExchangeability:
         perm = rng.permutation(256)
         assert ens.log_weights is not None  # multi-component level 1: proposal draw
         shuffled = ParticleEnsemble(
-            1, ens.particles[perm], lane_ids=ens.lane_ids[perm],
+            ens.particles[perm], lane_ids=ens.lane_ids[perm],
             init_acceptance_rate=ens.init_acceptance_rate,
             log_weights=ens.log_weights[perm],
         )
@@ -117,7 +117,7 @@ class TestExchangeability:
         config = finite_config(single, n_particles=128)
         ens = sequences.sample_initial(single, 128, np.random.default_rng(8))
         perm = rng.permutation(128)
-        shuffled = ParticleEnsemble(1, ens.particles[perm], lane_ids=ens.lane_ids[perm])
+        shuffled = ParticleEnsemble(ens.particles[perm], lane_ids=ens.lane_ids[perm])
         a = run_smc(config, initial_ensemble=ens)
         b = run_smc(config, initial_ensemble=shuffled)
         assert a.eta_estimate == b.eta_estimate
