@@ -5,6 +5,11 @@ Conventions
 * A target is a Gaussian mixture by type: ``TargetMixture`` holds
   ``GaussianComponent``s, which is what the closed-form ratio, log-Sobolev
   and weight bounds of the ladder builders cover.
+* A ``TargetMixture`` packs its evaluator parameters once, when it is built,
+  and the covariances alone pick the pass: components that share one Σ get
+  Σ^{-1}, the rows Σ^{-1} m_i and one constant each, so that the log terms
+  of N points are one (M, d) @ (d, N) product; unequal covariances get each
+  component's Cholesky inverse, applied to chunks of points.
 * Euclidean states are float vectors of shape ``(d,)``; ensembles stack them
   into ``(N, d)`` arrays and blocks of replicates into ``(B, N, d)``.  Density
   callables are vectorized over leading batch axes: they accept ``(..., d)``
@@ -20,7 +25,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +82,31 @@ class DensitySpec:
     gaussian: Optional[GaussianComponent] = None
 
 
+class _SharedCovariance(NamedTuple):
+    """Evaluator parameters of a mixture whose components share one Σ.
+
+    With ``P = Σ^{-1}`` the log term of component i at x is
+    ``a_i · x + b_i - ½ xᵀPx`` where ``a_i = P m_i`` and
+    ``b_i = log w_i - ½ m_iᵀP m_i - ½(d log 2π + log|Σ|)``.
+    """
+
+    precision: np.ndarray  # P, (d, d)
+    rows: np.ndarray  # a_i, (M, d)
+    consts: np.ndarray  # b_i, (M,)
+    neg_half: np.ndarray  # (d,) of -½: (xP * x) @ neg_half is -½ xᵀPx
+
+
+class _PerComponent(NamedTuple):
+    """Evaluator parameters of a mixture with unequal covariances: the means,
+    ``L_i^{-T}`` and ``L_i^{-1}`` of each Cholesky factor ``Σ_i = L_i L_iᵀ``,
+    and ``log w_i - ½(d log 2π + log|Σ_i|)``."""
+
+    means: np.ndarray  # (M, d)
+    chol_inv_t: np.ndarray  # (M, d, d)
+    chol_inv: np.ndarray  # (M, d, d)
+    consts: np.ndarray  # (M,)
+
+
 @dataclass(frozen=True, eq=False)
 class TargetMixture:
     """Weighted mixture of Gaussian components.
@@ -84,9 +114,14 @@ class TargetMixture:
     ``components`` are ``GaussianComponent``s of one dimension (anything else
     raises ``TypeError``, mixed dimensions ``ValueError``); weights must be
     positive and sum to one (tolerance 1e-12).  Construction packs, once,
-    what the mixture evaluators need: the stacked means (M, d), the stacked
-    ``L_i^{-T}`` and ``L_i^{-1}`` of each component's Cholesky factor
-    ``Σ_i = L_i L_i^T``, and the constants ``log w_i - ½(d log 2π + log|Σ_i|)``.
+    what the mixture evaluators need.  When every component has the same
+    covariance Σ (the README target, every convolution level of it, any
+    one-component mixture) that is ``P = Σ^{-1}``, the rows ``a_i = P m_i``
+    and the constants ``b_i = log w_i - ½ m_iᵀP m_i - ½(d log 2π + log|Σ|)``,
+    so that the log terms of a block row are one (M, d) @ (d, N) product;
+    otherwise it is the stacked means, ``L_i^{-T}`` and ``L_i^{-1}`` of each
+    component's Cholesky factor ``Σ_i = L_i L_iᵀ`` and the constants
+    ``log w_i - ½(d log 2π + log|Σ_i|)``.
     """
 
     components: tuple
@@ -108,14 +143,24 @@ class TargetMixture:
             raise ValueError("mixture weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("mixture weights must sum to 1")
-        chol_inv = np.stack([g._chol_inv for g in comps])
-        log_dets = np.array([g.log_det_cov for g in comps])
-        packed = (
-            np.stack([g.mean for g in comps]),
-            np.ascontiguousarray(chol_inv.transpose(0, 2, 1)),
-            chol_inv,
-            np.log(w) - 0.5 * (comps[0].dim * _LOG_2PI + log_dets),
-        )
+        d = comps[0].dim
+        means = np.stack([g.mean for g in comps])
+        if all(np.array_equal(g.cov, comps[0].cov) for g in comps[1:]):
+            prec = comps[0]._cov_inv
+            prec = 0.5 * (prec + prec.T)  # so that -x P is the gradient of -½ xᵀPx
+            rows = means @ prec
+            consts = (np.log(w) - 0.5 * np.einsum("md,md->m", rows, means)
+                      - 0.5 * (d * _LOG_2PI + comps[0].log_det_cov))
+            packed = _SharedCovariance(prec, rows, consts, np.full(d, -0.5))
+        else:
+            chol_inv = np.stack([g._chol_inv for g in comps])
+            log_dets = np.array([g.log_det_cov for g in comps])
+            packed = _PerComponent(
+                means,
+                np.ascontiguousarray(chol_inv.transpose(0, 2, 1)),
+                chol_inv,
+                np.log(w) - 0.5 * (d * _LOG_2PI + log_dets),
+            )
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_packed", packed)
@@ -157,40 +202,26 @@ class TargetMixture:
         return out[rng.permutation(n)]
 
 
-def _mixture_terms(mixture: TargetMixture, x):
-    """One pass over all components at the points ``x`` of shape (..., N, d).
+# a per-component pass evaluates the points in chunks of N that keep each
+# (M, B, d, n) temporary of a lone row within this many cells (1 MiB)
+_CHUNK_CELLS = 2 ** 17
 
-    The leading axes are kept as B rows of N points (one point is one row of
-    one).  Returns ``zt`` (M, B, d, N) with ``zt_ib = L_i^{-1} (x_b - m_i)^T``
-    (``z_i = (x - m_i) L_i^{-T}``, stored point-minor so that every
-    elementwise step runs along N), the mixture log-density (B, N) from a
-    max-shifted log-sum-exp, and the responsibilities (M, B, N).  Each row
-    gets one (d, d) @ (d, N) product per component, and the components are
-    summed in index order, so a row's values are bitwise those of the row
-    alone.  A point where every component term underflows to -inf gets
-    log-density -inf (and NaN responsibilities).
-    """
-    means, _, chol_inv, consts = mixture._packed
-    d = means.shape[1]
-    x = np.asarray(x, dtype=float)
-    if x.ndim > 0 and x.shape[-1] != d:
-        raise ValueError(f"points of dimension {x.shape[-1]} for a mixture in dimension {d}")
-    xt = x.reshape(-1, x.shape[-2] if x.ndim > 1 else 1, d).transpose(0, 2, 1)
-    zt = np.matmul(chol_inv[:, None], xt[None] - means[:, None, :, None])
-    # in place from here on: every fresh (M, B, N) array costs page faults at large N
-    log_terms = np.einsum("mbdn,mbdn->mbn", zt, zt)
-    log_terms *= -0.5
-    log_terms += consts[:, None, None]
+
+def _log_sum_exp(log_terms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Turn the (M, B, n) log terms into the responsibilities, in place, and
+    write the log of their sum over M, max-shifted, into ``out`` (B, n).  A
+    point where every term underflows to -inf gets -inf (and NaN
+    responsibilities)."""
     shift = log_terms.max(axis=0)
-    shift[np.isneginf(shift)] = 0.0  # all terms -inf: keep -inf, not -inf - -inf
+    np.copyto(shift, 0.0, where=shift == -np.inf)  # all terms -inf: keep -inf, not -inf - -inf
     log_terms -= shift
     resp = np.exp(log_terms, out=log_terms)
     total = _sum_components(resp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_density = np.log(total)
+        np.log(total, out=out)
         resp /= total
-    log_density += shift
-    return zt, log_density, resp
+    out += shift
+    return resp
 
 
 def _sum_components(terms: np.ndarray) -> np.ndarray:
@@ -203,6 +234,71 @@ def _sum_components(terms: np.ndarray) -> np.ndarray:
     return total
 
 
+def _shared_pass(packed: _SharedCovariance, x: np.ndarray, grad: bool):
+    """Log-density (B, N) of the (B, N, d) points and, if ``grad``, the
+    gradient ``R A - X P`` (B, N, d) with the (N, M) responsibilities R.
+    Every product is one per row, as a lone row computes it."""
+    xp = np.matmul(x, packed.precision)
+    # in place from here on: every fresh (B, M, N) array costs page faults at large N;
+    # the quadratic stays in the terms, so a point where it overflows gets NaN
+    # responsibilities and a non-finite gradient, as on the per-component pass
+    log_terms = np.matmul(packed.rows, x.transpose(0, 2, 1))
+    log_terms += packed.consts[:, None]
+    with np.errstate(over="ignore"):  # far points: the quadratic is inf, the terms -inf
+        log_terms += np.matmul(xp * x, packed.neg_half)[:, None, :]
+    log_density = np.empty(x.shape[:2])
+    resp = _log_sum_exp(log_terms.transpose(1, 0, 2), log_density)
+    if not grad:
+        return log_density, None
+    out = np.matmul(resp.transpose(1, 2, 0), packed.rows)
+    out -= xp
+    return log_density, out
+
+
+def _per_component_pass(packed: _PerComponent, x: np.ndarray, grad: bool):
+    """As ``_shared_pass`` for unequal covariances: per chunk of points,
+    ``zt`` (M, B, d, n) with ``zt_ib = L_i^{-1} (x_b - m_i)^T`` (stored
+    point-minor so that every elementwise step runs along n), one
+    (d, d) @ (d, n) product per component and row, and the gradient
+    ``-Σ_i r_i L_i^{-T} zt_i``.  The chunks depend on M and d only."""
+    means, chol_inv_t, chol_inv, consts = packed
+    n_comp, d = means.shape
+    n = x.shape[1]
+    step = max(1, _CHUNK_CELLS // (n_comp * d))
+    log_density = np.empty(x.shape[:2])
+    out = np.empty(x.shape) if grad else None
+    for lo in range(0, n, step):
+        xt = x[:, lo:lo + step].transpose(0, 2, 1)
+        zt = np.empty((n_comp,) + xt.shape)
+        for z, m, l_inv in zip(zt, means, chol_inv):
+            np.matmul(l_inv, xt - m[:, None], out=z)
+        log_terms = np.einsum("mbdn,mbdn->mbn", zt, zt)
+        log_terms *= -0.5
+        log_terms += consts[:, None, None]
+        resp = _log_sum_exp(log_terms, log_density[:, lo:lo + step])
+        if grad:
+            zt *= resp[:, :, None, :]
+            grad_t = np.matmul(chol_inv_t[0], zt[0])
+            for z, l_inv_t in zip(zt[1:], chol_inv_t[1:]):
+                grad_t += np.matmul(l_inv_t, z)
+            np.negative(grad_t.transpose(0, 2, 1), out=out[:, lo:lo + step])
+    return log_density, out
+
+
+def _mixture_pass(mixture: TargetMixture, x, grad: bool):
+    """Log-density and, if ``grad``, gradient at the points ``x`` of shape
+    (..., N, d), by the pass the mixture's packed parameters select.  The
+    leading axes become B rows of N points (one point is one row of one)."""
+    d = mixture.dim
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 0 and x.shape[-1] != d:
+        raise ValueError(f"points of dimension {x.shape[-1]} for a mixture in dimension {d}")
+    points = x.reshape(-1, x.shape[-2] if x.ndim > 1 else 1, d)
+    if isinstance(mixture._packed, _SharedCovariance):
+        return _shared_pass(mixture._packed, points, grad)
+    return _per_component_pass(mixture._packed, points, grad)
+
+
 def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
     """log Σ w_i p_i(x) for a Gaussian mixture.
 
@@ -212,7 +308,7 @@ def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
     ``TargetMixture`` for the cached parameters).  Points of another
     dimension than the mixture's raise ``ValueError``.
     """
-    _, log_density, _ = _mixture_terms(mixture, x)
+    log_density, _ = _mixture_pass(mixture, x, grad=False)
     if np.ndim(x) <= 1:
         return float(log_density[0, 0])
     return log_density.reshape(np.shape(x)[:-1])
@@ -222,17 +318,15 @@ def mixture_grad_logdensity(mixture: TargetMixture, x) -> np.ndarray:
     """Gradient of the mixture log-density, shape matching ``x``.
 
     ``-Σ_i r_i(x) Σ_i^{-1} (x - m_i)`` with the responsibilities ``r_i``,
-    computed as ``-Σ_i r_i z_i L_i^{-1}`` from the same pass as the
-    log-density; a block (B, N, d) gives bitwise the gradients of its rows.
-    Raises like ``eval_mixture_logdensity``.
+    from the same pass as the log-density: ``Σ_i r_i a_i - P x`` for a
+    shared covariance, ``-Σ_i r_i z_i L_i^{-1}`` otherwise.  A block
+    (B, N, d) gives bitwise the gradients of its rows.  Raises like
+    ``eval_mixture_logdensity``.
     """
-    zt, _, resp = _mixture_terms(mixture, x)
-    zt *= resp[:, :, None, :]
-    grad_t = _sum_components(np.matmul(mixture._packed[1][:, None], zt))
-    np.negative(grad_t, out=grad_t)
+    _, grad = _mixture_pass(mixture, x, grad=True)
     if np.ndim(x) <= 1:
-        return grad_t[0, :, 0]
-    return grad_t.transpose(0, 2, 1).reshape(np.shape(x))
+        return grad[0, 0]
+    return grad.reshape(np.shape(x))
 
 
 def check_gradient(spec: DensitySpec, probes, rtol: float = 1e-5, step: float = 1e-5) -> float:

@@ -79,13 +79,13 @@ def ula_evolve(density: DensitySpec, x, t: float, h: float, rng):
     """Endpoint of ceil(t/h) unadjusted-Langevin steps started at ``x``.
 
     Each step is ``x <- x + h * grad_log_density(x) + sqrt(2h) * xi`` with
-    standard normal ``xi``, updated in place on a copy of ``x`` with the
-    noise drawn into one reused buffer.  ``x`` may be one state ``(d,)`` or a
-    batch ``(N, d)`` with one generator ``rng``, or a block ``(B, N, d)``
-    with a sequence of B generators: the gradient sees the whole block, and
-    row b draws its noise from ``rng[b]`` into its own (N, d) slice, so it
-    ends where an ``(N, d)`` call on that row would.  With ``t=0`` the input
-    is returned unchanged.
+    standard normal ``xi``, updated in place on a copy of ``x``; the drift
+    ``h * grad`` and the noise share one reused buffer.  ``x`` may be one
+    state ``(d,)`` or a batch ``(N, d)`` with one generator ``rng``, or a
+    block ``(B, N, d)`` with a sequence of B generators: the gradient sees
+    the whole block, and row b draws its noise from ``rng[b]`` into its own
+    (N, d) slice, so it ends where an ``(N, d)`` call on that row would.
+    With ``t=0`` the input is returned unchanged.
     """
     if density.grad_log_density is None:
         raise ValueError("Langevin kernel requires a gradient")
@@ -101,10 +101,13 @@ def ula_evolve(density: DensitySpec, x, t: float, h: float, rng):
     rows = noise.reshape(len(rngs), *state.shape[-2:])
     for _ in range(n_steps):
         grad = np.asarray(density.grad_log_density(state), dtype=float)
-        if not np.all(np.isfinite(grad)):
-            bad = state[~np.isfinite(grad).all(axis=-1)][0]
-            raise FloatingPointError(f"non-finite gradient at state {bad}")
-        state += h * grad
+        # a sum with a non-finite term is non-finite; finite terms may also
+        # overflow it, so only the element-wise test names a bad state
+        if not np.isfinite(grad.sum()):
+            bad = ~np.isfinite(grad).all(axis=-1)
+            if bad.any():
+                raise FloatingPointError(f"non-finite gradient at state {state[bad][0]}")
+        state += np.multiply(grad, h, out=noise)
         for row, gen in zip(rows, rngs):
             gen.standard_normal(out=row)
         noise *= root
@@ -213,16 +216,44 @@ def mh_transition_matrix(pmf, proposal=None) -> FiniteChain:
     return FiniteChain(P=Q, pi=pmf)
 
 
+# a chain of at most this many states is looked up column by column (4.5x
+# faster than the table at S = 4, n = 16 384 on a 2-vCPU x86 machine); a
+# larger one compares whole rows of its table, which wins from S = 16 at
+# n = 1 000, at most this many cells at once
+_COLUMN_LOOKUP_STATES = 8
+_TABLE_CELLS = 2 ** 16
+
+
 def _chain_step(chain: FiniteChain):
     """One jump of ``chain`` for stacked rows of states: each row's uniforms
-    come from its own generator, the table lookup runs once for all rows."""
+    come from its own generator, the lookup runs once for all rows.  The
+    next state is the count of entries of the cumulative row below the
+    uniform, whichever way it is counted."""
     cum = np.cumsum(chain.P, axis=1)
+    n_states = chain.n_states
+    if n_states <= _COLUMN_LOOKUP_STATES:
+        columns = np.ascontiguousarray(cum.T)
+
+        def lookup(states, u):
+            nxt = np.zeros(states.shape, dtype=np.int64)
+            for col in columns:
+                nxt += col[states] < u
+            return nxt
+    else:
+        chunk = max(1, _TABLE_CELLS // n_states)
+
+        def lookup(states, u):
+            nxt = np.empty(states.shape, dtype=np.int64)
+            for lo in range(0, states.shape[0], chunk):
+                part = slice(lo, lo + chunk)
+                np.sum(cum[states[part]] < u[part, None], axis=1, out=nxt[part])
+            return nxt
 
     def step(states, rngs, counts):
         parts = [rng.random(c) for rng, c in zip(rngs, counts.tolist())]
         u = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        nxt = (cum[states] < u[:, None]).sum(axis=1)
-        return np.minimum(nxt, chain.n_states - 1, out=nxt)
+        nxt = lookup(states, u)
+        return np.minimum(nxt, n_states - 1, out=nxt)
 
     return step
 

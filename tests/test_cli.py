@@ -321,6 +321,23 @@ class TestRun:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
                      "run"]) == 2
 
+    def test_from_theorem_budget_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        # d = 80: one tempering step from beta 0.05 has gamma ~ 3.7e52, so
+        # gamma^7 is not a float
+        exp = base_experiment(
+            target={"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                    "means": [[-3.0] * 80, [3.0] * 80]},
+            ladder={"kind": "tempering", "n_levels": 2, "beta_min": 0.05},
+            time_policy={"mode": "from_theorem"},
+            n_particles=20,
+            replicates=1,
+        )
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
+                     "run"]) == 2
+        err = capsys.readouterr().err
+        assert "gamma" in err and "overflow" in err and "Traceback" not in err
+
     def test_from_theorem_counts_langevin_steps_with_level_step_size(self, tmp_path, capsys):
         # t_2 = 2 * 1 * 2^(7/2) ~ 22.6 needs ceil(22.6 / 0.005) = 4526 ULA steps
         exp = base_experiment(

@@ -15,6 +15,7 @@ from smcmix.core import (
     Ladder,
     ParticleEnsemble,
     TargetMixture,
+    _SharedCovariance,
     check_gradient,
     eval_mixture_logdensity,
     mixture_grad_logdensity,
@@ -173,6 +174,109 @@ class TestFusedEvaluator:
         spec = DensitySpec(log_density=g.logpdf, grad_log_density=g.grad_logpdf, gaussian=g)
         with pytest.raises(TypeError, match="GaussianComponent"):
             TargetMixture(components=(spec,), weights=np.array([1.0]))
+
+
+def shared_covariance_mixture(rng, M, d):
+    """M components with random means and one shared full covariance A A^T / d + I."""
+    A = rng.normal(size=(d, d))
+    cov = A @ A.T / d + np.eye(d)
+    return TargetMixture.gaussian(
+        rng.dirichlet(np.ones(M)), rng.normal(scale=3.0, size=(M, d)), [cov] * M
+    )
+
+
+def takes_shared_path(mixture):
+    return isinstance(mixture._packed, _SharedCovariance)
+
+
+class TestSharedCovarianceEvaluator:
+    @pytest.mark.parametrize("M", [1, 2, 8])
+    @pytest.mark.parametrize("d", [1, 2, 32])
+    def test_matches_per_component_reference(self, M, d):
+        rng = np.random.default_rng(7000 + 100 * M + d)
+        mixture = shared_covariance_mixture(rng, M, d)
+        assert takes_shared_path(mixture)
+        cov = mixture.components[0].cov
+        assert d == 1 or np.all(cov[~np.eye(d, dtype=bool)] != 0)  # full, not diagonal
+        x = rng.normal(scale=3.0, size=(500, d))
+        ref_log, ref_grad = per_component_reference(mixture, x)
+        np.testing.assert_allclose(eval_mixture_logdensity(mixture, x), ref_log,
+                                   rtol=1e-12, atol=0.0)
+        grad = mixture_grad_logdensity(mixture, x)
+        assert grad.shape == (500, d)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-10 * np.maximum(1.0, np.abs(ref_grad)))
+
+    @pytest.mark.parametrize("M", [1, 2, 8])
+    @pytest.mark.parametrize("d", [1, 2, 8, 32])
+    def test_block_rows_equal_lone_calls(self, M, d):
+        rng = np.random.default_rng(300 * M + d)
+        mixture = shared_covariance_mixture(rng, M, d)
+        for n in (1, 2, 7, 512):
+            for b in (2, 6, 16):
+                x = rng.normal(scale=3.0, size=(b, n, d))
+                log_density = eval_mixture_logdensity(mixture, x)
+                grad = mixture_grad_logdensity(mixture, x)
+                assert log_density.shape == (b, n) and grad.shape == (b, n, d)
+                for row, lone_log, lone_grad in zip(x, log_density, grad):
+                    assert eval_mixture_logdensity(mixture, row).tobytes() == lone_log.tobytes()
+                    assert mixture_grad_logdensity(mixture, row).tobytes() == lone_grad.tobytes()
+
+    def test_single_point_matches_batch(self):
+        mixture = shared_covariance_mixture(np.random.default_rng(5), 3, 4)
+        x = np.random.default_rng(6).normal(size=(5, 4))
+        for point, log_density, grad in zip(x, eval_mixture_logdensity(mixture, x),
+                                            mixture_grad_logdensity(mixture, x)):
+            assert eval_mixture_logdensity(mixture, point) == pytest.approx(log_density,
+                                                                            rel=1e-14)
+            np.testing.assert_allclose(mixture_grad_logdensity(mixture, point), grad,
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_far_points(self, bimodal_target):
+        assert takes_shared_path(bimodal_target)
+        # the quadratic overflows: every term is -inf, so the log-density is -inf, not NaN
+        assert eval_mixture_logdensity(bimodal_target, np.array([1e200, 1e200])) == -np.inf
+        assert np.all(np.isnan(mixture_grad_logdensity(bimodal_target,
+                                                       np.array([1e200, 1e200]))))
+        far = eval_mixture_logdensity(bimodal_target, np.array([[1e200, 1e200], [0.0, 0.0]]))
+        assert far[0] == -np.inf and np.isfinite(far[1])
+        # equidistant from both modes: the gradient is -(x - (1.2, 1.2))
+        np.testing.assert_allclose(
+            mixture_grad_logdensity(bimodal_target, np.array([1e3, -1e3])),
+            [-998.8, 1001.2], rtol=1e-10,
+        )
+
+    def test_readme_target_and_convolution_levels_take_shared_path(self):
+        readme = TargetMixture.gaussian([0.3, 0.7], [[-3.0, -3.0], [3.0, 3.0]],
+                                        [np.eye(2), np.eye(2)])
+        assert takes_shared_path(readme)
+        ladder = sequences.build_gaussian_convolution(
+            readme, sequences.geometric_schedule(10, 0.05, 2, sigma=3.0))
+        mixtures = [lv.mixture for lv in ladder.levels if lv.mixture is not None]
+        assert len(mixtures) == ladder.n_levels
+        assert all(takes_shared_path(m) for m in mixtures)
+
+    def test_covariances_differing_in_one_entry_take_per_component_path(self):
+        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+        other = cov.copy()
+        other[1, 1] = 1.5
+        mixture = TargetMixture.gaussian([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]], [cov, other])
+        assert not takes_shared_path(mixture)
+        x = np.random.default_rng(2).normal(scale=2.0, size=(50, 2))
+        ref_log, ref_grad = per_component_reference(mixture, x)
+        np.testing.assert_allclose(eval_mixture_logdensity(mixture, x), ref_log, rtol=1e-12)
+        np.testing.assert_allclose(mixture_grad_logdensity(mixture, x), ref_grad,
+                                   rtol=1e-10, atol=1e-10)
+
+    def test_per_component_chunks_match_reference(self):
+        # M * d = 256 puts 512 points in a chunk: 1 300 points span three
+        mixture = random_mixture(np.random.default_rng(8), 8, 32)
+        assert not takes_shared_path(mixture)
+        x = np.random.default_rng(9).normal(scale=3.0, size=(1300, 32))
+        ref_log, ref_grad = per_component_reference(mixture, x)
+        np.testing.assert_allclose(eval_mixture_logdensity(mixture, x), ref_log,
+                                   rtol=1e-12, atol=0.0)
+        grad = mixture_grad_logdensity(mixture, x)
+        assert np.all(np.abs(grad - ref_grad) <= 1e-10 * np.maximum(1.0, np.abs(ref_grad)))
 
 
 class TestGradients:

@@ -9,6 +9,7 @@ import scipy.linalg
 from smcmix.core import DensitySpec, FiniteChain
 from smcmix.kernels import (
     KernelSpec,
+    _chain_step,
     default_step_size,
     glauber_transition_matrix,
     mh_evolve,
@@ -92,6 +93,16 @@ class TestUla:
         )
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
             ula_evolve(spec, np.array([[1.0, 2.0]]), t=1.0, h=0.1, rng=rng)
+
+    def test_finite_gradient_whose_sum_overflows_runs(self, rng):
+        # only a non-finite entry stops the chain, not a sum beyond the float range
+        spec = DensitySpec(
+            log_density=lambda x: np.zeros(len(np.atleast_2d(x))),
+            grad_log_density=lambda x: np.full_like(np.asarray(x, dtype=float), 1e308),
+        )
+        with np.errstate(over="ignore"):
+            out = ula_evolve(spec, np.zeros((2, 2)), t=0.1, h=0.1, rng=rng)
+        assert np.all(np.isfinite(out))
 
     def test_default_step_size(self):
         assert default_step_size(1.0) == pytest.approx(0.05)
@@ -208,6 +219,20 @@ class TestPoissonized:
         exact = scipy.linalg.expm(t * (chain.P - np.eye(4)))[0]
         tv = 0.5 * np.abs(empirical - exact).sum()
         assert tv <= 0.01
+
+    @pytest.mark.parametrize("n_states", [2, 4, 8, 9, 64, 300])
+    def test_jump_counts_cumulative_entries_below_uniform(self, n_states):
+        # small chains look up column by column, large ones by table chunks
+        # (300 states: 218 rows a chunk); both give the table's counts
+        gen = np.random.default_rng(n_states)
+        P = gen.random((n_states, n_states)) ** 4
+        chain = FiniteChain(P=P / P.sum(axis=1, keepdims=True))
+        states = gen.integers(0, n_states, size=1000)
+        nxt = _chain_step(chain)(states, (np.random.default_rng(1),), np.array([1000]))
+        u = np.random.default_rng(1).random(1000)
+        table = (np.cumsum(chain.P, axis=1)[states] < u[:, None]).sum(axis=1)
+        np.testing.assert_array_equal(nxt, np.minimum(table, n_states - 1))
+        assert nxt.dtype == np.int64
 
     def test_single_state_input(self, rng):
         chain = glauber_transition_matrix(np.ones(4) / 4, 2)

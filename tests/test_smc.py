@@ -216,6 +216,26 @@ class TestBlocks:
             assert_same_run(a, b)
         assert (blocked[0].nu_estimate is None) == (kind == "tempering")
 
+    def test_shared_covariance_d32_block_equals_lone_runs(self, monkeypatch):
+        # three modes sharing one full covariance: the evaluator's one-GEMM-per-row path
+        gen = np.random.default_rng(32)
+        A = gen.normal(size=(32, 32))
+        target = TargetMixture.gaussian([0.2, 0.3, 0.5], gen.normal(scale=2.0, size=(3, 32)),
+                                        [A @ A.T / 32 + np.eye(32)] * 3)
+        ladder = sequences.build_gaussian_convolution(
+            target, sequences.TemperingSchedule(betas=(0.3, 0.7), d=32, sigma=1.0),
+            time_budget=0.2)
+        config = SmcConfig(ladder=ladder, n_particles=16, master_seed=9,
+                           estimand=lambda x: np.atleast_2d(x)[:, 0])
+        n_rep = BLOCK + 1
+        lone = [run_smc(dataclasses.replace(config, master_seed=replicate_seed(9, i)))
+                for i in range(n_rep)]
+        sizes = spied_blocks(monkeypatch, config.n_particles, 3 * 32)
+        blocked = run_replicates(config, n_rep)
+        assert sizes == [BLOCK, 1]
+        for a, b in zip(blocked, lone):
+            assert_same_run(a, b)
+
     def test_block_ratio_sees_the_block_and_a_lone_run_its_points(self, bimodal_target):
         built = euclidean_config("convolution", bimodal_target)
         shapes = []
