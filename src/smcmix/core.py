@@ -5,11 +5,11 @@ Conventions
 * A target is a Gaussian mixture by type: ``TargetMixture`` holds
   ``GaussianComponent``s, which is what the closed-form ratio, log-Sobolev
   and weight bounds of the ladder builders cover.
-* A ``TargetMixture`` packs its evaluator parameters once, when it is built,
-  and the covariances alone pick the pass: components that share one Σ get
-  Σ^{-1}, the rows Σ^{-1} m_i and one constant each, so that the log terms
-  of N points are one (M, d) @ (d, N) product; unequal covariances get each
-  component's Cholesky inverse, applied to chunks of points.
+* A ``TargetMixture`` packs its evaluator parameters once, when it is built.
+  The log-density always takes each component's Cholesky inverse; the
+  gradient of components that share one Σ takes Σ^{-1}, the rows
+  Σ^{-1} m_i and one constant each instead, so that the log terms of N
+  points are one (M, d) @ (d, N) product.  The covariances alone pick it.
 * Euclidean states are float vectors of shape ``(d,)``; ensembles stack them
   into ``(N, d)`` arrays and blocks of replicates into ``(B, N, d)``.  Density
   callables are vectorized over leading batch axes: they accept ``(..., d)``
@@ -82,8 +82,19 @@ class DensitySpec:
     gaussian: Optional[GaussianComponent] = None
 
 
+class _PerComponent(NamedTuple):
+    """Log-density parameters of a mixture: the means, ``L_i^{-T}`` and
+    ``L_i^{-1}`` of each Cholesky factor ``Σ_i = L_i L_iᵀ``, and
+    ``log w_i - ½(d log 2π + log|Σ_i|)``."""
+
+    means: np.ndarray  # (M, d)
+    chol_inv_t: np.ndarray  # (M, d, d)
+    chol_inv: np.ndarray  # (M, d, d)
+    consts: np.ndarray  # (M,)
+
+
 class _SharedCovariance(NamedTuple):
-    """Evaluator parameters of a mixture whose components share one Σ.
+    """Gradient parameters of a mixture whose components share one Σ.
 
     With ``P = Σ^{-1}`` the log term of component i at x is
     ``a_i · x + b_i - ½ xᵀPx`` where ``a_i = P m_i`` and
@@ -96,17 +107,6 @@ class _SharedCovariance(NamedTuple):
     neg_half: np.ndarray  # (d,) of -½: (xP * x) @ neg_half is -½ xᵀPx
 
 
-class _PerComponent(NamedTuple):
-    """Evaluator parameters of a mixture with unequal covariances: the means,
-    ``L_i^{-T}`` and ``L_i^{-1}`` of each Cholesky factor ``Σ_i = L_i L_iᵀ``,
-    and ``log w_i - ½(d log 2π + log|Σ_i|)``."""
-
-    means: np.ndarray  # (M, d)
-    chol_inv_t: np.ndarray  # (M, d, d)
-    chol_inv: np.ndarray  # (M, d, d)
-    consts: np.ndarray  # (M,)
-
-
 @dataclass(frozen=True, eq=False)
 class TargetMixture:
     """Weighted mixture of Gaussian components.
@@ -114,19 +114,20 @@ class TargetMixture:
     ``components`` are ``GaussianComponent``s of one dimension (anything else
     raises ``TypeError``, mixed dimensions ``ValueError``); weights must be
     positive and sum to one (tolerance 1e-12).  Construction packs, once,
-    what the mixture evaluators need.  When every component has the same
-    covariance Σ (the README target, every convolution level of it, any
-    one-component mixture) that is ``P = Σ^{-1}``, the rows ``a_i = P m_i``
-    and the constants ``b_i = log w_i - ½ m_iᵀP m_i - ½(d log 2π + log|Σ|)``,
-    so that the log terms of a block row are one (M, d) @ (d, N) product;
-    otherwise it is the stacked means, ``L_i^{-T}`` and ``L_i^{-1}`` of each
-    component's Cholesky factor ``Σ_i = L_i L_iᵀ`` and the constants
-    ``log w_i - ½(d log 2π + log|Σ_i|)``.
+    what the mixture evaluators need: for the log-density, the stacked means,
+    ``L_i^{-T}`` and ``L_i^{-1}`` of each component's Cholesky factor
+    ``Σ_i = L_i L_iᵀ`` and the constants ``log w_i - ½(d log 2π + log|Σ_i|)``;
+    for the gradient, when every component has the same covariance Σ (the
+    README target, every convolution level of it, any one-component
+    mixture), also ``P = Σ^{-1}``, the rows ``a_i = P m_i`` and the constants
+    ``b_i = log w_i - ½ m_iᵀP m_i - ½(d log 2π + log|Σ|)``, so that the log
+    terms of a block row are one (M, d) @ (d, N) product.
     """
 
     components: tuple
     weights: np.ndarray
-    _packed: tuple = field(init=False, repr=False)
+    _packed: _PerComponent = field(init=False, repr=False)
+    _shared: Optional[_SharedCovariance] = field(init=False, repr=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -145,25 +146,26 @@ class TargetMixture:
             raise ValueError("mixture weights must sum to 1")
         d = comps[0].dim
         means = np.stack([g.mean for g in comps])
+        chol_inv = np.stack([g._chol_inv for g in comps])
+        log_dets = np.array([g.log_det_cov for g in comps])
+        packed = _PerComponent(
+            means,
+            np.ascontiguousarray(chol_inv.transpose(0, 2, 1)),
+            chol_inv,
+            np.log(w) - 0.5 * (d * _LOG_2PI + log_dets),
+        )
+        shared = None
         if all(np.array_equal(g.cov, comps[0].cov) for g in comps[1:]):
             prec = comps[0]._cov_inv
             prec = 0.5 * (prec + prec.T)  # so that -x P is the gradient of -½ xᵀPx
             rows = means @ prec
             consts = (np.log(w) - 0.5 * np.einsum("md,md->m", rows, means)
-                      - 0.5 * (d * _LOG_2PI + comps[0].log_det_cov))
-            packed = _SharedCovariance(prec, rows, consts, np.full(d, -0.5))
-        else:
-            chol_inv = np.stack([g._chol_inv for g in comps])
-            log_dets = np.array([g.log_det_cov for g in comps])
-            packed = _PerComponent(
-                means,
-                np.ascontiguousarray(chol_inv.transpose(0, 2, 1)),
-                chol_inv,
-                np.log(w) - 0.5 * (d * _LOG_2PI + log_dets),
-            )
+                      - 0.5 * (d * _LOG_2PI + log_dets[0]))
+            shared = _SharedCovariance(prec, rows, consts, np.full(d, -0.5))
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_packed", packed)
+        object.__setattr__(self, "_shared", shared)
 
     @property
     def n_components(self) -> int:
@@ -202,26 +204,20 @@ class TargetMixture:
         return out[rng.permutation(n)]
 
 
-# a per-component pass evaluates the points in chunks of N that keep each
-# (M, B, d, n) temporary of a lone row within this many cells (1 MiB)
-_CHUNK_CELLS = 2 ** 17
-
-
-def _log_sum_exp(log_terms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Turn the (M, B, n) log terms into the responsibilities, in place, and
-    write the log of their sum over M, max-shifted, into ``out`` (B, n).  A
-    point where every term underflows to -inf gets -inf (and NaN
+def _responsibilities(log_terms: np.ndarray):
+    """Turn the (M, B, N) log terms into the responsibilities, in place.
+    Returns them with the max shift (B, N) and the sum over M of the
+    shifted terms (B, N), whose log plus the shift is the log-density.  A
+    point where every term underflows to -inf gets a zero sum (and NaN
     responsibilities)."""
     shift = log_terms.max(axis=0)
-    np.copyto(shift, 0.0, where=shift == -np.inf)  # all terms -inf: keep -inf, not -inf - -inf
+    shift[np.isneginf(shift)] = 0.0  # all terms -inf: keep -inf, not -inf - -inf
     log_terms -= shift
     resp = np.exp(log_terms, out=log_terms)
     total = _sum_components(resp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(total, out=out)
+    with np.errstate(invalid="ignore"):
         resp /= total
-    out += shift
-    return resp
+    return resp, total, shift
 
 
 def _sum_components(terms: np.ndarray) -> np.ndarray:
@@ -234,9 +230,40 @@ def _sum_components(terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _shared_pass(packed: _SharedCovariance, x: np.ndarray, grad: bool):
+def _per_component_pass(packed: _PerComponent, x: np.ndarray, grad: bool):
     """Log-density (B, N) of the (B, N, d) points and, if ``grad``, the
-    gradient ``R A - X P`` (B, N, d) with the (N, M) responsibilities R.
+    gradient (B, N, d).  ``zt`` (M, B, d, N) holds
+    ``zt_ib = L_i^{-1} (x_b - m_i)^T`` (``z_i = (x - m_i) L_i^{-T}``, stored
+    point-minor so that every elementwise step runs along N), filled one
+    component at a time; the gradient is ``-Σ_i r_i L_i^{-T} zt_i``.  Each
+    row gets one (d, d) @ (d, N) product per component, and the components
+    are summed in index order, so a row's values are bitwise those of the
+    row alone."""
+    means, chol_inv_t, chol_inv, consts = packed
+    xt = x.transpose(0, 2, 1)
+    zt = np.empty((len(means),) + xt.shape)
+    for z, m, l_inv in zip(zt, means, chol_inv):
+        np.matmul(l_inv, xt - m[:, None], out=z)
+    # in place from here on: every fresh (M, B, N) array costs page faults at large N
+    log_terms = np.einsum("mbdn,mbdn->mbn", zt, zt)
+    log_terms *= -0.5
+    log_terms += consts[:, None, None]
+    resp, total, shift = _responsibilities(log_terms)
+    with np.errstate(divide="ignore"):
+        log_density = np.log(total)
+    log_density += shift
+    if not grad:
+        return log_density, None
+    zt *= resp[:, :, None, :]
+    grad_t = np.matmul(chol_inv_t[0], zt[0])
+    for z, l_inv_t in zip(zt[1:], chol_inv_t[1:]):
+        grad_t += np.matmul(l_inv_t, z)
+    return log_density, np.negative(grad_t.transpose(0, 2, 1))
+
+
+def _shared_gradient(packed: _SharedCovariance, x: np.ndarray) -> np.ndarray:
+    """Gradient ``R A - x P`` (B, N, d) at the (B, N, d) points, with the
+    (N, M) responsibilities R of each row and the rows a_i stacked into A.
     Every product is one per row, as a lone row computes it."""
     xp = np.matmul(x, packed.precision)
     # in place from here on: every fresh (B, M, N) array costs page faults at large N;
@@ -244,59 +271,22 @@ def _shared_pass(packed: _SharedCovariance, x: np.ndarray, grad: bool):
     # responsibilities and a non-finite gradient, as on the per-component pass
     log_terms = np.matmul(packed.rows, x.transpose(0, 2, 1))
     log_terms += packed.consts[:, None]
-    with np.errstate(over="ignore"):  # far points: the quadratic is inf, the terms -inf
+    with np.errstate(over="ignore", invalid="ignore"):  # far points: inf or NaN quadratic
         log_terms += np.matmul(xp * x, packed.neg_half)[:, None, :]
-    log_density = np.empty(x.shape[:2])
-    resp = _log_sum_exp(log_terms.transpose(1, 0, 2), log_density)
-    if not grad:
-        return log_density, None
+    resp, _, _ = _responsibilities(log_terms.transpose(1, 0, 2))
     out = np.matmul(resp.transpose(1, 2, 0), packed.rows)
     out -= xp
-    return log_density, out
+    return out
 
 
-def _per_component_pass(packed: _PerComponent, x: np.ndarray, grad: bool):
-    """As ``_shared_pass`` for unequal covariances: per chunk of points,
-    ``zt`` (M, B, d, n) with ``zt_ib = L_i^{-1} (x_b - m_i)^T`` (stored
-    point-minor so that every elementwise step runs along n), one
-    (d, d) @ (d, n) product per component and row, and the gradient
-    ``-Σ_i r_i L_i^{-T} zt_i``.  The chunks depend on M and d only."""
-    means, chol_inv_t, chol_inv, consts = packed
-    n_comp, d = means.shape
-    n = x.shape[1]
-    step = max(1, _CHUNK_CELLS // (n_comp * d))
-    log_density = np.empty(x.shape[:2])
-    out = np.empty(x.shape) if grad else None
-    for lo in range(0, n, step):
-        xt = x[:, lo:lo + step].transpose(0, 2, 1)
-        zt = np.empty((n_comp,) + xt.shape)
-        for z, m, l_inv in zip(zt, means, chol_inv):
-            np.matmul(l_inv, xt - m[:, None], out=z)
-        log_terms = np.einsum("mbdn,mbdn->mbn", zt, zt)
-        log_terms *= -0.5
-        log_terms += consts[:, None, None]
-        resp = _log_sum_exp(log_terms, log_density[:, lo:lo + step])
-        if grad:
-            zt *= resp[:, :, None, :]
-            grad_t = np.matmul(chol_inv_t[0], zt[0])
-            for z, l_inv_t in zip(zt[1:], chol_inv_t[1:]):
-                grad_t += np.matmul(l_inv_t, z)
-            np.negative(grad_t.transpose(0, 2, 1), out=out[:, lo:lo + step])
-    return log_density, out
-
-
-def _mixture_pass(mixture: TargetMixture, x, grad: bool):
-    """Log-density and, if ``grad``, gradient at the points ``x`` of shape
-    (..., N, d), by the pass the mixture's packed parameters select.  The
-    leading axes become B rows of N points (one point is one row of one)."""
+def _as_rows(mixture: TargetMixture, x) -> np.ndarray:
+    """The points ``x`` of shape (..., N, d) as B rows of N points (one point
+    is one row of one); points of another dimension raise ``ValueError``."""
     d = mixture.dim
     x = np.asarray(x, dtype=float)
     if x.ndim > 0 and x.shape[-1] != d:
         raise ValueError(f"points of dimension {x.shape[-1]} for a mixture in dimension {d}")
-    points = x.reshape(-1, x.shape[-2] if x.ndim > 1 else 1, d)
-    if isinstance(mixture._packed, _SharedCovariance):
-        return _shared_pass(mixture._packed, points, grad)
-    return _per_component_pass(mixture._packed, points, grad)
+    return x.reshape(-1, x.shape[-2] if x.ndim > 1 else 1, d)
 
 
 def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
@@ -304,11 +294,13 @@ def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
 
     ``x`` of shape (d,) gives a float, (..., d) an array of shape (...); a
     block (B, N, d) gives bitwise the B results of its (N, d) rows.  One
-    vectorized pass over all components with a max-shifted log-sum-exp (see
-    ``TargetMixture`` for the cached parameters).  Points of another
-    dimension than the mixture's raise ``ValueError``.
+    vectorized pass over all components with a max-shifted log-sum-exp of
+    the terms ``log w_i - ½‖L_i^{-1}(x - m_i)‖² - ½(d log 2π + log|Σ_i|)``
+    (see ``TargetMixture`` for the cached parameters); a point where every
+    term underflows gets -inf.  Points of another dimension than the
+    mixture's raise ``ValueError``.
     """
-    log_density, _ = _mixture_pass(mixture, x, grad=False)
+    log_density, _ = _per_component_pass(mixture._packed, _as_rows(mixture, x), grad=False)
     if np.ndim(x) <= 1:
         return float(log_density[0, 0])
     return log_density.reshape(np.shape(x)[:-1])
@@ -317,13 +309,17 @@ def eval_mixture_logdensity(mixture: TargetMixture, x) -> np.ndarray:
 def mixture_grad_logdensity(mixture: TargetMixture, x) -> np.ndarray:
     """Gradient of the mixture log-density, shape matching ``x``.
 
-    ``-Σ_i r_i(x) Σ_i^{-1} (x - m_i)`` with the responsibilities ``r_i``,
-    from the same pass as the log-density: ``Σ_i r_i a_i - P x`` for a
-    shared covariance, ``-Σ_i r_i z_i L_i^{-1}`` otherwise.  A block
+    ``-Σ_i r_i(x) Σ_i^{-1} (x - m_i)`` with the responsibilities ``r_i``:
+    ``Σ_i r_i a_i - P x`` when the components share one covariance,
+    ``-Σ_i r_i z_i L_i^{-1}`` from the log-density's pass otherwise.  A block
     (B, N, d) gives bitwise the gradients of its rows.  Raises like
     ``eval_mixture_logdensity``.
     """
-    _, grad = _mixture_pass(mixture, x, grad=True)
+    rows = _as_rows(mixture, x)
+    if mixture._shared is not None:
+        grad = _shared_gradient(mixture._shared, rows)
+    else:
+        _, grad = _per_component_pass(mixture._packed, rows, grad=True)
     if np.ndim(x) <= 1:
         return grad[0, 0]
     return grad.reshape(np.shape(x))

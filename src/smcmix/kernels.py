@@ -216,44 +216,20 @@ def mh_transition_matrix(pmf, proposal=None) -> FiniteChain:
     return FiniteChain(P=Q, pi=pmf)
 
 
-# a chain of at most this many states is looked up column by column (4.5x
-# faster than the table at S = 4, n = 16 384 on a 2-vCPU x86 machine); a
-# larger one compares whole rows of its table, which wins from S = 16 at
-# n = 1 000, at most this many cells at once
-_COLUMN_LOOKUP_STATES = 8
-_TABLE_CELLS = 2 ** 16
-
-
 def _chain_step(chain: FiniteChain):
     """One jump of ``chain`` for stacked rows of states: each row's uniforms
     come from its own generator, the lookup runs once for all rows.  The
     next state is the count of entries of the cumulative row below the
-    uniform, whichever way it is counted."""
-    cum = np.cumsum(chain.P, axis=1)
-    n_states = chain.n_states
-    if n_states <= _COLUMN_LOOKUP_STATES:
-        columns = np.ascontiguousarray(cum.T)
-
-        def lookup(states, u):
-            nxt = np.zeros(states.shape, dtype=np.int64)
-            for col in columns:
-                nxt += col[states] < u
-            return nxt
-    else:
-        chunk = max(1, _TABLE_CELLS // n_states)
-
-        def lookup(states, u):
-            nxt = np.empty(states.shape, dtype=np.int64)
-            for lo in range(0, states.shape[0], chunk):
-                part = slice(lo, lo + chunk)
-                np.sum(cum[states[part]] < u[part, None], axis=1, out=nxt[part])
-            return nxt
+    uniform, counted one column at a time, so no (n, S) array is built."""
+    columns = np.ascontiguousarray(np.cumsum(chain.P, axis=1).T)
 
     def step(states, rngs, counts):
         parts = [rng.random(c) for rng, c in zip(rngs, counts.tolist())]
         u = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        nxt = lookup(states, u)
-        return np.minimum(nxt, n_states - 1, out=nxt)
+        nxt = np.zeros(states.shape, dtype=np.int64)
+        for col in columns:
+            nxt += col[states] < u
+        return np.minimum(nxt, chain.n_states - 1, out=nxt)
 
     return step
 

@@ -15,7 +15,6 @@ from smcmix.core import (
     Ladder,
     ParticleEnsemble,
     TargetMixture,
-    _SharedCovariance,
     check_gradient,
     eval_mixture_logdensity,
     mixture_grad_logdensity,
@@ -186,7 +185,7 @@ def shared_covariance_mixture(rng, M, d):
 
 
 def takes_shared_path(mixture):
-    return isinstance(mixture._packed, _SharedCovariance)
+    return mixture._shared is not None
 
 
 class TestSharedCovarianceEvaluator:
@@ -245,6 +244,18 @@ class TestSharedCovarianceEvaluator:
             [-998.8, 1001.2], rtol=1e-10,
         )
 
+    def test_far_points_with_correlated_covariance(self):
+        # x P has entries of both signs here, so x P * x overflows to +inf and -inf
+        prec = np.array([[2.0, -1.9], [-1.9, 2.0]])
+        mixture = TargetMixture.gaussian([0.4, 0.6], [[-1.0, 0.5], [2.0, 1.0]],
+                                         [np.linalg.inv(prec)] * 2)
+        assert takes_shared_path(mixture)
+        x = np.array([[1e200, 5e199], [0.5, 0.5]])
+        log_density = eval_mixture_logdensity(mixture, x)
+        assert log_density[0] == -np.inf and np.isfinite(log_density[1])
+        grad = mixture_grad_logdensity(mixture, x)
+        assert not np.any(np.isfinite(grad[0])) and np.all(np.isfinite(grad[1]))
+
     def test_readme_target_and_convolution_levels_take_shared_path(self):
         readme = TargetMixture.gaussian([0.3, 0.7], [[-3.0, -3.0], [3.0, 3.0]],
                                         [np.eye(2), np.eye(2)])
@@ -266,17 +277,6 @@ class TestSharedCovarianceEvaluator:
         np.testing.assert_allclose(eval_mixture_logdensity(mixture, x), ref_log, rtol=1e-12)
         np.testing.assert_allclose(mixture_grad_logdensity(mixture, x), ref_grad,
                                    rtol=1e-10, atol=1e-10)
-
-    def test_per_component_chunks_match_reference(self):
-        # M * d = 256 puts 512 points in a chunk: 1 300 points span three
-        mixture = random_mixture(np.random.default_rng(8), 8, 32)
-        assert not takes_shared_path(mixture)
-        x = np.random.default_rng(9).normal(scale=3.0, size=(1300, 32))
-        ref_log, ref_grad = per_component_reference(mixture, x)
-        np.testing.assert_allclose(eval_mixture_logdensity(mixture, x), ref_log,
-                                   rtol=1e-12, atol=0.0)
-        grad = mixture_grad_logdensity(mixture, x)
-        assert np.all(np.abs(grad - ref_grad) <= 1e-10 * np.maximum(1.0, np.abs(ref_grad)))
 
 
 class TestGradients:

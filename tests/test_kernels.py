@@ -222,8 +222,7 @@ class TestPoissonized:
 
     @pytest.mark.parametrize("n_states", [2, 4, 8, 9, 64, 300])
     def test_jump_counts_cumulative_entries_below_uniform(self, n_states):
-        # small chains look up column by column, large ones by table chunks
-        # (300 states: 218 rows a chunk); both give the table's counts
+        # the column-by-column lookup gives the counts of the whole table
         gen = np.random.default_rng(n_states)
         P = gen.random((n_states, n_states)) ** 4
         chain = FiniteChain(P=P / P.sum(axis=1, keepdims=True))
