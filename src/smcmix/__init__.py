@@ -2,25 +2,19 @@
 
 Subpackages
 -----------
-core       shared domain types (densities, mixtures, ladders, ensembles, chains)
+core       shared domain types (mixtures, levels and ladders, ensembles, chains)
 gaussians  Gaussian components and their closed-form pieces
-sequences  ladder builders (power tempering, Gaussian convolution) and constants
+sequences  ladder builders (power tempering, Gaussian convolution), constants,
+           level densities and the level-1 sampler
 kernels    Langevin / Metropolis kernels, Glauber / Metropolis chains, chain jumps
-smc        the sampler, estimators, and replicate harness
+smc        the sampler and its kernel dispatch, estimators, replicate harness
 bounds     closed-form constants and N / t prescriptions
 oracle     exact finite-state verification of the underlying inequalities
 cli        config-driven command line (run / bounds / verify / sweep)
 """
 
 from . import bounds, cli, core, gaussians, kernels, oracle, sequences, smc
-from .core import (
-    DensitySpec,
-    FiniteChain,
-    Ladder,
-    Level,
-    ParticleEnsemble,
-    TargetMixture,
-)
+from .core import FiniteChain, Ladder, Level, ParticleEnsemble, TargetMixture
 from .gaussians import GaussianComponent
 from .kernels import KernelSpec
 from .smc import SmcConfig, SmcRunResult, run_smc
@@ -36,7 +30,6 @@ __all__ = [
     "oracle",
     "sequences",
     "smc",
-    "DensitySpec",
     "FiniteChain",
     "GaussianComponent",
     "KernelSpec",

@@ -34,6 +34,16 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _power(base: float, exponent: float, name: str) -> float:
+    """``base ** exponent``; a result beyond the float range raises
+    ``ValueError`` naming the constant ``name`` it is computed for."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise ValueError(f"{name} overflows: {base:.4g} ** {exponent:g} is beyond "
+                         f"the float range") from None
+
+
 @dataclass(frozen=True)
 class AssumptionParams:
     """Inputs every prescription needs.
@@ -272,7 +282,7 @@ def prescribe_main(
         raise ValueError(f"unknown mode {mode!r}")
     gamma = params.gamma
     if alpha is None:
-        alpha = 1.0 / (2.0 * gamma ** 6)
+        alpha = 1.0 / (2.0 * _power(gamma, 6, "alpha = 1/(2 gamma^6)"))
     beta = _beta_from_params(params)
     sup2 = params.f_sup_bound ** 2
     eps = params.epsilon
@@ -290,7 +300,8 @@ def prescribe_main(
         params.w_star ** (15.0 / 8.0)
     )
     prescribed_n = math.ceil(params.n * max(variance_branch, moment_branch))
-    t_simplified = tuple(2.0 * c * gamma ** 7 for c in params.c_star_per_level)
+    gamma7 = _power(gamma, 7, "t_k = 2 C*_k gamma^7")
+    t_simplified = tuple(2.0 * c * gamma7 for c in params.c_star_per_level)
 
     p = params.p
     table = delta_recursion(2 * p, alpha, beta, gamma)
@@ -354,7 +365,8 @@ def prescribe_convolution(
     if len(betas) < 1:
         raise ValueError("need at least one beta")
     ratios = [b2 / b1 for b1, b2 in zip(betas, betas[1:])]
-    gamma = max([r ** (d / 2.0) for r in ratios], default=1.0)
+    gamma = max([_power(r, d / 2.0, "gamma = (beta_k/beta_{k-1})^(d/2)") for r in ratios],
+                default=1.0)
     gamma = max(gamma, 1.0)
     noise = [sigma ** 2 / b for b in betas]
     # Levels beyond the noised ones (the exact target) carry no extra noise.

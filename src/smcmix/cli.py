@@ -465,8 +465,13 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
             report = bounds.prescribe_main(params, mode=b["mode"], alpha=b.get("alpha"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except ArithmeticError as exc:  # an intermediate beyond the float range
+        raise ConfigError(f"bound constants leave the float range ({exc})") from exc
     cap = b.get("feasibility_cap")
     doc = {"schema_version": 1, **report.to_dict()}
+    non_finite = [key for key, value in doc.items() if not _all_finite(value)]
+    if non_finite:
+        raise ConfigError(f"bound constants overflow to infinity: {', '.join(non_finite)}")
     doc["feasible"] = cap is None or report.prescribed_N <= cap
     doc["feasibility_cap"] = cap
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -481,6 +486,15 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def _all_finite(value) -> bool:
+    """Whether every number in a report value (nested lists and dicts) is finite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return not isinstance(value, list) or all(_all_finite(v) for v in value)
 
 
 def format_bound_table(report: bounds.BoundReport, feasible: bool = True, cap=None) -> str:
@@ -602,9 +616,18 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
 
 
 def _write_json(path: str, doc: dict):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    """Write ``doc`` to a temporary file beside ``path``, then move it there:
+    a dump that fails (on a NaN or an infinity) leaves ``path`` as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def main(argv=None) -> int:

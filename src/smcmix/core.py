@@ -1,20 +1,23 @@
-"""Shared domain types: densities, mixtures, ladders, particle ensembles, finite chains.
+"""Shared domain types: mixtures, ladders, particle ensembles, finite chains.
 
 Conventions
 -----------
 * A target is a Gaussian mixture by type: ``TargetMixture`` holds
   ``GaussianComponent``s, which is what the closed-form ratio, log-Sobolev
   and weight bounds of the ladder builders cover.
+* A Euclidean ``Level`` is data, a mixture and an exponent β: its
+  unnormalized density is the mixture's to the power β, which
+  ``sequences.level_log_density`` and ``level_grad_log_density`` evaluate.
 * A ``TargetMixture`` packs its evaluator parameters once, when it is built.
   The log-density always takes each component's Cholesky inverse; the
   gradient of components that share one Σ takes Σ^{-1}, the rows
   Σ^{-1} m_i and one constant each instead, so that the log terms of N
   points are one (M, d) @ (d, N) product.  The covariances alone pick it.
 * Euclidean states are float vectors of shape ``(d,)``; ensembles stack them
-  into ``(N, d)`` arrays and blocks of replicates into ``(B, N, d)``.  Density
-  callables are vectorized over leading batch axes: they accept ``(..., d)``
-  and return ``(...)`` (a scalar for ``(d,)``); a gradient returns the shape
-  of its input.
+  into ``(N, d)`` arrays and blocks of replicates into ``(B, N, d)``.  The
+  mixture evaluators and a level's ratio callables are vectorized over
+  leading batch axes: they accept ``(..., d)`` and return ``(...)`` (a scalar
+  for ``(d,)``); a gradient returns the shape of its input.
 * Finite / hypercube states are integer indices into an enumerated state list;
   ensembles are ``(N,)`` integer arrays.  A hypercube point ``x`` in
   ``{0,1}^d`` is enumerated with bit ``i`` of the index equal to ``x_i``.
@@ -25,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -35,7 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, kernels imports core a
     from .kernels import KernelSpec
 
 __all__ = [
-    "DensitySpec",
     "TargetMixture",
     "Level",
     "Ladder",
@@ -46,7 +49,6 @@ __all__ = [
     "NonReversibleChainError",
     "eval_mixture_logdensity",
     "mixture_grad_logdensity",
-    "check_gradient",
     "effective_sample_size",
     "validate_ladder",
 ]
@@ -60,26 +62,6 @@ class DegenerateWeightsError(RuntimeError):
 
 class NonReversibleChainError(ValueError):
     """Operation requires a reversible chain."""
-
-
-@dataclass(frozen=True, eq=False)
-class DensitySpec:
-    """An unnormalized density with an optional gradient.
-
-    Attributes
-    ----------
-    log_density : callable
-        Vectorized log of the unnormalized density.
-    grad_log_density : callable, optional
-        Vectorized gradient of ``log_density`` (required for Langevin kernels).
-    gaussian : GaussianComponent, optional
-        Set when the density is a known normalized Gaussian, which a first
-        level is then drawn from exactly.
-    """
-
-    log_density: Callable[[np.ndarray], np.ndarray]
-    grad_log_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    gaussian: Optional[GaussianComponent] = None
 
 
 class _PerComponent(NamedTuple):
@@ -325,34 +307,6 @@ def mixture_grad_logdensity(mixture: TargetMixture, x) -> np.ndarray:
     return grad.reshape(np.shape(x))
 
 
-def check_gradient(spec: DensitySpec, probes, rtol: float = 1e-5, step: float = 1e-5) -> float:
-    """Max relative error of the gradient vs central finite differences.
-
-    Relative to ``max(|grad|, 1)`` per probe, so flat regions do not blow up
-    the ratio.
-    """
-    if spec.grad_log_density is None:
-        raise ValueError("density has no gradient to check")
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-
-    def scalar_logp(x):
-        return float(np.asarray(spec.log_density(x)).reshape(-1)[0])
-
-    worst = 0.0
-    for x in probes:
-        g = np.asarray(spec.grad_log_density(x), dtype=float).reshape(-1)
-        fd = np.empty_like(g)
-        for i in range(x.shape[0]):
-            e = np.zeros_like(x)
-            e[i] = step
-            fd[i] = (scalar_logp(x + e) - scalar_logp(x - e)) / (2 * step)
-        err = np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1.0))
-        worst = max(worst, float(err))
-    if worst > rtol:
-        raise ValueError(f"gradient mismatch: max relative error {worst:.3e} > {rtol:.1e}")
-    return worst
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteChain:
     """Explicit transition matrix with its stationary distribution.
@@ -364,7 +318,6 @@ class FiniteChain:
 
     P: np.ndarray
     pi: Optional[np.ndarray] = None
-    labels: Optional[tuple] = None
     reversible: bool = field(init=False, default=False)
 
     def __post_init__(self):
@@ -409,23 +362,26 @@ def _stationary_distribution(P: np.ndarray) -> np.ndarray:
 class Level:
     """One rung of a measure ladder.
 
+    A Euclidean level is its ``mixture`` and ``beta``: its unnormalized
+    density is ``mixture(x) ** beta``.  A tempering level holds the target
+    and its β_k, a convolution level its noised mixture and β = 1.  A level
+    over finite states holds its ``pmf`` instead (no mixture, no ``kernel``).
+
     ``ratio_to_prev`` is the unnormalized density ratio g against the previous
     level (absent at level 1); ``normalized_ratio`` is available when the
     normalizers are known.  ``time_budget`` is the continuous smoothing time
     applied after resampling into this level, by Poissonized jumps of
-    ``chain`` when the level has one and by ``kernel`` otherwise (a level
-    over finite states has no ``kernel``).  ``init_proposal`` is the
-    Gaussian a first level without an exact sampler is drawn from; the draws
-    carry importance weights density / proposal.  A ``pmf`` gets its
-    cumulative distribution built once, for the categorical level-1 draw.
+    ``chain`` when the level has one and by ``kernel`` otherwise.
+    ``init_proposal`` is the Gaussian a first level without an
+    ``exact_law`` is drawn from; the draws carry importance weights
+    density / proposal.  A ``pmf`` gets its cumulative distribution built
+    once, for the categorical level-1 draw.
 
-    The callables of a Euclidean level accept points with leading batch axes
-    ``(..., d)``: the sampler hands a ladder whose levels carry a ``mixture``
-    its replicates as one (B, N, d) block (a lone run as its (N, d) points),
-    as the builders' callables allow.
+    The ratio callables accept points with leading batch axes ``(..., d)``:
+    the sampler hands a ladder whose levels carry a ``mixture`` its
+    replicates as one (B, N, d) block (a lone run as its (N, d) points).
     """
 
-    density: DensitySpec
     kernel: Optional["KernelSpec"]
     time_budget: float
     ratio_to_prev: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -433,6 +389,7 @@ class Level:
     lsi_constant_bound: Optional[float] = None
     ratio_bound: Optional[float] = None
     mixture: Optional[TargetMixture] = None
+    beta: float = 1.0
     pmf: Optional[np.ndarray] = None
     chain: Optional[FiniteChain] = None
     init_proposal: Optional[GaussianComponent] = None
@@ -449,6 +406,20 @@ class Level:
             cdf /= cdf[-1]  # as Generator.choice normalizes it
             object.__setattr__(self, "pmf", pmf)
             object.__setattr__(self, "_cdf", cdf)
+
+    @cached_property
+    def exact_law(self) -> Optional[TargetMixture | GaussianComponent]:
+        """The law of a Euclidean level when it can be drawn exactly: the
+        mixture at β = 1, the Gaussian N(m, Σ/β) of a one-component mixture
+        (q^β is Gaussian), otherwise None.  Derived on first use, so only
+        the level that is drawn from builds its Gaussian."""
+        mix = self.mixture
+        if mix is None or self.beta == 1.0:
+            return mix
+        if mix.n_components == 1:
+            g = mix.components[0]
+            return GaussianComponent(g.mean, g.cov / self.beta)
+        return None
 
 
 @dataclass(frozen=True, eq=False)

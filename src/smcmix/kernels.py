@@ -14,8 +14,10 @@ Continuous time budgets map to kernels as follows:
   A level that holds a chain is always smoothed by it; ``KernelSpec`` only
   configures the Euclidean kernels.
 
-All kernels take an explicit ``numpy.random.Generator``; there is no global
-RNG anywhere in this package.
+The Euclidean kernels take the level's density as a plain callable: a log
+density for Metropolis, its gradient for Langevin.  All kernels take an
+explicit ``numpy.random.Generator``; there is no global RNG anywhere in this
+package.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensitySpec, FiniteChain, Level
+from .core import FiniteChain
 
 __all__ = [
     "KernelSpec",
@@ -34,7 +36,6 @@ __all__ = [
     "glauber_transition_matrix",
     "mh_transition_matrix",
     "poissonized_evolve",
-    "apply_kernel",
     "default_step_size",
 ]
 
@@ -75,7 +76,7 @@ def default_step_size(hessian_bound: float) -> float:
     return 0.05 * min(1.0, 1.0 / hessian_bound)
 
 
-def ula_evolve(density: DensitySpec, x, t: float, h: float, rng):
+def ula_evolve(grad_log_density, x, t: float, h: float, rng):
     """Endpoint of ceil(t/h) unadjusted-Langevin steps started at ``x``.
 
     Each step is ``x <- x + h * grad_log_density(x) + sqrt(2h) * xi`` with
@@ -87,8 +88,6 @@ def ula_evolve(density: DensitySpec, x, t: float, h: float, rng):
     (N, d) slice, so it ends where an ``(N, d)`` call on that row would.
     With ``t=0`` the input is returned unchanged.
     """
-    if density.grad_log_density is None:
-        raise ValueError("Langevin kernel requires a gradient")
     if t < 0:
         raise ValueError("time must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -100,7 +99,7 @@ def ula_evolve(density: DensitySpec, x, t: float, h: float, rng):
     noise = np.empty_like(state)
     rows = noise.reshape(len(rngs), *state.shape[-2:])
     for _ in range(n_steps):
-        grad = np.asarray(density.grad_log_density(state), dtype=float)
+        grad = np.asarray(grad_log_density(state), dtype=float)
         # a sum with a non-finite term is non-finite; finite terms may also
         # overflow it, so only the element-wise test names a bad state
         if not np.isfinite(grad.sum()):
@@ -115,19 +114,18 @@ def ula_evolve(density: DensitySpec, x, t: float, h: float, rng):
     return state[0] if single else state
 
 
-def mh_step(density: DensitySpec, x, proposal_scale: float, rng: np.random.Generator):
+def mh_step(log_density, x, proposal_scale: float, rng: np.random.Generator):
     """One Metropolis step with a symmetric isotropic Gaussian proposal.
 
     The proposal symmetry reduces the acceptance ratio to
-    min(1, p(y)/p(x)); higher-density proposals are always accepted.
+    min(1, p(y)/p(x)), with ``log_density`` the vectorized log p;
+    higher-density proposals are always accepted.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     state = np.atleast_2d(x)
     proposal = state + proposal_scale * rng.standard_normal(state.shape)
-    log_ratio = np.atleast_1d(density.log_density(proposal)) - np.atleast_1d(
-        density.log_density(state)
-    )
+    log_ratio = np.atleast_1d(log_density(proposal)) - np.atleast_1d(log_density(state))
     accept = np.log(rng.random(state.shape[0])) < log_ratio
     out = np.where(accept[:, None], proposal, state)
     return out[0] if single else out
@@ -154,12 +152,12 @@ def _poisson_jumps(state: np.ndarray, t: float, rngs, step) -> np.ndarray:
     return state
 
 
-def mh_evolve(density: DensitySpec, x, t: float, proposal_scale: float, rng: np.random.Generator):
+def mh_evolve(log_density, x, t: float, proposal_scale: float, rng: np.random.Generator):
     """Poissonized Metropolis chain: K ~ Poisson(t) steps per particle."""
     x = np.asarray(x, dtype=float)
     state = _poisson_jumps(
         np.atleast_2d(x)[None].copy(), t, (rng,),
-        lambda states, rngs, counts: mh_step(density, states, proposal_scale, rngs[0]),
+        lambda states, rngs, counts: mh_step(log_density, states, proposal_scale, rngs[0]),
     )
     return state[0, 0] if x.ndim == 1 else state[0]
 
@@ -187,8 +185,7 @@ def glauber_transition_matrix(pmf, d: int) -> FiniteChain:
         flip = idx ^ (1 << i)
         P[idx, flip] = pmf[flip] / (pmf[idx] + pmf[flip]) / d
     P[idx, idx] += 1.0 - P.sum(axis=1)
-    labels = tuple(tuple((s >> i) & 1 for i in range(d)) for s in range(size))
-    return FiniteChain(P=P, pi=pmf, labels=labels)
+    return FiniteChain(P=P, pi=pmf)
 
 
 def mh_transition_matrix(pmf, proposal=None) -> FiniteChain:
@@ -234,35 +231,15 @@ def _chain_step(chain: FiniteChain):
     return step
 
 
-def poissonized_evolve(chain: FiniteChain, x, t: float, rng: np.random.Generator):
+def poissonized_evolve(chain: FiniteChain, x, t: float, rng):
     """Continuous-time evolution by e^{t(P-I)}: Poisson(t) jumps of P.
 
-    ``x`` is a state index or an array of indices; each particle draws its
-    own jump count.
+    ``x`` is a state index or an (N,) array of indices with one generator
+    ``rng``, or a (B, N) block with a sequence of B generators, row b drawing
+    from ``rng[b]`` only; each particle draws its own jump count.
     """
-    state = np.atleast_1d(np.asarray(x, dtype=np.int64))[None].copy()
-    state = _poisson_jumps(state, t, (rng,), _chain_step(chain))[0]
-    return int(state[0]) if np.ndim(x) == 0 else state
-
-
-def apply_kernel(level: Level, particles: np.ndarray, rngs) -> np.ndarray:
-    """Smooth a (B, N, ...) block of ensembles for the level's time budget;
-    row b draws from ``rngs[b]`` only.
-
-    A level with a ``chain`` moves the whole block at once by Poissonized
-    jumps of that chain, and Langevin moves a block of more than one row
-    as one (B, N, d) array; a block of one evolves as its (N, d) row, so a
-    level's own callables see the shapes of a lone run.  Metropolis evolves
-    one row at a time.
-    """
-    t = level.time_budget
-    if level.chain is not None:
-        return _poisson_jumps(particles.astype(np.int64), t, rngs, _chain_step(level.chain))
-    spec = level.kernel
-    if spec.kind == "langevin":
-        if len(rngs) == 1:
-            return ula_evolve(level.density, particles[0], t, spec.step_size, rngs[0])[None]
-        return ula_evolve(level.density, particles, t, spec.step_size, rngs)
-    rows = [mh_evolve(level.density, x, t, spec.proposal_scale, rng)
-            for x, rng in zip(particles, rngs)]
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+    x = np.asarray(x, dtype=np.int64)
+    if x.ndim == 2:
+        return _poisson_jumps(x.copy(), t, rng, _chain_step(chain))
+    state = _poisson_jumps(np.atleast_1d(x)[None].copy(), t, (rng,), _chain_step(chain))[0]
+    return int(state[0]) if x.ndim == 0 else state

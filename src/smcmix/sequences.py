@@ -2,7 +2,10 @@
 
 Both builders take a ``TargetMixture``, a Gaussian mixture by type, so the
 density-ratio bounds, log-Sobolev bounds, and weight lower bounds are
-available in closed form for every ladder they build.
+available in closed form for every ladder they build.  A Euclidean level is
+its mixture and exponent β; ``level_log_density`` and
+``level_grad_log_density`` are the one definition of its density, and
+``init_sampler`` draws the first level.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 
 from . import kernels
 from .core import (
-    DensitySpec,
     Ladder,
     Level,
     ParticleEnsemble,
@@ -38,8 +40,9 @@ __all__ = [
     "build_gaussian_convolution",
     "lsi_convolution_bound",
     "build_finite_ladder",
+    "level_log_density",
+    "level_grad_log_density",
     "init_sampler",
-    "sample_initial",
     "default_probes",
 ]
 
@@ -167,22 +170,6 @@ def lsi_convolution_bound(c1: float, c2: float) -> float:
     return c1 + c2
 
 
-def _tempered_density(target: TargetMixture, beta: float) -> DensitySpec:
-    gaussian = None
-    if target.n_components == 1:
-        g = target.components[0]
-        # q^beta is itself Gaussian with covariance scaled by 1/beta.
-        gaussian = GaussianComponent(g.mean, g.cov / beta)
-
-    def log_density(x, _beta=beta):
-        return _beta * np.asarray(eval_mixture_logdensity(target, x))
-
-    def grad(x, _beta=beta):
-        return _beta * mixture_grad_logdensity(target, x)
-
-    return DensitySpec(log_density=log_density, grad_log_density=grad, gaussian=gaussian)
-
-
 def _hessian_bound(target: TargetMixture, beta: float) -> float:
     return beta * max(1.0 / g.lambda_min for g in target.components)
 
@@ -206,7 +193,8 @@ def build_power_tempering(
 ) -> Ladder:
     """Power-tempering ladder pi_i ∝ pi^{beta_i} for a Gaussian mixture.
 
-    Level i carries beta_i * log pi as its unnormalized log density, the step
+    Level i holds the target and beta_i, so its unnormalized log density
+    is beta_i * log pi (``level_log_density``), and carries the step
     ratio pi^{beta_i - beta_{i-1}}, the per-step density-ratio bound from
     power_tempering_gamma, and the level log-Sobolev bound from
     tempered_component_lsi.  Time budgets are the caller's to choose.  A
@@ -234,7 +222,6 @@ def build_power_tempering(
         spec = kernel or KernelSpec(
             kind="langevin", step_size=kernels.default_step_size(_hessian_bound(target, beta))
         )
-        density = _tempered_density(target, beta)
         ratio = None
         normalized = None
         bound = None
@@ -257,7 +244,6 @@ def build_power_tempering(
             gamma = max(gamma, bound)
         levels.append(
             Level(
-                density=density,
                 kernel=spec,
                 time_budget=budgets[i],
                 ratio_to_prev=ratio,
@@ -266,7 +252,8 @@ def build_power_tempering(
                     tempered_component_lsi(target, j, beta) for j in range(len(gauss))
                 ),
                 ratio_bound=bound,
-                mixture=target if abs(beta - 1.0) < 1e-15 else None,
+                mixture=target,
+                beta=beta,
                 init_proposal=proposal if i == 0 else None,
             )
         )
@@ -316,13 +303,6 @@ def build_gaussian_convolution(
                 max(1.0 / (g.lambda_min + noise) for g in gauss)
             ),
         )
-
-        def log_density(x, _m=mix):
-            return eval_mixture_logdensity(_m, x)
-
-        def grad(x, _m=mix):
-            return mixture_grad_logdensity(_m, x)
-
         ratio = None
         bound = None
         if k > 0:
@@ -345,7 +325,6 @@ def build_gaussian_convolution(
             gamma = max(gamma, bound)
         levels.append(
             Level(
-                density=DensitySpec(log_density=log_density, grad_log_density=grad),
                 kernel=spec,
                 time_budget=budgets[k],
                 ratio_to_prev=ratio,
@@ -377,10 +356,6 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
             raise ValueError(f"level {k + 1} needs a chain (transition matrix P) to smooth with")
         if chain is not None and np.max(np.abs(chain.pi - pmf)) > 1e-10:
             raise ValueError(f"chain at level {k + 1} is not stationary for its pmf")
-
-        def log_density(x, _p=pmf):
-            return np.log(_p[np.asarray(x, dtype=np.int64)])
-
         ratio = None
         bound = None
         if k > 0:
@@ -396,7 +371,6 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
             gamma = max(gamma, bound)
         levels.append(
             Level(
-                density=DensitySpec(log_density=log_density),
                 kernel=None,
                 time_budget=budgets[k],
                 ratio_to_prev=ratio,
@@ -418,40 +392,45 @@ def _as_budgets(time_budget, n: int):
     return budgets
 
 
+def level_log_density(level: Level, x) -> np.ndarray:
+    """Unnormalized log density ``beta * log mixture(x)`` of a Euclidean level."""
+    return level.beta * np.asarray(eval_mixture_logdensity(level.mixture, x))
+
+
+def level_grad_log_density(level: Level, x) -> np.ndarray:
+    """Gradient of ``level_log_density``, shape matching ``x``; at β = 1 it is
+    the mixture's gradient as computed, with no multiplication."""
+    grad = mixture_grad_logdensity(level.mixture, x)
+    if level.beta != 1.0:
+        grad *= level.beta
+    return grad
+
+
 def init_sampler(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> ParticleEnsemble:
     """Samples from the first ladder level, exact or importance-weighted.
 
     Exact paths, with ``init_acceptance_rate`` 1 and no weights: a finite pmf
-    (categorical draws), an explicit Gaussian mixture (component sampling) or
-    a Gaussian density.  Otherwise the level's Gaussian ``init_proposal`` q is
-    sampled exactly and the draws carry the log importance weights
-    ``log_density - log q``, which the driver folds into the first
-    reweighting (the first step of an SMC sampler).  ``init_acceptance_rate``
-    is then the ESS/N of those weights.
+    (categorical draws) or the level's ``exact_law``, a mixture at β = 1
+    (component sampling) or a tempered single Gaussian.  Otherwise the
+    level's Gaussian ``init_proposal`` q is sampled exactly and the draws
+    carry the log importance weights ``level_log_density - log q``, which the
+    driver folds into the first reweighting (the first step of an SMC
+    sampler).  ``init_acceptance_rate`` is then the ESS/N of those weights.
     """
     level = ladder.levels[0]
     if level.pmf is not None:
         # the draws of rng.choice(S, size=n, p=pmf), without re-checking the pmf
         states = level._cdf.searchsorted(rng.random(n_samples), side="right")
         return ParticleEnsemble(states.astype(np.int64, copy=False))
-    if level.mixture is not None:
-        draws = level.mixture.sample(rng, n_samples)
-        return ParticleEnsemble(draws)
-    if level.density.gaussian is not None:
-        draws = level.density.gaussian.sample(rng, n_samples)
-        return ParticleEnsemble(draws)
+    if level.exact_law is not None:
+        return ParticleEnsemble(level.exact_law.sample(rng, n_samples))
     proposal = level.init_proposal
     if proposal is None:
         raise ValueError("level 1 has no exact sampler and no Gaussian proposal")
     draws = proposal.sample(rng, n_samples)
-    log_w = np.asarray(level.density.log_density(draws), dtype=float) - proposal.logpdf(draws)
+    log_w = level_log_density(level, draws) - proposal.logpdf(draws)
     ess_frac = effective_sample_size(np.exp(log_w - np.max(log_w))) / n_samples
     return ParticleEnsemble(draws, init_acceptance_rate=ess_frac, log_weights=log_w)
-
-
-def sample_initial(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> ParticleEnsemble:
-    """Dispatching initializer used by the SMC driver."""
-    return init_sampler(ladder, n_samples, rng)
 
 
 def default_probes(

@@ -35,18 +35,21 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DegenerateWeightsError, Ladder, ParticleEnsemble, effective_sample_size
-from .kernels import apply_kernel
-from .sequences import sample_initial
+from .core import DegenerateWeightsError, Ladder, Level, ParticleEnsemble, effective_sample_size
+from .kernels import mh_evolve, poissonized_evolve, ula_evolve
+from .sequences import init_sampler as sample_initial
+from .sequences import level_grad_log_density, level_log_density
 
 __all__ = [
     "SmcConfig",
     "SmcRunResult",
     "multinomial_resample",
+    "apply_kernel",
     "run_smc",
     "replicate_seed",
     "run_replicates",
@@ -140,6 +143,33 @@ def _streams(master_seed: int, n_levels: int):
     resample = [np.random.default_rng(c) for c in children[1 : n_levels]]
     kernel = [np.random.default_rng(c) for c in children[n_levels :]]
     return init, resample, kernel
+
+
+def apply_kernel(level: Level, particles: np.ndarray, rngs) -> np.ndarray:
+    """Smooth a (B, N, ...) block of ensembles for the level's time budget;
+    row b draws from ``rngs[b]`` only.
+
+    A level with a ``chain`` moves the whole block at once by Poissonized
+    jumps of that chain.  A Euclidean level hands the kernel its density as
+    a callable over ``level_grad_log_density`` (Langevin) or
+    ``level_log_density`` (Metropolis).  Langevin moves a block of more than
+    one row as one (B, N, d) array; a block of one evolves as its (N, d) row,
+    so the mixture evaluators see the shapes of a lone run.  Metropolis
+    evolves one row at a time.
+    """
+    t = level.time_budget
+    if level.chain is not None:
+        return poissonized_evolve(level.chain, particles, t, rngs)
+    spec = level.kernel
+    if spec.kind == "langevin":
+        grad = partial(level_grad_log_density, level)
+        if len(rngs) == 1:
+            return ula_evolve(grad, particles[0], t, spec.step_size, rngs[0])[None]
+        return ula_evolve(grad, particles, t, spec.step_size, rngs)
+    log_density = partial(level_log_density, level)
+    rows = [mh_evolve(log_density, x, t, spec.proposal_scale, rng)
+            for x, rng in zip(particles, rngs)]
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 # particle cells per block: the finite kernel's table lookup builds a

@@ -568,6 +568,34 @@ class TestBounds:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
 
+    @pytest.mark.parametrize("given,message", [
+        ({"gamma": 1e60}, "alpha = 1/(2 gamma^6) overflows"),
+        ({"gamma": 1e50}, "t_k = 2 C*_k gamma^7 overflows"),
+        ({"n": 2, "convolution": {"sigma": 1.0, "betas": [0.01, 1.0], "d": 400}},
+         "gamma = (beta_k/beta_{k-1})^(d/2) overflows"),
+        # gamma^7 is finite, 2 C*_k gamma^7 is not
+        ({"gamma": 1e44}, "overflow to infinity: prescribed_t_per_level"),
+        # w_star^(15/8) underflows to 0 in the moment branch's denominator
+        ({"w_star": 1e-200}, "leave the float range"),
+    ])
+    def test_overflowing_constant_is_config_error(self, tmp_path, capsys, given, message):
+        cfg = write_json(tmp_path / "c.json",
+                         {"schema_version": 1, "bounds": bounds_section(**given)})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "bounds"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "o").exists()
+
+
+def test_failed_json_dump_leaves_existing_file(tmp_path):
+    path = tmp_path / "run.json"
+    cli._write_json(str(path), {"eta": 0.5})
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._write_json(str(path), {"eta": 0.25, "ess": float("nan")})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
 
 class TestVerify:
     def test_selector_runs_only_decomposition(self, tmp_path, capsys):

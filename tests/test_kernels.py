@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from smcmix.core import DensitySpec, FiniteChain
+from smcmix.core import FiniteChain
 from smcmix.kernels import (
     KernelSpec,
     _chain_step,
@@ -19,10 +19,14 @@ from smcmix.kernels import (
     ula_evolve,
 )
 
-STANDARD_NORMAL = DensitySpec(
-    log_density=lambda x: -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=-1),
-    grad_log_density=lambda x: -np.asarray(x, dtype=float),
-)
+
+def normal_log_density(x):
+    """Unnormalized standard-normal log density."""
+    return -0.5 * np.sum(np.atleast_2d(x) ** 2, axis=-1)
+
+
+def normal_grad(x):
+    return -np.asarray(x, dtype=float)
 
 
 def discrete_stationary_variance(h: float) -> float:
@@ -33,7 +37,7 @@ def discrete_stationary_variance(h: float) -> float:
 class TestUla:
     def test_zero_time_returns_input(self, rng):
         x = rng.normal(size=(7, 3))
-        out = ula_evolve(STANDARD_NORMAL, x, t=0.0, h=0.1, rng=rng)
+        out = ula_evolve(normal_grad, x, t=0.0, h=0.1, rng=rng)
         np.testing.assert_array_equal(out, x)
 
     def test_in_place_update_matches_reference_steps(self, rng):
@@ -43,7 +47,7 @@ class TestUla:
         ref, draws = x.copy(), np.random.default_rng(4)
         for _ in range(math.ceil(t / h)):
             ref = ref + h * -ref + math.sqrt(2.0 * h) * draws.standard_normal(ref.shape)
-        out = ula_evolve(STANDARD_NORMAL, x, t=t, h=h, rng=np.random.default_rng(4))
+        out = ula_evolve(normal_grad, x, t=t, h=h, rng=np.random.default_rng(4))
         np.testing.assert_array_equal(out, ref)
         assert not np.shares_memory(out, x)
 
@@ -52,7 +56,7 @@ class TestUla:
         exact = discrete_stationary_variance(h)
         n = 20000
         x = rng.normal(scale=math.sqrt(exact), size=(n, 1))  # start in stationarity
-        out = ula_evolve(STANDARD_NORMAL, x, t=30.0, h=h, rng=rng)
+        out = ula_evolve(normal_grad, x, t=30.0, h=h, rng=rng)
         est = out.var()
         se = exact * math.sqrt(2.0 / n)
         assert abs(est - exact) <= 3 * se
@@ -60,7 +64,7 @@ class TestUla:
     def test_mean_zero_after_long_run(self, rng):
         n = 100_000
         x = np.zeros((n, 1))
-        out = ula_evolve(STANDARD_NORMAL, x, t=10.0, h=0.01, rng=rng)
+        out = ula_evolve(normal_grad, x, t=10.0, h=0.01, rng=rng)
         se = out.std() / math.sqrt(n)
         assert abs(out.mean()) <= 3 * se
 
@@ -71,7 +75,7 @@ class TestUla:
         for h in hs:
             exact = discrete_stationary_variance(h)
             x = rng.normal(scale=math.sqrt(exact), size=(n, 1))
-            out = ula_evolve(STANDARD_NORMAL, x, t=5.0, h=h, rng=rng)
+            out = ula_evolve(normal_grad, x, t=5.0, h=h, rng=rng)
             estimates.append(out.var())
             ses.append(exact * math.sqrt(2.0 / n))
         for est, se, h in zip(estimates, ses, hs):
@@ -81,27 +85,20 @@ class TestUla:
         assert estimates[1] > estimates[2] - 2 * (ses[1] + ses[2])
         assert abs(estimates[2] - 1.0) < 0.02
 
-    def test_requires_gradient(self, rng):
-        spec = DensitySpec(log_density=lambda x: np.zeros(len(np.atleast_2d(x))))
-        with pytest.raises(ValueError, match="gradient"):
-            ula_evolve(spec, np.zeros((2, 1)), t=1.0, h=0.1, rng=rng)
-
     def test_nonfinite_gradient_reports_state(self, rng):
-        spec = DensitySpec(
-            log_density=lambda x: np.zeros(len(np.atleast_2d(x))),
-            grad_log_density=lambda x: np.full_like(np.asarray(x, dtype=float), np.inf),
-        )
+        def grad(x):
+            return np.full_like(np.asarray(x, dtype=float), np.inf)
+
         with pytest.raises(FloatingPointError, match="non-finite gradient"):
-            ula_evolve(spec, np.array([[1.0, 2.0]]), t=1.0, h=0.1, rng=rng)
+            ula_evolve(grad, np.array([[1.0, 2.0]]), t=1.0, h=0.1, rng=rng)
 
     def test_finite_gradient_whose_sum_overflows_runs(self, rng):
         # only a non-finite entry stops the chain, not a sum beyond the float range
-        spec = DensitySpec(
-            log_density=lambda x: np.zeros(len(np.atleast_2d(x))),
-            grad_log_density=lambda x: np.full_like(np.asarray(x, dtype=float), 1e308),
-        )
+        def grad(x):
+            return np.full_like(np.asarray(x, dtype=float), 1e308)
+
         with np.errstate(over="ignore"):
-            out = ula_evolve(spec, np.zeros((2, 2)), t=0.1, h=0.1, rng=rng)
+            out = ula_evolve(grad, np.zeros((2, 2)), t=0.1, h=0.1, rng=rng)
         assert np.all(np.isfinite(out))
 
     def test_default_step_size(self):
@@ -112,7 +109,9 @@ class TestUla:
 
 class TestMetropolis:
     def test_uniform_density_always_accepts(self, rng):
-        flat = DensitySpec(log_density=lambda x: np.zeros(len(np.atleast_2d(x))))
+        def flat(x):
+            return np.zeros(len(np.atleast_2d(x)))
+
         x = np.zeros((500, 2))
         out = mh_step(flat, x, proposal_scale=0.7, rng=rng)
         assert np.all(np.any(out != x, axis=1))
@@ -123,7 +122,7 @@ class TestMetropolis:
         # probability of exactly one half
         n = 20_000
         x = np.full((n, 1), 30.0)
-        out = mh_step(STANDARD_NORMAL, x, proposal_scale=0.05, rng=rng)
+        out = mh_step(normal_log_density, x, proposal_scale=0.05, rng=rng)
         inward = np.mean(out[:, 0] < 30.0)
         se = 0.5 / math.sqrt(n)
         assert abs(inward - 0.5) <= 3 * se
@@ -147,7 +146,7 @@ class TestMetropolis:
 
     def test_poissonized_evolution_moves_particles(self, rng):
         x = np.zeros((300, 1))
-        out = mh_evolve(STANDARD_NORMAL, x, t=3.0, proposal_scale=1.0, rng=rng)
+        out = mh_evolve(normal_log_density, x, t=3.0, proposal_scale=1.0, rng=rng)
         assert np.mean(out != 0.0) > 0.8
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from smcmix.core import DensitySpec, TargetMixture, eval_mixture_logdensity
+from smcmix.core import TargetMixture, eval_mixture_logdensity, mixture_grad_logdensity
 from smcmix.gaussians import GaussianComponent, power_normalizer
 from smcmix.sequences import (
     TemperingSchedule,
@@ -15,6 +15,8 @@ from smcmix.sequences import (
     build_power_tempering,
     geometric_schedule,
     init_sampler,
+    level_grad_log_density,
+    level_log_density,
     lsi_convolution_bound,
     power_tempering_gamma,
     tempered_component_lsi,
@@ -46,7 +48,7 @@ class TestPowerTempering:
         assert ladder.n_levels == 1
         x = np.array([[0.5, -0.2], [3.0, 3.0]])
         np.testing.assert_allclose(
-            ladder.levels[0].density.log_density(x),
+            level_log_density(ladder.levels[0], x),
             eval_mixture_logdensity(bimodal_target, x),
             rtol=1e-14,
         )
@@ -66,23 +68,32 @@ class TestPowerTempering:
         center = np.array([0.0, 0.0])
         q = lambda m: math.exp(-0.5 * float((center - m) @ (center - m))) / (2 * math.pi)
         expected = 0.5 * math.log(0.5 * q(np.zeros(2)) + 0.5 * q(np.full(2, 4.0)))
-        got = float(np.asarray(ladder.levels[0].density.log_density(center[None, :]))[0])
+        got = float(level_log_density(ladder.levels[0], center[None, :])[0])
         assert got == pytest.approx(expected, rel=1e-13)
+
+    def test_level_gradient_is_beta_times_target_gradient(self, bimodal_target, rng):
+        ladder = build_power_tempering(bimodal_target, geometric_schedule(3, 0.25, d=2))
+        x = rng.normal(scale=3.0, size=(2, 50, 2))
+        for level in ladder.levels:
+            want = level.beta * mixture_grad_logdensity(bimodal_target, x)
+            assert level_grad_log_density(level, x).tobytes() == want.tobytes()
 
     def test_final_level_equals_target_pointwise(self, bimodal_target, rng):
         ladder = build_power_tempering(bimodal_target, geometric_schedule(5, 0.1, d=2))
         x = rng.normal(scale=3.0, size=(100, 2))
         np.testing.assert_allclose(
-            ladder.levels[-1].density.log_density(x),
+            level_log_density(ladder.levels[-1], x),
             eval_mixture_logdensity(bimodal_target, x),
             rtol=1e-13,
         )
 
     def test_non_gaussian_target_rejected(self):
         # no non-Gaussian target reaches a builder: the mixture refuses it when built
-        spec = DensitySpec(log_density=lambda x: np.zeros(len(x)))
+        def log_density(x):
+            return np.zeros(len(x))
+
         with pytest.raises(TypeError, match="GaussianComponent"):
-            TargetMixture(components=(spec,), weights=np.array([1.0]))
+            TargetMixture(components=(log_density,), weights=np.array([1.0]))
 
     def test_warning_surfaced_once_per_build(self, bimodal_target):
         with pytest.warns(RuntimeWarning, match="plain closed form"):
@@ -302,6 +313,17 @@ class TestInitSampler:
         assert ens.init_acceptance_rate == 1.0
         # tempered single Gaussian: N(2, 1.5/0.5)
         assert ens.particles.mean() == pytest.approx(2.0, abs=4 * math.sqrt(3.0 / 4000))
+
+    def test_one_component_level_draw_is_the_tempered_gaussian(self):
+        # level 1 of a one-component ladder is exactly N(m, Σ/β): bitwise its draws
+        cov = np.array([[2.0, 0.3], [0.3, 1.0]])
+        target = TargetMixture.gaussian([1.0], [[1.0, -2.0]], [cov])
+        ladder = build_power_tempering(target, geometric_schedule(3, 0.2, 2))
+        beta = ladder.levels[0].beta
+        assert beta == pytest.approx(0.2)
+        ens = init_sampler(ladder, 300, np.random.default_rng(11))
+        want = GaussianComponent([1.0, -2.0], cov / beta).sample(np.random.default_rng(11), 300)
+        assert ens.log_weights is None and ens.particles.tobytes() == want.tobytes()
 
     def test_tempered_mixture_weighted_moments_match_quadrature(self):
         target = TargetMixture.gaussian(

@@ -96,7 +96,7 @@ class TestExchangeability:
             ladder=ladder, n_particles=256, master_seed=3,
             estimand=lambda x: (np.atleast_2d(x)[:, 0] > 0).astype(float),
         )
-        ens = sequences.sample_initial(ladder, 256, np.random.default_rng(50))
+        ens = sequences.init_sampler(ladder, 256, np.random.default_rng(50))
         perm = rng.permutation(256)
         assert ens.log_weights is not None  # multi-component level 1: proposal draw
         shuffled = ParticleEnsemble(
@@ -115,7 +115,7 @@ class TestExchangeability:
         ladder, pmf1, _ = finite_ladder
         single = sequences.build_finite_ladder([pmf1], [None])
         config = finite_config(single, n_particles=128)
-        ens = sequences.sample_initial(single, 128, np.random.default_rng(8))
+        ens = sequences.init_sampler(single, 128, np.random.default_rng(8))
         perm = rng.permutation(128)
         shuffled = ParticleEnsemble(ens.particles[perm], lane_ids=ens.lane_ids[perm])
         a = run_smc(config, initial_ensemble=ens)
