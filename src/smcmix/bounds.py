@@ -284,7 +284,7 @@ def prescribe_main(
     if alpha is None:
         alpha = 1.0 / (2.0 * _power(gamma, 6, "alpha = 1/(2 gamma^6)"))
     beta = _beta_from_params(params)
-    sup2 = params.f_sup_bound ** 2
+    sup2 = _power(params.f_sup_bound, 2, "sup^2 = f_sup_bound^2")
     eps = params.epsilon
 
     if mode == "mse":
@@ -296,9 +296,12 @@ def prescribe_main(
         )
     else:  # tv
         variance_branch = 16.0 * gamma * params.M / (params.w_star * eps ** 2)
-    moment_branch = 128.0 * gamma ** (35.0 / 8.0) * params.M ** (7.0 / 4.0) / (
-        params.w_star ** (15.0 / 8.0)
-    )
+    w_power = params.w_star ** (15.0 / 8.0)
+    if w_power == 0.0:  # the moment branch's denominator
+        raise ZeroDivisionError(f"w_star^(15/8) of the moment branch underflows to 0: "
+                                f"w_star = {params.w_star:.4g}")
+    moment_branch = (128.0 * _power(gamma, 35.0 / 8.0, "moment branch gamma^(35/8)")
+                     * params.M ** (7.0 / 4.0) / w_power)
     prescribed_n = math.ceil(params.n * max(variance_branch, moment_branch))
     gamma7 = _power(gamma, 7, "t_k = 2 C*_k gamma^7")
     t_simplified = tuple(2.0 * c * gamma7 for c in params.c_star_per_level)

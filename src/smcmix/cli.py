@@ -4,6 +4,9 @@ verification suite, and sweep a grid with per-point MSE.
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 runtime
 degeneracy (degenerate weights, non-finite Langevin gradients).  All
 randomness flows from the master seed (the --seed flag overrides the config).
+``run`` and ``sweep`` build their ``SmcConfig`` once; with ``--threads K``
+the replicates are split into K contiguous chunks of seeds and each worker
+process is sent the pickled config, so outputs are the same at any K.
 A config is validated against ``smcmix/schemas/config.schema.json`` on load;
 every emitted JSON document conforms to its schema under ``smcmix/schemas``,
 which the test suite checks rather than each command at run time.
@@ -19,6 +22,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 from importlib import resources
 from typing import NamedTuple, Optional
 
@@ -195,39 +199,50 @@ def _estimand_index(spec: dict, key: str, size: int, what: str) -> int:
     return index
 
 
-def _coordinate(x, coord: int):
-    """Coordinate ``coord`` of each state; a finite state is its own index."""
+def _coordinate(coord: int, x) -> np.ndarray:
+    """Coordinate ``coord`` of each state, as floats; a finite state is its
+    own index."""
     x = np.asarray(x)
-    return x if x.ndim == 1 else x[:, coord]
+    return (x if x.ndim == 1 else x[:, coord]).astype(float)
+
+
+def _constant(value: float, x) -> np.ndarray:
+    return np.full(np.shape(x)[0], value)
+
+
+def _halfspace(coord: int, threshold: float, x) -> np.ndarray:
+    return (_coordinate(coord, x) > threshold).astype(float)
+
+
+def _state_indicator(state: int, x) -> np.ndarray:
+    return (np.asarray(x) == state).astype(float)
+
+
+def _nearest_mode(means: np.ndarray, mode: int, x) -> np.ndarray:
+    """1 where the nearest of the (M, d) ``means`` to a point is ``mode``."""
+    d2 = np.sum((np.asarray(x)[:, None, :] - means[None, :, :]) ** 2, axis=2)
+    return (np.argmin(d2, axis=1) == mode).astype(float)
 
 
 def _build_estimand(spec: dict, ladder, target):
-    """The estimand ``spec`` names.  A finite state is one coordinate, its
-    index, and each state is its own mode."""
+    """The estimand ``spec`` names, a ``partial`` of a module function so
+    that a config pickles.  A finite state is one coordinate, its index, and
+    each state is its own mode."""
     name = spec["name"]
     n_coords = 1 if target is None else target.dim
     if name == "constant":
-        value = spec.get("value", 1.0)
-        return lambda x: np.full(np.shape(x)[0], float(value))
+        return partial(_constant, float(spec.get("value", 1.0)))
     if name == "indicator_halfspace":
         coord = _estimand_index(spec, "coordinate", n_coords, "coordinates")
-        thr = spec.get("threshold", 0.0)
-        return lambda x: (_coordinate(x, coord) > thr).astype(float)
+        return partial(_halfspace, coord, spec.get("threshold", 0.0))
     if name == "coordinate_mean":
-        coord = _estimand_index(spec, "coordinate", n_coords, "coordinates")
-        return lambda x: _coordinate(x, coord).astype(float)
+        return partial(_coordinate, _estimand_index(spec, "coordinate", n_coords, "coordinates"))
     if name == "mode_indicator":
         if target is None:  # a finite state is its own mode
-            idx = _estimand_index(spec, "mode_index", ladder.levels[-1].pmf.size, "states")
-            return lambda x: (np.asarray(x) == idx).astype(float)
+            size = ladder.levels[-1].pmf.size
+            return partial(_state_indicator, _estimand_index(spec, "mode_index", size, "states"))
         idx = _estimand_index(spec, "mode_index", target.n_components, "modes")
-        means = np.stack([g.mean for g in target.components])
-
-        def nearest_mode(x):
-            d2 = np.sum((np.asarray(x)[:, None, :] - means[None, :, :]) ** 2, axis=2)
-            return (np.argmin(d2, axis=1) == idx).astype(float)
-
-        return nearest_mode
+        return partial(_nearest_mode, np.stack([g.mean for g in target.components]), idx)
     raise ConfigError(f"unknown estimand {name!r}")
 
 
@@ -241,11 +256,8 @@ def _exact_value(exp: dict, ladder, estimand):
     return None
 
 
-def _at_point(config, point):
-    """``config`` at a sweep point ``(parameter, value)``; None leaves it as is."""
-    if point is None:
-        return config
-    parameter, value = point
+def _at_point(config, parameter: str, value):
+    """``config`` at the sweep point ``parameter = value``."""
     if parameter == "n_particles":
         return replace(config, n_particles=int(value))
     return replace(config, ladder=_with_budgets(config.ladder, float(value)))
@@ -281,38 +293,31 @@ class _Replicate(NamedTuple):
     init_acceptance_rate: float
 
 
-def _run_chunk(config, point, seeds) -> list:
+def _run_chunk(config, seeds) -> list:
     return [
         _Replicate(
             r.eta_estimate, r.nu_estimate, r.ess_per_level, r.weight_sums_per_level,
             r.normalized_weight_sums_per_level, r.level_wall_times,
             r.final_ensemble.init_acceptance_rate,
         )
-        for r in smc.run_seeded(_at_point(config, point), seeds)
+        for r in smc.run_seeded(config, seeds)
     ]
 
 
-def _pool_chunk(task) -> list:
-    # ladders hold closures that cannot be pickled: a worker builds its own config
-    exp, point, seeds = task
-    config, _ = build_smc_config(exp)
-    return _run_chunk(config, point, seeds)
-
-
-def _run_replicates(exp: dict, config, seeds: list, threads: int, point=None) -> list:
-    """``_Replicate`` records of ``config`` at ``point``, one per seed, in
-    order.
+def _run_replicates(config, seeds: list, threads: int) -> list:
+    """``_Replicate`` records of ``config``, one per seed, in order.
 
     With ``threads > 1`` the seeds are split into contiguous chunks, one per
-    worker process, and each worker rebuilds the config from ``exp``.
+    worker process, and each worker is sent the pickled ``config``.
     """
     n_rep = len(seeds)
     if threads <= 1 or n_rep == 1:
-        return _run_chunk(config, point, seeds)
+        return _run_chunk(config, seeds)
     size = -(-n_rep // threads)
-    tasks = [(exp, point, seeds[i:i + size]) for i in range(0, n_rep, size)]
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        return [r for chunk in pool.map(_pool_chunk, tasks) for r in chunk]
+    chunks = [seeds[i:i + size] for i in range(0, n_rep, size)]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return [r for chunk in pool.map(_run_chunk, [config] * len(chunks), chunks)
+                for r in chunk]
 
 
 def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
@@ -323,7 +328,7 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     n_rep = exp["replicates"]
     config, exact = build_smc_config(exp)
     seeds = [smc.replicate_seed(master_seed, i) for i in range(n_rep)]
-    results = _run_replicates(exp, config, seeds, threads)
+    results = _run_replicates(config, seeds, threads)
 
     stats = smc.summarize_etas([r.eta for r in results], exact)
     nus = [r.nu for r in results]
@@ -411,7 +416,7 @@ def _derive_assumptions(cfg: dict) -> dict:
         derived["w_star"] = target.w_star
         derived["per_level_weights"] = (tuple(target.weights.tolist()),) * ladder.n_levels
         return derived
-    betas = list(_schedule(exp["ladder"], target.dim).betas)
+    betas = [lv.beta for lv in ladder.levels]
     try:
         derived["w_star"] = sequences.tempered_weight_lower_bound(target, betas=betas)
     except ValueError as exc:
@@ -591,8 +596,8 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     seeds = [smc.replicate_seed(master_seed, i) for i in range(sweep["replicates"])]
     points = []
     for value in sweep["values"]:
-        results = _run_replicates(exp, base_config, seeds, threads,
-                                  point=(sweep["parameter"], value))
+        config = _at_point(base_config, sweep["parameter"], value)
+        results = _run_replicates(config, seeds, threads)
         stats = smc.summarize_etas([r.eta for r in results], exact)
         points.append({"value": float(value), **stats})
     doc = {

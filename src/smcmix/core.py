@@ -8,6 +8,9 @@ Conventions
 * A Euclidean ``Level`` is data, a mixture and an exponent β: its
   unnormalized density is the mixture's to the power β, which
   ``sequences.level_log_density`` and ``level_grad_log_density`` evaluate.
+  A level's ratio callables are ``functools.partial``s of module functions
+  over its mixtures or pmf table, never closures, so a ladder pickles and a
+  worker process can be handed a built one.
 * A ``TargetMixture`` packs its evaluator parameters once, when it is built.
   The log-density always takes each component's Cholesky inverse; the
   gradient of components that share one Σ takes Σ^{-1}, the rows
@@ -27,9 +30,10 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,13 +48,11 @@ __all__ = [
     "Ladder",
     "ParticleEnsemble",
     "FiniteChain",
-    "LadderValidationReport",
     "DegenerateWeightsError",
     "NonReversibleChainError",
     "eval_mixture_logdensity",
     "mixture_grad_logdensity",
     "effective_sample_size",
-    "validate_ladder",
 ]
 
 MAX_FINITE_STATES = 2 ** 14
@@ -489,51 +491,24 @@ def effective_sample_size(weights: np.ndarray):
     A vector gives a float, a (B, N) block an array with the ESS of each row,
     bitwise what the row alone gives.  The sum is squared as a Python float
     (C ``pow``, as a numpy float64 scalar's ``** 2`` is): numpy's array square
-    ``x * x`` differs from it in the last bit on about 0.1 % of inputs.
+    ``x * x`` differs from it in the last bit on about 0.1 % of inputs.  A
+    row where that quotient is not finite (Σw² underflows to 0, or (Σw)²
+    leaves the float range) gets the same ESS as 1 / Σ(w/Σw)²; every other
+    row keeps the bits of the plain formula.
     """
-    totals = np.atleast_1d(weights.sum(axis=-1)).tolist()
-    ess = np.array([t ** 2 for t in totals]) / np.sum(weights * weights, axis=-1)
+    totals = np.atleast_1d(weights.sum(axis=-1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ess = np.array([_square(t) for t in totals.tolist()]) / np.sum(weights * weights, axis=-1)
+    off = ~np.isfinite(ess)
+    if off.any():
+        p = np.atleast_2d(weights)[off] / totals[off, None]
+        ess[off] = 1.0 / np.sum(p * p, axis=-1)
     return float(ess[0]) if weights.ndim == 1 else ess
 
 
-@dataclass(frozen=True)
-class LevelRatioCheck:
-    level_index: int
-    max_ratio: Optional[float]
-    bound: float
-    flagged: bool
-    skipped: bool
-
-
-@dataclass(frozen=True)
-class LadderValidationReport:
-    """Per-level maxima of observed normalized ratios vs the ladder bound."""
-
-    checks: tuple
-    gamma_bound: float
-
-    @property
-    def flagged(self) -> bool:
-        return any(c.flagged for c in self.checks)
-
-
-def validate_ladder(ladder: Ladder, probes: Sequence) -> LadderValidationReport:
-    """Spot-check the normalized ratio bound on a probe set.
-
-    Reports the max observed normalized ratio per level and flags levels that
-    exceed the ladder's gamma bound.  Levels without a normalized ratio are
-    skipped.  This is a sanity check, never a proof.
-    """
-    probes = np.asarray(probes)
-    if probes.shape[0] == 0:
-        raise ValueError("probe set must be non-empty")
-    checks = []
-    for k, level in enumerate(ladder.levels[1:], start=2):
-        bound = level.ratio_bound if level.ratio_bound is not None else ladder.gamma_bound
-        if level.normalized_ratio is None:
-            checks.append(LevelRatioCheck(k, None, bound, False, True))
-            continue
-        ratios = np.atleast_1d(np.asarray(level.normalized_ratio(probes), dtype=float))
-        top = float(ratios.max())
-        checks.append(LevelRatioCheck(k, top, bound, top > bound, False))
-    return LadderValidationReport(checks=tuple(checks), gamma_bound=ladder.gamma_bound)
+def _square(t: float) -> float:
+    """``t ** 2`` of a Python float, inf where it leaves the float range."""
+    try:
+        return t ** 2
+    except OverflowError:
+        return math.inf

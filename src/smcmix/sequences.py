@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,7 +44,6 @@ __all__ = [
     "level_log_density",
     "level_grad_log_density",
     "init_sampler",
-    "default_probes",
 ]
 
 
@@ -227,19 +227,10 @@ def build_power_tempering(
         bound = None
         if i > 0:
             dbeta = beta - betas[i - 1]
-
-            def ratio(x, _db=dbeta):
-                return np.exp(_db * np.asarray(eval_mixture_logdensity(target, x)))
-
-            if target.n_components == 1:
-                log_z_prev = power_normalizer(gauss[0], betas[i - 1])
-                log_z = power_normalizer(gauss[0], beta)
-
-                def normalized(x, _db=dbeta, _shift=log_z_prev - log_z):
-                    return np.exp(
-                        _db * np.asarray(eval_mixture_logdensity(target, x)) + _shift
-                    )
-
+            ratio = partial(_power_ratio, target, dbeta, 0.0)
+            if target.n_components == 1:  # log Z_{k-1} - log Z_k
+                shift = power_normalizer(gauss[0], betas[i - 1]) - power_normalizer(gauss[0], beta)
+                normalized = partial(_power_ratio, target, dbeta, shift)
             bound = power_tempering_gamma(target, beta, betas[i - 1], conservative_gamma)
             gamma = max(gamma, bound)
         levels.append(
@@ -306,14 +297,7 @@ def build_gaussian_convolution(
         ratio = None
         bound = None
         if k > 0:
-            prev = mixtures[k - 1]
-
-            def ratio(x, _m=mix, _p=prev):
-                return np.exp(
-                    np.asarray(eval_mixture_logdensity(_m, x))
-                    - np.asarray(eval_mixture_logdensity(_p, x))
-                )
-
+            ratio = partial(_mixture_ratio, mix, mixtures[k - 1])
             if k < len(betas):
                 bound = (betas[k] / betas[k - 1]) ** (d / 2.0)
             else:
@@ -359,13 +343,9 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
         ratio = None
         bound = None
         if k > 0:
-            prev = pmfs[k - 1]
             with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = pmf / prev  # states outside supp(prev) are never sampled
-
-            def ratio(x, _r=ratios):
-                return _r[np.asarray(x, dtype=np.int64)]
-
+                ratios = pmf / pmfs[k - 1]  # states outside supp(prev) are never sampled
+            ratio = partial(_table_ratio, ratios)
             finite = ratios[np.isfinite(ratios)]
             bound = float(finite.max()) if finite.size else 1.0
             gamma = max(gamma, bound)
@@ -390,6 +370,30 @@ def _as_budgets(time_budget, n: int):
     if len(budgets) != n:
         raise ValueError(f"expected {n} time budgets, got {len(budgets)}")
     return budgets
+
+
+# A level's ratio to its predecessor is a ``partial`` over one of these three
+# module functions, so a built ladder pickles.  They reach the evaluator by
+# its module name, which a tracer may patch.
+
+
+def _power_ratio(mixture: TargetMixture, dbeta: float, shift: float, x) -> np.ndarray:
+    """Tempering step ``exp(dbeta * log mixture(x) + shift)``: the raw ratio
+    at shift 0, the normalized one at shift log Z_{k-1} - log Z_k."""
+    return np.exp(dbeta * np.asarray(eval_mixture_logdensity(mixture, x)) + shift)
+
+
+def _mixture_ratio(mixture: TargetMixture, prev: TargetMixture, x) -> np.ndarray:
+    """Convolution step ``mixture(x) / prev(x)`` of two normalized mixtures."""
+    return np.exp(
+        np.asarray(eval_mixture_logdensity(mixture, x))
+        - np.asarray(eval_mixture_logdensity(prev, x))
+    )
+
+
+def _table_ratio(table: np.ndarray, x) -> np.ndarray:
+    """Finite step: the pmf ratio of each state, looked up in ``table``."""
+    return table[np.asarray(x, dtype=np.int64)]
 
 
 def level_log_density(level: Level, x) -> np.ndarray:
@@ -431,26 +435,3 @@ def init_sampler(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> Pa
     log_w = level_log_density(level, draws) - proposal.logpdf(draws)
     ess_frac = effective_sample_size(np.exp(log_w - np.max(log_w))) / n_samples
     return ParticleEnsemble(draws, init_acceptance_rate=ess_frac, log_weights=log_w)
-
-
-def default_probes(
-    ladder: Ladder, rng: np.random.Generator, n_pilot: int = 2000
-) -> np.ndarray:
-    """Probe set for ratio checks: a pilot level-1 draw plus a fixed grid.
-
-    The pilot (``init_sampler`` draws, so proposal draws when level 1 has no
-    exact sampler) covers typical regions, the grid (spanning 1.5x the pilot's
-    bounding box, capped at 4096 points) adds tail coverage.  Finite ladders
-    enumerate every state instead.
-    """
-    level = ladder.levels[0]
-    if level.pmf is not None:
-        return np.arange(level.pmf.shape[0], dtype=np.int64)
-    pilot = init_sampler(ladder, n_pilot, rng).particles
-    d = pilot.shape[1]
-    per_axis = max(2, int(4096 ** (1.0 / d)))
-    center = 0.5 * (pilot.min(axis=0) + pilot.max(axis=0))
-    half = 0.75 * (pilot.max(axis=0) - pilot.min(axis=0))
-    axes = [np.linspace(center[i] - half[i], center[i] + half[i], per_axis) for i in range(d)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    return np.vstack([pilot, grid])

@@ -62,7 +62,9 @@ __all__ = [
 class SmcConfig:
     """Everything one SMC run needs.
 
-    ``estimand`` must be vectorized over the ensemble and bounded.
+    ``estimand`` must be vectorized over the ensemble and bounded.  A config
+    that runs in a process pool must pickle: its ladder does, and the CLI's
+    estimands are partials of module functions.
     """
 
     ladder: Ladder

@@ -106,6 +106,10 @@ def levels_without_wall_time(path):
         return [row[:-1] for row in csv.reader(fh)]
 
 
+ONE_COMPONENT = {"kind": "gaussian_mixture", "weights": [1.0], "means": [[1.0, -2.0]],
+                 "covariances": [[[2.0, 0.3], [0.3, 1.0]]]}
+
+
 def run_exit_code(tmp_path, exp):
     cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
     return main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1", "run"])
@@ -224,6 +228,15 @@ class TestRun:
             # blocks of 2^16 // (300 * 4) = 54 replicates: serial blocks 54, 54,
             # 12, pooled chunks of 60 each split into 54 and 6
             "finite": finite_experiment(tmp_path, n_particles=300, replicates=120),
+            "convolution": base_experiment(
+                ladder={"kind": "convolution", "n_levels": 4, "beta_min": 0.1, "sigma": 3.0},
+                estimand={"name": "coordinate_mean", "coordinate": 1}, n_particles=100),
+            # one component: the levels carry a normalized ratio, so nu is written
+            "one_component": base_experiment(
+                target=ONE_COMPONENT, n_particles=100,
+                kernel={"kind": "metropolis_hastings", "proposal_scale": 0.5}),
+            "mode_indicator": base_experiment(
+                estimand={"name": "mode_indicator", "mode_index": 1}, n_particles=100),
         }
         for name, exp in experiments.items():
             cfg = write_json(tmp_path / f"{name}.json",
@@ -235,6 +248,8 @@ class TestRun:
                 assert (serial / out).read_bytes() == (pooled / out).read_bytes(), (name, out)
             assert (levels_without_wall_time(serial / "levels.csv")
                     == levels_without_wall_time(pooled / "levels.csv")), name
+        one = read_output(tmp_path / "one_component_pooled" / "run.json")
+        assert one["summary"]["mean_nu"] is not None
 
     def test_pooled_replicate_pickles_small(self):
         # a worker returns what `run` writes, not the final N = 10 000 ensemble
@@ -243,9 +258,76 @@ class TestRun:
             ladder={"kind": "convolution", "n_levels": 10, "beta_min": 0.05, "sigma": 3.0},
             time_policy={"mode": "explicit", "t": 0.1},
         )
-        (rep,) = cli._pool_chunk((exp, None, [smc.replicate_seed(11, 0)]))
+        config, _ = cli.build_smc_config(exp)
+        (rep,) = cli._run_chunk(config, [smc.replicate_seed(11, 0)])
         assert len(rep.ess_per_level) == 10
         assert len(pickle.dumps(rep)) < 2048
+
+    def test_every_config_kind_pickles_and_runs_alike(self, tmp_path):
+        # a pool worker is sent the pickled config: every ladder and estimand kind
+        experiments = [
+            base_experiment(estimand={"name": "constant", "value": 2.5}),
+            base_experiment(target=ONE_COMPONENT,
+                            estimand={"name": "coordinate_mean", "coordinate": 0}),
+            base_experiment(
+                ladder={"kind": "convolution", "n_levels": 3, "beta_min": 0.1, "sigma": 3.0},
+                estimand={"name": "mode_indicator", "mode_index": 0}),
+            base_experiment(),  # indicator_halfspace
+            finite_experiment(tmp_path),  # mode_indicator over states
+            finite_experiment(tmp_path, estimand={"name": "indicator_halfspace",
+                                                  "threshold": 1.5}),
+        ]
+        for exp in experiments:
+            config, _ = cli.build_smc_config(exp)
+            copy = pickle.loads(pickle.dumps(config))
+            for a, b in zip(smc.run_replicates(config, 2), smc.run_replicates(copy, 2),
+                            strict=True):
+                assert a.eta_estimate == b.eta_estimate
+                assert a.nu_estimate == b.nu_estimate
+                assert a.ess_per_level == b.ess_per_level
+                assert a.weight_sums_per_level == b.weight_sums_per_level
+                assert (a.final_ensemble.particles.tobytes()
+                        == b.final_ensemble.particles.tobytes())
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_pooled_command_builds_config_once(self, tmp_path, monkeypatch, command):
+        # calls are counted in a file, so that calls in forked workers are seen
+        log = tmp_path / "builds.log"
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                with open(log, "a") as fh:
+                    fh.write(name + "\n")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "build_smc_config",
+                            counting("config", cli.build_smc_config))
+        monkeypatch.setattr(cli.sequences, "build_power_tempering",
+                            counting("ladder", cli.sequences.build_power_tempering))
+        exp = base_experiment(replicates=6, n_particles=50, exact_value=0.7)
+        cfg = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "experiment": exp,
+            "sweep": {"parameter": "n_particles", "values": [30, 60], "replicates": 6},
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "2",
+                     command]) == 0
+        assert log.read_text().split() == ["config", "ladder"]
+
+    def test_weights_beyond_the_float_range_give_a_finite_ess(self, tmp_path):
+        # d = 60, beta 0.05 -> 1: the raw weights are ~1e-173, so their squares
+        # underflow to 0 and the ESS was NaN, which stopped the dump of run.json
+        exp = base_experiment(
+            target={"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                    "means": [[-3.0] * 60, [3.0] * 60]},
+            ladder={"kind": "tempering", "betas": [0.05, 1.0]},
+            kernel={"kind": "langevin", "step_size": 0.05},
+            time_policy={"mode": "explicit", "t": 1.0},
+            n_particles=512, replicates=1, master_seed=3,
+        )
+        assert run_exit_code(tmp_path, exp) == 0
+        (rep,) = read_output(tmp_path / "o" / "run.json")["replicates"]
+        assert rep["ess_per_level"] == [pytest.approx(1.0)]  # one particle dominates
 
     def test_serial_run_builds_config_once(self, tmp_path, monkeypatch):
         calls = []
@@ -577,6 +659,9 @@ class TestBounds:
         ({"gamma": 1e44}, "overflow to infinity: prescribed_t_per_level"),
         # w_star^(15/8) underflows to 0 in the moment branch's denominator
         ({"w_star": 1e-200}, "leave the float range"),
+        # the message names the constant
+        ({"w_star": 1e-200, "gamma": 10.0}, "w_star^(15/8) of the moment branch underflows"),
+        ({"f_sup_bound": 1e200, "gamma": 10.0}, "sup^2 = f_sup_bound^2 overflows"),
     ])
     def test_overflowing_constant_is_config_error(self, tmp_path, capsys, given, message):
         cfg = write_json(tmp_path / "c.json",

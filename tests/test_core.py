@@ -14,12 +14,11 @@ import smcmix
 from smcmix import sequences
 from smcmix.core import (
     FiniteChain,
-    Ladder,
     ParticleEnsemble,
     TargetMixture,
+    effective_sample_size,
     eval_mixture_logdensity,
     mixture_grad_logdensity,
-    validate_ladder,
 )
 from smcmix.gaussians import GaussianComponent
 
@@ -328,46 +327,33 @@ class TestFiniteChain:
 
 
 class TestValidateLadder:
+    """A ladder's ratios evaluated directly against their bounds; the
+    convolution case is in test_sequences."""
+
     def test_identical_levels_max_ratio_one(self, finite_ladder):
         _, pmf1, _ = finite_ladder
         from smcmix.kernels import glauber_transition_matrix
 
         chain = glauber_transition_matrix(pmf1, 2)
         ladder = sequences.build_finite_ladder([pmf1, pmf1], [None, chain])
-        report = validate_ladder(ladder, np.arange(4))
-        assert report.checks[0].max_ratio == pytest.approx(1.0, abs=1e-15)
-        assert not report.flagged
+        np.testing.assert_array_equal(ladder.levels[1].ratio_to_prev(np.arange(4)), np.ones(4))
+        assert ladder.levels[1].ratio_bound == 1.0
 
-    def test_convolution_ladder_within_paper_bound(self, rng):
-        target = TargetMixture.gaussian([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]],
-                                        [np.eye(2), np.eye(2)])
-        schedule = sequences.TemperingSchedule(betas=(0.25, 1.0), d=2, sigma=1.0)
-        ladder = sequences.build_gaussian_convolution(target, schedule)
-        probes = np.vstack([rng.normal(scale=4.0, size=(5000, 2)),
-                            target.sample(rng, 5000)])
-        report = validate_ladder(ladder, probes)
-        noised = report.checks[0]  # the beta 0.25 -> 1.0 transition
-        assert noised.bound == pytest.approx(4.0)
-        assert noised.max_ratio <= 4.0 * (1 + 1e-9)
-        assert not report.flagged
 
-    def test_miset_bound_raises_flag(self, rng):
-        # same ladder but with the uniform bound forced down to 1.0
-        target = TargetMixture.gaussian([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]],
-                                        [np.eye(2), np.eye(2)])
-        schedule = sequences.TemperingSchedule(betas=(0.25, 1.0), d=2, sigma=1.0)
-        built = sequences.build_gaussian_convolution(target, schedule)
-        import dataclasses
-
-        levels = tuple(dataclasses.replace(lv, ratio_bound=None) for lv in built.levels)
-        ladder = Ladder(levels=levels, gamma_bound=1.0)
-        probes = target.sample(rng, 2000)
-        assert validate_ladder(ladder, probes).flagged
-
-    def test_empty_probes_rejected(self, finite_ladder):
-        ladder, _, _ = finite_ladder
-        with pytest.raises(ValueError, match="non-empty"):
-            validate_ladder(ladder, np.empty((0,), dtype=np.int64))
+class TestEffectiveSampleSize:
+    def test_out_of_range_sums_give_the_normalized_ess(self):
+        # (Σw)² overflows a Python float, and Σw² underflows to 0
+        assert effective_sample_size(np.full(4, 1e154)) == 4.0
+        assert effective_sample_size(np.full(4, 1e-170)) == 4.0
+        w = np.array([1e-170, 3e-170, 0.0, 2e-170])
+        assert effective_sample_size(w) == pytest.approx(36.0 / 14.0, rel=1e-15)
+        # in a block, only such a row takes the normalized form
+        rows = np.random.default_rng(3).random((3, 50))
+        plain = [r.sum() ** 2 / np.sum(r * r) for r in rows]
+        rows[1] *= 1e-165  # this row's Σw² underflows
+        ess = effective_sample_size(rows)
+        assert [ess[0], ess[2]] == [plain[0], plain[2]]
+        assert ess[1] == pytest.approx(plain[1], rel=1e-12)
 
 
 class TestGaussianComponent:

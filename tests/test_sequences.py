@@ -273,14 +273,20 @@ class TestGaussianConvolution:
             assert level.lsi_constant_bound == lsi_convolution_bound(base, noise)
 
     def test_empirical_ratio_never_exceeds_bound(self, bimodal_target, rng):
-        sched = TemperingSchedule(betas=(0.25, 0.5, 1.0), d=2, sigma=1.0)
-        ladder = build_gaussian_convolution(bimodal_target, sched)
-        probes = np.vstack(
-            [rng.normal(scale=5.0, size=(5000, 2)), bimodal_target.sample(rng, 5000)]
-        )
-        for level in ladder.levels[1:]:
-            ratios = level.normalized_ratio(probes)
-            assert np.max(ratios) <= level.ratio_bound * (1 + 1e-9)
+        # the second ladder's beta 0.25 -> 1 noised step has the bound (1/0.25)^(d/2) = 4
+        symmetric = TargetMixture.gaussian([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]],
+                                           [np.eye(2), np.eye(2)])
+        cases = [(bimodal_target, (0.25, 0.5, 1.0), 5.0), (symmetric, (0.25, 1.0), 4.0)]
+        for target, betas, scale in cases:
+            sched = TemperingSchedule(betas=betas, d=2, sigma=1.0)
+            ladder = build_gaussian_convolution(target, sched)
+            probes = np.vstack(
+                [rng.normal(scale=scale, size=(5000, 2)), target.sample(rng, 5000)]
+            )
+            for level in ladder.levels[1:]:
+                ratios = level.normalized_ratio(probes)
+                assert np.max(ratios) <= level.ratio_bound * (1 + 1e-9)
+        assert ladder.levels[1].ratio_bound == pytest.approx(4.0)
 
     def test_requires_sigma(self, bimodal_target):
         with pytest.raises(ValueError, match="sigma"):
@@ -363,26 +369,6 @@ class TestInitSampler:
         ens = init_sampler(ladder, 4000, rng)
         reference = rng.normal(scale=math.sqrt(1.0 / 1e-3), size=4000)
         assert stats.ks_2samp(ens.particles[:, 0], reference).pvalue > 0.01
-
-
-class TestDefaultProbes:
-    def test_pilot_plus_grid_for_euclidean(self, bimodal_target, rng):
-        from smcmix.core import validate_ladder
-        from smcmix.sequences import default_probes
-
-        sched = TemperingSchedule(betas=(0.25, 1.0), d=2, sigma=1.0)
-        ladder = build_gaussian_convolution(bimodal_target, sched)
-        probes = default_probes(ladder, rng, n_pilot=500)
-        assert probes.shape[0] > 500  # grid appended to the pilot
-        assert probes.shape[1] == 2
-        report = validate_ladder(ladder, probes)
-        assert not report.flagged
-
-    def test_finite_ladders_enumerate_states(self, finite_ladder, rng):
-        from smcmix.sequences import default_probes
-
-        ladder, _, _ = finite_ladder
-        np.testing.assert_array_equal(default_probes(ladder, rng), np.arange(4))
 
 
 class TestFiniteLadder:
