@@ -327,8 +327,7 @@ class TestFiniteChain:
 
 
 class TestValidateLadder:
-    """A ladder's ratios evaluated directly against their bounds; the
-    convolution case is in test_sequences."""
+    """A ladder's ratios evaluated directly against their bounds."""
 
     def test_identical_levels_max_ratio_one(self, finite_ladder):
         _, pmf1, _ = finite_ladder
@@ -338,6 +337,17 @@ class TestValidateLadder:
         ladder = sequences.build_finite_ladder([pmf1, pmf1], [None, chain])
         np.testing.assert_array_equal(ladder.levels[1].ratio_to_prev(np.arange(4)), np.ones(4))
         assert ladder.levels[1].ratio_bound == 1.0
+
+    def test_convolution_ladder_within_paper_bound(self, rng):
+        target = TargetMixture.gaussian([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]],
+                                        [np.eye(2), np.eye(2)])
+        schedule = sequences.TemperingSchedule(betas=(0.25, 1.0), d=2, sigma=1.0)
+        ladder = sequences.build_gaussian_convolution(target, schedule)
+        probes = np.vstack([rng.normal(scale=4.0, size=(5000, 2)),
+                            target.sample(rng, 5000)])
+        noised = ladder.levels[1]  # the beta 0.25 -> 1.0 transition
+        assert noised.ratio_bound == pytest.approx(4.0)
+        assert np.max(noised.normalized_ratio(probes)) <= 4.0 * (1 + 1e-9)
 
 
 class TestEffectiveSampleSize:
