@@ -11,9 +11,14 @@ smc        the sampler and its kernel dispatch, estimators, replicate harness
 bounds     closed-form constants and N / t prescriptions
 oracle     exact finite-state verification of the underlying inequalities
 cli        config-driven command line (run / bounds / verify / sweep)
+
+``oracle`` (and with it scipy) and ``cli`` (and with it jsonschema) are
+imported on first attribute access, so ``import smcmix`` loads neither.
 """
 
-from . import bounds, cli, core, gaussians, kernels, oracle, sequences, smc
+import importlib
+
+from . import bounds, core, gaussians, kernels, sequences, smc
 from .core import FiniteChain, Ladder, Level, ParticleEnsemble, TargetMixture
 from .gaussians import GaussianComponent
 from .kernels import KernelSpec
@@ -41,3 +46,13 @@ __all__ = [
     "TargetMixture",
     "run_smc",
 ]
+
+_LAZY = ("cli", "oracle")
+
+
+def __getattr__(name):
+    # import_module, not ``from . import``: the latter asks this function for
+    # the name again before it imports the submodule
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,6 +7,10 @@ randomness flows from the master seed (the --seed flag overrides the config).
 ``run`` and ``sweep`` build their ``SmcConfig`` once; with ``--threads K``
 the replicates are split into K contiguous chunks of seeds and each worker
 process is sent the pickled config, so outputs are the same at any K.
+Replicates that fit in one block of ``smc._block_size`` run serially at any
+K, since one process runs them together faster than a pool starts.
+Only ``verify`` (and its chain-file check) imports ``oracle``, and with it
+scipy, so ``run``, ``sweep`` and ``bounds`` start without them.
 A config is validated against ``smcmix/schemas/config.schema.json`` on load;
 every emitted JSON document conforms to its schema under ``smcmix/schemas``,
 which the test suite checks rather than each command at run time.
@@ -20,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
 from importlib import resources
@@ -29,7 +32,7 @@ from typing import NamedTuple, Optional
 import jsonschema
 import numpy as np
 
-from . import bounds, oracle, sequences, smc
+from . import bounds, sequences, smc
 from .core import DegenerateWeightsError, FiniteChain, TargetMixture
 from .kernels import KernelSpec
 
@@ -307,11 +310,14 @@ def _run_chunk(config, seeds) -> list:
 def _run_replicates(config, seeds: list, threads: int) -> list:
     """``_Replicate`` records of ``config``, one per seed, in order.
 
-    With ``threads > 1`` the seeds are split into contiguous chunks, one per
-    worker process, and each worker is sent the pickled ``config``.
+    With ``threads > 1`` and more seeds than one block of
+    ``smc._block_size`` holds, the seeds are split into contiguous chunks,
+    one per worker process, and each worker is sent the pickled ``config``.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     n_rep = len(seeds)
-    if threads <= 1 or n_rep == 1:
+    if threads <= 1 or n_rep <= smc._block_size(config):
         return _run_chunk(config, seeds)
     size = -(-n_rep // threads)
     chunks = [seeds[i:i + size] for i in range(0, n_rep, size)]
@@ -530,6 +536,8 @@ def format_bound_table(report: bounds.BoundReport, feasible: bool = True, cap=No
 
 
 def cmd_verify(cfg: dict | None, out_dir, seed_override, args_suites) -> int:
+    from . import oracle
+
     verify_cfg = (cfg or {}).get("verify", {}) if cfg else {}
     suites = args_suites or verify_cfg.get("suites")
     seed = int(seed_override if seed_override is not None else 0)
@@ -559,6 +567,8 @@ def cmd_verify(cfg: dict | None, out_dir, seed_override, args_suites) -> int:
 
 
 def _chain_validation_check(path: str) -> oracle.CheckReport:
+    from . import oracle
+
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -635,6 +645,14 @@ def _write_json(path: str, doc: dict):
         raise
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, so that a pinned or containerised run does not oversubscribe."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="smcmix",
@@ -644,8 +662,10 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", help="path to the JSON configuration")
     parser.add_argument("--seed", type=int, help="override the master seed")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for replicates (default: all cores)")
+    parser.add_argument("--threads", type=int, default=_usable_cpus(),
+                        help="worker processes for replicates (default: the CPUs "
+                        "this process may use); replicates that fit in one block "
+                        "run serially")
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", help="run the configured SMC experiment")

@@ -2,7 +2,11 @@
 
 import csv
 import json
+import os
 import pickle
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import jsonschema
 import pytest
@@ -221,10 +225,13 @@ class TestRun:
         assert main(["--config", cfg, "--out", str(out2), "--threads", "1", "run"]) == 0
         assert (out1 / "run.json").read_bytes() == (out2 / "run.json").read_bytes()
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        # replicates are merged by index: process-pool output is byte-identical
+    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
+        # replicates are merged by index: process-pool output is byte-identical.
+        # The Euclidean experiments fit one block, which runs serially at any
+        # --threads, so their pooled runs take blocks of 2: 3 replicates make
+        # chunks of 2 and 1
         experiments = {
-            "tempering": base_experiment(),  # 3 replicates: chunks of 2 and 1
+            "tempering": base_experiment(),
             # blocks of 2^16 // (300 * 4) = 54 replicates: serial blocks 54, 54,
             # 12, pooled chunks of 60 each split into 54 and 6
             "finite": finite_experiment(tmp_path, n_particles=300, replicates=120),
@@ -243,13 +250,49 @@ class TestRun:
                              {"schema_version": 1, "experiment": exp})
             serial, pooled = tmp_path / f"{name}_serial", tmp_path / f"{name}_pooled"
             assert main(["--config", cfg, "--out", str(serial), "--threads", "1", "run"]) == 0
-            assert main(["--config", cfg, "--out", str(pooled), "--threads", "2", "run"]) == 0
+            with monkeypatch.context() as m:
+                if name != "finite":
+                    m.setattr(smc, "_block_size", lambda config: 2)
+                assert main(["--config", cfg, "--out", str(pooled), "--threads", "2",
+                             "run"]) == 0
             for out in ("run.json", "replicates.csv"):
                 assert (serial / out).read_bytes() == (pooled / out).read_bytes(), (name, out)
             assert (levels_without_wall_time(serial / "levels.csv")
                     == levels_without_wall_time(pooled / "levels.csv")), name
         one = read_output(tmp_path / "one_component_pooled" / "run.json")
         assert one["summary"]["mean_nu"] is not None
+
+    def test_single_block_runs_without_a_pool(self, tmp_path, monkeypatch):
+        # 4 README-sized replicates fit one block: --threads 2 starts no pool
+        exp = base_experiment(replicates=4, n_particles=512)
+        assert smc._block_size(cli.build_smc_config(exp)[0]) >= 4
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        serial, threaded = tmp_path / "serial", tmp_path / "threaded"
+        assert main(["--config", cfg, "--out", str(serial), "--threads", "1", "run"]) == 0
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
+        assert main(["--config", cfg, "--out", str(threaded), "--threads", "2", "run"]) == 0
+        for out in ("run.json", "replicates.csv"):
+            assert (serial / out).read_bytes() == (threaded / out).read_bytes(), out
+
+    def test_threads_default_to_the_usable_cpus(self, tmp_path, monkeypatch):
+        seen = []
+
+        def record_threads(cfg, out_dir, seed_override, threads):
+            seen.append(threads)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_run", record_threads)
+        # a process pinned to one CPU of a larger machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        cfg = write_json(tmp_path / "c.json",
+                         {"schema_version": 1, "experiment": base_experiment()})
+        assert main(["--config", cfg, "run"]) == 0
+        assert seen == [1]
 
     def test_pooled_replicate_pickles_small(self):
         # a worker returns what `run` writes, not the final N = 10 000 ensemble
@@ -305,6 +348,8 @@ class TestRun:
                             counting("config", cli.build_smc_config))
         monkeypatch.setattr(cli.sequences, "build_power_tempering",
                             counting("ladder", cli.sequences.build_power_tempering))
+        # blocks of 2, so that the 6 replicates go to the pool
+        monkeypatch.setattr(smc, "_block_size", lambda config: 2)
         exp = base_experiment(replicates=6, n_particles=50, exact_value=0.7)
         cfg = write_json(tmp_path / "c.json", {
             "schema_version": 1, "experiment": exp,
@@ -761,7 +806,9 @@ class TestSweep:
     @pytest.mark.parametrize("parameter,values", [
         ("n_particles", [50, 120]), ("time_budget", [0.5, 2.0]),
     ])
-    def test_worker_pool_matches_serial(self, tmp_path, parameter, values):
+    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch, parameter, values):
+        # blocks of 2, so that the 5 replicates go to the pool
+        monkeypatch.setattr(smc, "_block_size", lambda config: 2)
         exp = finite_experiment(tmp_path)
         cfg = write_json(
             tmp_path / "c.json",
@@ -863,3 +910,59 @@ class TestEstimands:
         assert run_exit_code(tmp_path, exp) == 0
         exact = read_output(tmp_path / "o" / "run.json")["summary"]["exact_value"]
         assert exact == pytest.approx(pmf2[2] + pmf2[3])
+
+
+def run_python(*args, cwd=None):
+    """``python *args`` in a fresh process that imports smcmix from this tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+
+
+class TestImports:
+    def test_run_and_bounds_load_neither_scipy_nor_the_oracle(self, tmp_path):
+        exp = base_experiment(n_particles=20, replicates=2)
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp,
+                                               "bounds": bounds_section()})
+        script = f"""
+import sys
+import smcmix.cli as cli
+for command in ("run", "bounds"):
+    assert cli.main(["--config", {cfg!r}, "--out", "o", "--threads", "2", command]) == 0
+assert "scipy" not in sys.modules and "smcmix.oracle" not in sys.modules
+assert cli.main(["--out", "v", "verify", "--suite", "decomposition"]) == 0
+assert "smcmix.oracle" in sys.modules
+"""
+        proc = run_python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert read_output(tmp_path / "v" / "verify.json")["all_passed"] is True
+
+    def test_lazy_submodules_import_on_first_use(self):
+        script = """
+import sys
+import smcmix
+assert "smcmix.oracle" not in sys.modules and "smcmix.cli" not in sys.modules
+assert "jsonschema" not in sys.modules
+assert smcmix.oracle is sys.modules["smcmix.oracle"]
+from smcmix import oracle
+assert oracle is smcmix.oracle and oracle.product_pmf([0.5]).sum() == 1.0
+namespace = {}
+exec("from smcmix import *", namespace)
+assert all(name in namespace for name in smcmix.__all__)
+assert namespace["cli"] is sys.modules["smcmix.cli"]
+assert hasattr(smcmix, "nope") is False
+try:
+    smcmix.nope
+except AttributeError as exc:
+    assert "nope" in str(exc)
+else:
+    raise AssertionError("smcmix.nope did not raise")
+"""
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_module_entry_point_warns_nothing(self):
+        proc = run_python("-W", "error::RuntimeWarning", "-m", "smcmix.cli", "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: smcmix" in proc.stdout
