@@ -7,8 +7,6 @@ randomness flows from the master seed (the --seed flag overrides the config).
 ``run`` and ``sweep`` build their ``SmcConfig`` once; with ``--threads K``
 the replicates are split into K contiguous chunks of seeds and each worker
 process is sent the pickled config, so outputs are the same at any K.
-Replicates that fit in one block of ``smc._block_size`` run serially at any
-K, since one process runs them together faster than a pool starts.
 Only ``verify`` (and its chain-file check) imports ``oracle``, and with it
 scipy, so ``run``, ``sweep`` and ``bounds`` start without them.
 A config is validated against ``smcmix/schemas/config.schema.json`` on load;
@@ -310,15 +308,14 @@ def _run_chunk(config, seeds) -> list:
 def _run_replicates(config, seeds: list, threads: int) -> list:
     """``_Replicate`` records of ``config``, one per seed, in order.
 
-    With ``threads > 1`` and more seeds than one block of
-    ``smc._block_size`` holds, the seeds are split into contiguous chunks,
-    one per worker process, and each worker is sent the pickled ``config``.
+    With ``threads > 1`` the seeds are split into contiguous chunks, one per
+    worker process, and each worker is sent the pickled ``config``.
     """
+    n_rep = len(seeds)
+    if threads <= 1 or n_rep == 1:
+        return _run_chunk(config, seeds)
     from concurrent.futures import ProcessPoolExecutor
 
-    n_rep = len(seeds)
-    if threads <= 1 or n_rep <= smc._block_size(config):
-        return _run_chunk(config, seeds)
     size = -(-n_rep // threads)
     chunks = [seeds[i:i + size] for i in range(0, n_rep, size)]
     with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
@@ -664,8 +661,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--threads", type=int, default=_usable_cpus(),
                         help="worker processes for replicates (default: the CPUs "
-                        "this process may use); replicates that fit in one block "
-                        "run serially")
+                        "this process may use)")
     parser.add_argument("--out", default="out", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", help="run the configured SMC experiment")

@@ -225,13 +225,10 @@ class TestRun:
         assert main(["--config", cfg, "--out", str(out2), "--threads", "1", "run"]) == 0
         assert (out1 / "run.json").read_bytes() == (out2 / "run.json").read_bytes()
 
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
-        # replicates are merged by index: process-pool output is byte-identical.
-        # The Euclidean experiments fit one block, which runs serially at any
-        # --threads, so their pooled runs take blocks of 2: 3 replicates make
-        # chunks of 2 and 1
+    def test_worker_pool_matches_serial(self, tmp_path):
+        # replicates are merged by index: process-pool output is byte-identical
         experiments = {
-            "tempering": base_experiment(),
+            "tempering": base_experiment(),  # 3 replicates: chunks of 2 and 1
             # blocks of 2^16 // (300 * 4) = 54 replicates: serial blocks 54, 54,
             # 12, pooled chunks of 60 each split into 54 and 6
             "finite": finite_experiment(tmp_path, n_particles=300, replicates=120),
@@ -250,11 +247,7 @@ class TestRun:
                              {"schema_version": 1, "experiment": exp})
             serial, pooled = tmp_path / f"{name}_serial", tmp_path / f"{name}_pooled"
             assert main(["--config", cfg, "--out", str(serial), "--threads", "1", "run"]) == 0
-            with monkeypatch.context() as m:
-                if name != "finite":
-                    m.setattr(smc, "_block_size", lambda config: 2)
-                assert main(["--config", cfg, "--out", str(pooled), "--threads", "2",
-                             "run"]) == 0
+            assert main(["--config", cfg, "--out", str(pooled), "--threads", "2", "run"]) == 0
             for out in ("run.json", "replicates.csv"):
                 assert (serial / out).read_bytes() == (pooled / out).read_bytes(), (name, out)
             assert (levels_without_wall_time(serial / "levels.csv")
@@ -262,10 +255,8 @@ class TestRun:
         one = read_output(tmp_path / "one_component_pooled" / "run.json")
         assert one["summary"]["mean_nu"] is not None
 
-    def test_single_block_runs_without_a_pool(self, tmp_path, monkeypatch):
-        # 4 README-sized replicates fit one block: --threads 2 starts no pool
-        exp = base_experiment(replicates=4, n_particles=512)
-        assert smc._block_size(cli.build_smc_config(exp)[0]) >= 4
+    def test_single_replicate_runs_without_a_pool(self, tmp_path, monkeypatch):
+        exp = base_experiment(replicates=1)
         cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
         serial, threaded = tmp_path / "serial", tmp_path / "threaded"
         assert main(["--config", cfg, "--out", str(serial), "--threads", "1", "run"]) == 0
@@ -348,8 +339,6 @@ class TestRun:
                             counting("config", cli.build_smc_config))
         monkeypatch.setattr(cli.sequences, "build_power_tempering",
                             counting("ladder", cli.sequences.build_power_tempering))
-        # blocks of 2, so that the 6 replicates go to the pool
-        monkeypatch.setattr(smc, "_block_size", lambda config: 2)
         exp = base_experiment(replicates=6, n_particles=50, exact_value=0.7)
         cfg = write_json(tmp_path / "c.json", {
             "schema_version": 1, "experiment": exp,
@@ -806,9 +795,7 @@ class TestSweep:
     @pytest.mark.parametrize("parameter,values", [
         ("n_particles", [50, 120]), ("time_budget", [0.5, 2.0]),
     ])
-    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch, parameter, values):
-        # blocks of 2, so that the 5 replicates go to the pool
-        monkeypatch.setattr(smc, "_block_size", lambda config: 2)
+    def test_worker_pool_matches_serial(self, tmp_path, parameter, values):
         exp = finite_experiment(tmp_path)
         cfg = write_json(
             tmp_path / "c.json",
