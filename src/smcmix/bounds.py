@@ -23,6 +23,9 @@ __all__ = [
     "theta_hyper",
     "q_of_t",
     "chat_vbar",
+    "theorem_times",
+    "convolution_gamma",
+    "lsi_convolution_bound",
     "prescribe_main",
     "prescribe_convolution",
 ]
@@ -34,14 +37,47 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-def _power(base: float, exponent: float, name: str) -> float:
-    """``base ** exponent``; a result beyond the float range raises
-    ``ValueError`` naming the constant ``name`` it is computed for."""
+def _float_power(base: float, exponent: float) -> float:
+    """``base ** exponent`` of Python floats; ``inf`` past the float range."""
     try:
-        return base ** exponent
+        return float(base) ** exponent
     except OverflowError:
+        return math.inf
+
+
+def _power(base: float, exponent: float, name: str) -> float:
+    """``base ** exponent``; a result that is not finite (beyond the float
+    range, or an infinite ``base``) raises ``ValueError`` naming the constant
+    ``name`` it is computed for."""
+    value = _float_power(base, exponent)
+    if not math.isfinite(value):
         raise ValueError(f"{name} overflows: {base:.4g} ** {exponent:g} is beyond "
-                         f"the float range") from None
+                         f"the float range")
+    return value
+
+
+def theorem_times(c_star_per_level, gamma: float) -> tuple:
+    """Simplified smoothing times t_k = 2 C*_k gamma^7, one per level."""
+    gamma7 = _power(gamma, 7, "t_k = 2 C*_k gamma^7")
+    return tuple(2.0 * c * gamma7 for c in c_star_per_level)
+
+
+def convolution_gamma(beta_i: float, beta_prev: float, d: int) -> float:
+    """Density-ratio bound (beta_i/beta_prev)^{d/2} of one noised step of a
+    Gaussian-convolution ladder in dimension d; ``inf`` past the float range,
+    which every power of gamma the theorem takes then refuses by name."""
+    return _float_power(beta_i / beta_prev, d / 2.0)
+
+
+def lsi_convolution_bound(c1: float, c2: float) -> float:
+    """Log-Sobolev constant of a convolution: sum of the factors' constants.
+
+    ``c1`` must be positive; ``c2 = 0`` stands for no noise (a point mass),
+    so the un-noised final level of a convolution ladder keeps ``c1``.
+    """
+    if c1 <= 0 or c2 < 0:
+        raise ValueError("c1 must be positive and c2 nonnegative")
+    return c1 + c2
 
 
 @dataclass(frozen=True)
@@ -222,35 +258,11 @@ class BoundReport:
             raise ValueError("delta table must be non-decreasing")
 
     def to_dict(self) -> dict:
-        return {
-            "which_theorem": self.which_theorem,
-            "inputs": {
-                "n": self.params.n,
-                "M": self.params.M,
-                "w_star": self.params.w_star,
-                "gamma": self.params.gamma,
-                "c_star_per_level": list(self.params.c_star_per_level),
-                "f_sup_bound": self.params.f_sup_bound,
-                "epsilon": self.params.epsilon,
-                "delta": self.params.delta,
-                "p": self.params.p,
-            },
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "lambda_per_level": list(self.lambda_per_level),
-            "delta_table": [[p, d] for p, d in self.delta_table],
-            "theta": self.theta,
-            "q_of_t_samples": [[t, q] for t, q in self.q_of_t_samples],
-            "c_hat": self.c_hat,
-            "v_bar": self.v_bar,
-            "n_variance_branch": self.n_variance_branch,
-            "n_moment_branch": self.n_moment_branch,
-            "prescribed_N": self.prescribed_N,
-            "prescribed_t_per_level": list(self.prescribed_t_per_level),
-            "complete_N": self.complete_N,
-            "complete_t_per_level": list(self.complete_t_per_level),
-            "notes": list(self.notes),
-        }
+        """Every field, with ``params`` as ``inputs`` less its per-level weights."""
+        doc = dataclasses.asdict(self)
+        inputs = doc.pop("params")
+        del inputs["per_level_weights"]
+        return {**doc, "inputs": inputs}
 
 
 def _beta_from_params(params: AssumptionParams) -> float:
@@ -303,8 +315,7 @@ def prescribe_main(
     moment_branch = (128.0 * _power(gamma, 35.0 / 8.0, "moment branch gamma^(35/8)")
                      * params.M ** (7.0 / 4.0) / w_power)
     prescribed_n = math.ceil(params.n * max(variance_branch, moment_branch))
-    gamma7 = _power(gamma, 7, "t_k = 2 C*_k gamma^7")
-    t_simplified = tuple(2.0 * c * gamma7 for c in params.c_star_per_level)
+    t_simplified = theorem_times(params.c_star_per_level, gamma)
 
     p = params.p
     table = delta_recursion(2 * p, alpha, beta, gamma)
@@ -358,25 +369,26 @@ def prescribe_convolution(
 ) -> BoundReport:
     """Prescription for a Gaussian-convolution ladder.
 
-    Per-level smoothing times t_k >= 2 (C*_k + sigma^2/beta_k) gamma^7 with
-    gamma = max_k (beta_k / beta_{k-1})^{d/2}; the level constants combine the
-    base log-Sobolev bound with the additive noise term sigma^2/beta_k.
+    ``params.c_star_per_level`` are the base (un-noised) log-Sobolev bounds;
+    level k's constant is C*_k + sigma^2/beta_k (``lsi_convolution_bound``),
+    the noise added here once, and levels beyond the noised ones (the exact
+    target) carry no noise.  Smoothing times are t_k = 2 (C*_k +
+    sigma^2/beta_k) gamma^7 with gamma the larger of ``params.gamma`` and
+    the step bounds max_k (beta_k / beta_{k-1})^{d/2}, so gamma never falls
+    below that of a ladder whose de-noising step has the larger ratio.
     """
     betas = [float(b) for b in betas]
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     if len(betas) < 1:
         raise ValueError("need at least one beta")
-    ratios = [b2 / b1 for b1, b2 in zip(betas, betas[1:])]
-    gamma = max([_power(r, d / 2.0, "gamma = (beta_k/beta_{k-1})^(d/2)") for r in ratios],
-                default=1.0)
-    gamma = max(gamma, 1.0)
-    noise = [sigma ** 2 / b for b in betas]
-    # Levels beyond the noised ones (the exact target) carry no extra noise.
-    per_level = list(params.c_star_per_level)
-    noise = (noise + [0.0] * len(per_level))[: len(per_level)]
-    augmented = dataclasses.replace(
-        params, gamma=gamma, c_star_per_level=tuple(c + nz for c, nz in zip(per_level, noise))
-    )
+    step = max((convolution_gamma(b2, b1, d) for b1, b2 in zip(betas, betas[1:])),
+               default=1.0)
+    if not math.isfinite(step):
+        raise ValueError(f"gamma = (beta_k/beta_{{k-1}})^(d/2) overflows: a step ratio "
+                         f"to the power {d / 2.0:g} is beyond the float range")
+    noise = [sigma ** 2 / b for b in betas] + [0.0] * params.n
+    c_star = tuple(lsi_convolution_bound(c, nz) for c, nz in zip(params.c_star_per_level, noise))
+    augmented = dataclasses.replace(params, gamma=max(params.gamma, step), c_star_per_level=c_star)
     report = prescribe_main(augmented, mode="tv", alpha=alpha)
     return dataclasses.replace(report, which_theorem="convolution")

@@ -108,19 +108,12 @@ def _load_finite_ladder(path: str):
 def _resolve_time_budgets(policy: dict | None, ladder):
     if policy is None or policy["mode"] == "explicit":
         return 1.0 if policy is None else policy["t"]
-    # from_theorem: t_k = 2 C*_k gamma^7 using the ladder's analytic constants
+    # from_theorem: the theorem's t_k from the ladder's analytic constants
     if any(level.lsi_constant_bound is None for level in ladder.levels):
         raise ConfigError("from_theorem time policy needs an analytic ladder "
                           "with a log-Sobolev bound on every level")
-    gamma = ladder.gamma_bound
-    try:
-        gamma7 = gamma ** 7
-    except OverflowError:  # gamma above ~1e44, as a high-dimensional tempering step has
-        raise ConfigError(
-            f"from_theorem budgets 2 C*_k gamma^7 overflow: the ladder's gamma bound "
-            f"is {gamma:.4g}; use explicit times"
-        ) from None
-    budgets = [2.0 * level.lsi_constant_bound * gamma7 for level in ladder.levels]
+    budgets = bounds.theorem_times([lv.lsi_constant_bound for lv in ladder.levels],
+                                   ladder.gamma_bound)
     cap = policy.get("max_total_steps", MAX_THEOREM_STEPS)
     # per smoothed level (2..n): ceil(t/h) Langevin steps or t expected
     # Poissonized jumps, as floats: t/h may still overflow to inf
@@ -157,6 +150,9 @@ def _schedule(ladder_spec: dict, d: int):
 
 
 def _build_ladder(exp: dict):
+    """The experiment's ladder and target (``None`` for a finite ladder file),
+    each level at the builders' unit time budget: run budgets are
+    ``build_smc_config``'s to apply."""
     target_spec = exp["target"]
     ladder_spec = exp["ladder"]
     finite = target_spec["kind"] == "finite_ladder_file"
@@ -185,8 +181,7 @@ def _build_ladder(exp: dict):
                 )
             else:
                 ladder = sequences.build_gaussian_convolution(target, schedule, kernel=kernel)
-        budgets = _resolve_time_budgets(exp.get("time_policy"), ladder)
-        return _with_budgets(ladder, budgets), target
+        return ladder, target
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -266,6 +261,10 @@ def _at_point(config, parameter: str, value):
 
 def build_smc_config(exp: dict):
     ladder, target = _build_ladder(exp)
+    try:
+        ladder = _with_budgets(ladder, _resolve_time_budgets(exp.get("time_policy"), ladder))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     estimand = _build_estimand(exp["estimand"], ladder, target)
     config = smc.SmcConfig(
         ladder=ladder,
@@ -390,64 +389,54 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
 _ASSUMPTION_KEYS = ("n", "M", "w_star", "gamma", "c_star")
 
 
-def _derive_assumptions(cfg: dict) -> dict:
-    """Fill n, M, w_star, gamma, c_star from the experiment's analytic ladder.
+def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
+    """The ``bounds`` section's constants, with any of n, M, w_star, gamma and
+    c_star it lacks derived from the experiment's analytic ladder, built
+    without run budgets.
 
-    A convolution ladder's levels keep the target weights exactly, so its
-    ``w_star`` is the smallest target weight and it also gives
+    Derived ``c_star`` are the ladder's own level constants, except that a
+    ``convolution`` section adds the noise to base constants itself, so it
+    gets the ladder's un-noised one: its last level's.  A convolution
+    ladder's levels keep the target weights exactly, so its ``w_star`` is
+    the smallest target weight and its weights are the exact
     ``per_level_weights``; a tempering ladder's ``w_star`` is the lower bound
     ``tempered_weight_lower_bound`` on its levels' weights.
     """
-    exp = cfg.get("experiment")
-    if exp is None:
-        raise ConfigError(
-            "bounds section is incomplete and there is no experiment to derive from"
-        )
-    ladder, target = _build_ladder(exp)
-    if target is None:
-        raise ConfigError("cannot derive assumption constants from a finite ladder file")
-    c_star = [lv.lsi_constant_bound for lv in ladder.levels]
-    if any(c is None for c in c_star):
-        raise ConfigError("ladder provides no log-Sobolev bound; supply c_star")
-    derived = {
-        "n": ladder.n_levels,
-        "M": target.n_components,
-        "gamma": ladder.gamma_bound,
-        "c_star": c_star,
-    }
-    if exp["ladder"]["kind"] == "convolution":
-        derived["w_star"] = target.w_star
-        derived["per_level_weights"] = (tuple(target.weights.tolist()),) * ladder.n_levels
-        return derived
-    betas = [lv.beta for lv in ladder.levels]
-    try:
-        derived["w_star"] = sequences.tempered_weight_lower_bound(target, betas=betas)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return derived
-
-
-def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
     b = cfg["bounds"]
-    derived = {}
-    if any(key not in b for key in _ASSUMPTION_KEYS):
-        derived = _derive_assumptions(cfg)
-    merged = {**derived, **{k: b[k] for k in _ASSUMPTION_KEYS if k in b}}
-    missing = [k for k in _ASSUMPTION_KEYS if k not in merged]
-    if missing:
-        raise ConfigError(f"bounds section missing {missing} and no ladder to derive them")
-    c_star = merged["c_star"]
-    if np.ndim(c_star) == 0:
-        c_star = [float(c_star)]
-    # exact weights describe the derived mixture, not an explicitly given M or w_star
-    weights = None if "M" in b or "w_star" in b else derived.get("per_level_weights")
+    merged = {k: b[k] for k in _ASSUMPTION_KEYS if k in b}
+    weights = None
     try:
+        if len(merged) < len(_ASSUMPTION_KEYS):
+            exp = cfg.get("experiment")
+            if exp is None:
+                raise ConfigError("bounds section is incomplete and there is no "
+                                  "experiment to derive from")
+            ladder, target = _build_ladder(exp)
+            if target is None:
+                raise ConfigError("cannot derive assumption constants from a finite ladder file")
+            c_star = [lv.lsi_constant_bound for lv in ladder.levels]
+            derived = {
+                "n": ladder.n_levels,
+                "M": target.n_components,
+                "gamma": ladder.gamma_bound,
+                "c_star": c_star[-1:] if "convolution" in b else c_star,
+            }
+            if exp["ladder"]["kind"] == "convolution":
+                derived["w_star"] = target.w_star
+                # exact weights describe the derived mixture, not a given M or w_star
+                if "M" not in b and "w_star" not in b:
+                    weights = (tuple(target.weights.tolist()),) * ladder.n_levels
+            else:
+                betas = [lv.beta for lv in ladder.levels]
+                derived["w_star"] = sequences.tempered_weight_lower_bound(target, betas=betas)
+            merged = {**derived, **merged}
+        c_star = merged["c_star"]
         return bounds.AssumptionParams(
             n=int(merged["n"]),
             M=int(merged["M"]),
             w_star=float(merged["w_star"]),
             gamma=float(merged["gamma"]),
-            c_star_per_level=tuple(float(c) for c in c_star),
+            c_star_per_level=tuple(float(c) for c in np.atleast_1d(c_star)),
             f_sup_bound=float(b["f_sup_bound"]),
             epsilon=float(b["epsilon"]),
             delta=float(b.get("delta", 0.1)),
@@ -497,12 +486,12 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
 
 
 def _all_finite(value) -> bool:
-    """Whether every number in a report value (nested lists and dicts) is finite."""
+    """Whether every number in a report value (nested lists, tuples, dicts) is finite."""
     if isinstance(value, float):
         return math.isfinite(value)
     if isinstance(value, dict):
         value = list(value.values())
-    return not isinstance(value, list) or all(_all_finite(v) for v in value)
+    return not isinstance(value, (list, tuple)) or all(_all_finite(v) for v in value)
 
 
 def format_bound_table(report: bounds.BoundReport, feasible: bool = True, cap=None) -> str:

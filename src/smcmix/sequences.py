@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import kernels
+from .bounds import convolution_gamma, lsi_convolution_bound
 from .core import (
     Ladder,
     Level,
@@ -159,17 +160,6 @@ def tempered_weight_lower_bound(
     return float(worst * alpha_min ** 2)
 
 
-def lsi_convolution_bound(c1: float, c2: float) -> float:
-    """Log-Sobolev constant of a convolution: sum of the factors' constants.
-
-    ``c1`` must be positive; ``c2 = 0`` stands for no noise (a point mass),
-    so the un-noised final level of a convolution ladder keeps ``c1``.
-    """
-    if c1 <= 0 or c2 < 0:
-        raise ValueError("c1 must be positive and c2 nonnegative")
-    return c1 + c2
-
-
 def _hessian_bound(target: TargetMixture, beta: float) -> float:
     return beta * max(1.0 / g.lambda_min for g in target.components)
 
@@ -262,8 +252,8 @@ def build_gaussian_convolution(
     The first len(betas) levels are the noised mixtures (component
     covariances Sigma_i + (sigma^2/beta_k) I, weights unchanged); the final
     level is the target itself.  Per-step ratio bounds are
-    (beta_k/beta_{k-1})^{d/2} for noised steps and the closed-form determinant
-    ratio for the final de-noising step.
+    ``bounds.convolution_gamma`` for noised steps and the closed-form
+    determinant ratio for the final de-noising step.
     """
     gauss = target.components
     if schedule.sigma is None:
@@ -299,7 +289,7 @@ def build_gaussian_convolution(
         if k > 0:
             ratio = partial(_mixture_ratio, mix, mixtures[k - 1])
             if k < len(betas):
-                bound = (betas[k] / betas[k - 1]) ** (d / 2.0)
+                bound = convolution_gamma(betas[k], betas[k - 1], d)
             else:
                 tau = sigma2 / betas[-1]
                 bound = max(

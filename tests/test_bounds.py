@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from smcmix.bounds import (
     AssumptionParams,
     chat_vbar,
+    convolution_gamma,
     delta_recursion,
     prescribe_convolution,
     prescribe_main,
     q_of_t,
     single_step_constants,
     theta_hyper,
+    theorem_times,
 )
 
 
@@ -214,6 +216,29 @@ class TestPrescribeConvolution:
         # gamma = (1.0/0.5)^{2/2} = 2; t_k = 2 (C* + sigma^2/beta_k) gamma^7
         assert report.prescribed_t_per_level[0] == pytest.approx(2.0 * (1.0 + 2.0) * 128.0)
         assert report.prescribed_t_per_level[1] == pytest.approx(2.0 * (1.0 + 1.0) * 128.0)
+
+
+    def test_gamma_never_below_the_given_one(self):
+        # a ladder's de-noising step may have the larger ratio: gamma 5 > 2
+        params = toy_params(n=2, c_star_per_level=(1.0, 1.0), gamma=5.0)
+        report = prescribe_convolution(params, sigma=1.0, betas=[0.5, 1.0], d=2)
+        assert report.params.gamma == 5.0
+        assert report.prescribed_t_per_level == theorem_times((3.0, 2.0), 5.0)
+
+    def test_step_bound_beyond_float_range_is_infinite(self):
+        assert convolution_gamma(1.0, 1e-5, 160) == math.inf
+        assert convolution_gamma(1.0, 0.5, 2) == 2.0
+
+
+class TestTheoremTimes:
+    def test_two_c_star_gamma_seven(self):
+        assert theorem_times((1.0, 0.5), 2.0) == (256.0, 128.0)
+
+    def test_infinite_gamma_named(self):
+        with pytest.raises(ValueError, match=r"t_k = 2 C\*_k gamma\^7 overflows"):
+            theorem_times((1.0,), math.inf)
+        with pytest.raises(ValueError, match=r"alpha = 1/\(2 gamma\^6\) overflows"):
+            prescribe_main(toy_params(gamma=math.inf))
 
 
 class TestAssumptionParams:

@@ -114,6 +114,20 @@ ONE_COMPONENT = {"kind": "gaussian_mixture", "weights": [1.0], "means": [[1.0, -
                  "covariances": [[[2.0, 0.3], [0.3, 1.0]]]}
 
 
+def overflowing_convolution_experiment(**overrides):
+    """d = 160 and betas [1e-5, 1]: the noised step's bound (1e5)^80 is beyond
+    the float range."""
+    d = 160
+    return base_experiment(**{
+        "target": {"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                   "means": [[-3.0] * d, [3.0] * d]},
+        "ladder": {"kind": "convolution", "betas": [1e-5, 1.0], "sigma": 1.0},
+        "n_particles": 16,
+        "replicates": 1,
+        **overrides,
+    })
+
+
 def run_exit_code(tmp_path, exp):
     cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
     return main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1", "run"])
@@ -483,6 +497,14 @@ class TestRun:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1",
                      "run"]) == 0
 
+    def test_overflowing_convolution_step_bound_runs_with_explicit_times(self, tmp_path):
+        assert run_exit_code(tmp_path, overflowing_convolution_experiment()) in (0, 3)
+
+    def test_overflowing_convolution_step_bound_refuses_theorem_times(self, tmp_path, capsys):
+        exp = overflowing_convolution_experiment(time_policy={"mode": "from_theorem"})
+        assert run_exit_code(tmp_path, exp) == 2
+        assert "t_k = 2 C*_k gamma^7 overflows" in capsys.readouterr().err
+
     def test_degenerate_run_exits_three(self, tmp_path):
         doc = {
             "kind": "finite_ladder",
@@ -649,6 +671,63 @@ class TestBounds:
         assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
         assert read_output(out / "bounds.json")["inputs"]["w_star"] == pytest.approx(
             w_star, rel=1e-15)
+
+    def test_convolution_section_adds_the_noise_once_at_the_ladder_gamma(self, tmp_path):
+        # README target: the ladder's C*_k are 1 + 4/0.25, 1 + 4/1 and 1, and
+        # its de-noising step's bound 5 tops the noised step's (1/0.25)^(2/2) = 4
+        exp = base_experiment(ladder={"kind": "convolution", "betas": [0.25, 1.0],
+                                      "sigma": 2.0})
+        cfg = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "experiment": exp,
+            "bounds": {"mode": "tv", "epsilon": 0.1, "f_sup_bound": 1.0,
+                       "convolution": {"sigma": 2.0, "betas": [0.25, 1.0], "d": 2}},
+        })
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
+        inputs = read_output(out / "bounds.json")["inputs"]
+        ladder = cli.build_smc_config(exp)[0].ladder
+        c_star = [lv.lsi_constant_bound for lv in ladder.levels]
+        assert inputs["c_star_per_level"] == c_star == [17.0, 5.0, 1.0]
+        assert inputs["gamma"] == ladder.gamma_bound == pytest.approx(5.0)
+
+    def test_report_does_not_apply_run_budgets(self, tmp_path):
+        # from_theorem budgets of this ladder need ~7.3e9 kernel steps per
+        # particle, beyond the run cap; the report is the same without them
+        exp = base_experiment(ladder={"kind": "tempering", "n_levels": 4, "beta_min": 0.05},
+                              kernel={"kind": "langevin", "step_size": 0.05})
+        del exp["time_policy"]
+        reports = []
+        for name, policy in (("none", None), ("theorem", {"mode": "from_theorem"})):
+            cfg = write_json(tmp_path / f"{name}.json", {
+                "schema_version": 1,
+                "experiment": exp if policy is None else {**exp, "time_policy": policy},
+                "bounds": {"mode": "tv", "epsilon": 0.1, "f_sup_bound": 1.0},
+            })
+            out = tmp_path / name
+            assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
+            reports.append((out / "bounds.json").read_bytes())
+        assert reports[0] == reports[1]
+        doc = json.loads(reports[1])
+        assert doc["inputs"]["gamma"] == pytest.approx(9.048, abs=5e-4)
+        assert doc["prescribed_N"] == 2_408_782_954
+
+    @pytest.mark.parametrize("convolution,message", [
+        (None, "alpha = 1/(2 gamma^6) overflows: inf"),
+        ({"sigma": 1.0, "betas": [1e-5, 1.0], "d": 160},
+         "gamma = (beta_k/beta_{k-1})^(d/2) overflows"),
+    ])
+    def test_overflowing_convolution_step_bound_is_config_error(self, tmp_path, capsys,
+                                                                convolution, message):
+        section = {"mode": "tv", "epsilon": 0.1, "f_sup_bound": 1.0}
+        if convolution is not None:
+            section["convolution"] = convolution
+        cfg = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "experiment": overflowing_convolution_experiment(),
+            "bounds": section,
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "bounds"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
 
     def test_feasibility_cap_flagged(self, tmp_path, capsys):
         cfg = write_json(
