@@ -12,8 +12,8 @@ bounds     closed-form constants and N / t prescriptions
 oracle     exact finite-state verification of the underlying inequalities
 cli        config-driven command line (run / bounds / verify / sweep)
 
-``oracle`` (and with it scipy) and ``cli`` (and with it jsonschema) are
-imported on first attribute access, so ``import smcmix`` loads neither.
+``oracle`` and ``cli`` (and with it jsonschema) are imported on first
+attribute access, so ``import smcmix`` loads neither.
 """
 
 import importlib

@@ -7,8 +7,8 @@ randomness flows from the master seed (the --seed flag overrides the config).
 ``run`` and ``sweep`` build their ``SmcConfig`` once; with ``--threads K``
 the replicates are split into K contiguous chunks of seeds and each worker
 process is sent the pickled config, so outputs are the same at any K.
-Only ``verify`` (and its chain-file check) imports ``oracle``, and with it
-scipy, so ``run``, ``sweep`` and ``bounds`` start without them.
+Only ``verify`` (and its chain-file check) imports ``oracle``, so ``run``,
+``sweep`` and ``bounds`` start without it.
 A config is validated against ``smcmix/schemas/config.schema.json`` on load;
 every emitted JSON document conforms to its schema under ``smcmix/schemas``,
 which the test suite checks rather than each command at run time.
@@ -447,6 +447,35 @@ def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_convolution_section(cfg: dict, n: int):
+    """Refuse a ``bounds.convolution`` section that does not describe the
+    ladder: more betas than its n - 1 noised levels (the noise would fall on
+    the exact target), a ``d`` unlike the experiment target's, or, when the
+    constants are derived from the experiment, betas or a sigma unlike its
+    ladder's."""
+    b = cfg["bounds"]
+    conv = b["convolution"]
+    betas = tuple(float(beta) for beta in conv["betas"])
+    if len(betas) > n - 1:
+        raise ConfigError(f"bounds.convolution has {len(betas)} betas but the ladder "
+                          f"has {n - 1} noised levels (n = {n})")
+    exp = cfg.get("experiment")
+    if exp is None or exp["target"]["kind"] == "finite_ladder_file":
+        return
+    d = len(exp["target"]["means"][0])
+    if conv["d"] != d:
+        raise ConfigError(f"bounds.convolution has d = {conv['d']} but the target "
+                          f"has dimension {d}")
+    if any(key not in b for key in _ASSUMPTION_KEYS):
+        schedule = _schedule(exp["ladder"], d)
+        if betas != schedule.betas:
+            raise ConfigError(f"bounds.convolution has betas {list(betas)} but the "
+                              f"experiment's ladder has {list(schedule.betas)}")
+        if conv["sigma"] != schedule.sigma:
+            raise ConfigError(f"bounds.convolution has sigma {conv['sigma']:g} but the "
+                              f"experiment's ladder has {schedule.sigma}")
+
+
 def cmd_bounds(cfg: dict, out_dir) -> int:
     if "bounds" not in cfg:
         raise ConfigError("bounds needs a 'bounds' section")
@@ -458,6 +487,8 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
             report = bounds.prescribe_convolution(
                 params, conv["sigma"], conv["betas"], conv["d"], alpha=b.get("alpha")
             )
+            # checked after the prescription, so a step bound past the float range is named first
+            _check_convolution_section(cfg, params.n)
         else:
             report = bounds.prescribe_main(params, mode=b["mode"], alpha=b.get("alpha"))
     except ValueError as exc:

@@ -132,11 +132,11 @@ def mh_step(log_density, x, proposal_scale: float, rng: np.random.Generator):
 
 
 def _poisson_jumps(state: np.ndarray, t: float, rngs, step) -> np.ndarray:
-    """Apply K ~ Poisson(t) jumps to each particle of the (B, N, ...) block
-    ``state``, in place.  Row b draws its N jump counts from ``rngs[b]``; at
-    every jump ``step(states, rngs, counts)`` moves the still-active
-    particles of all rows, stacked in row order, ``counts[b]`` of them from
-    row b, whose randomness it draws from ``rngs[b]``."""
+    """Apply K ~ Poisson(t) jumps to each particle of the C-contiguous
+    (B, N, ...) block ``state``, in place.  Row b draws its N jump counts
+    from ``rngs[b]``; at every jump ``step(states, rngs, counts)`` moves the
+    still-active particles of all rows, stacked in row order, ``counts[b]``
+    of them from row b, whose randomness it draws from ``rngs[b]``."""
     if t < 0:
         raise ValueError("time must be nonnegative")
     jumps = np.empty(state.shape[:2], dtype=np.int64)
@@ -146,9 +146,12 @@ def _poisson_jumps(state: np.ndarray, t: float, rngs, step) -> np.ndarray:
     # remaining[b, j]: how many particles of row b jump more than j times
     hist = [np.bincount(row, minlength=n_jumps + 1) for row in jumps]
     remaining = state.shape[1] - np.cumsum(hist, axis=1)
+    flat = state.reshape(-1, *state.shape[2:])  # a view: ``state`` is contiguous
+    counts = jumps.ravel()
+    idx = np.flatnonzero(counts)  # the particles that jump again, row-major
     for j in range(n_jumps):
-        active = jumps > j
-        state[active] = step(state[active], rngs, remaining[:, j])
+        flat[idx] = step(flat[idx], rngs, remaining[:, j])
+        idx = idx[counts[idx] > j + 1]
     return state
 
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import logsumexp
 
 from . import bounds
 from .core import FiniteChain, NonReversibleChainError
@@ -157,6 +155,15 @@ def _random_fs(rng: np.random.Generator, trials: int, size: int, kind: str) -> n
     return f / np.where(top > 0, top, 1.0)
 
 
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log sum_j exp(a[i, j]) for every row i, shifted by the row max; a row
+    of only -inf gives -inf."""
+    shift = a.max(axis=1)
+    shift[np.isneginf(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(a - shift[:, None]).sum(axis=1)) + shift
+
+
 def _var(pi: np.ndarray, f: np.ndarray):
     """Var_pi of one function or of each row of a stack."""
     m = (f @ pi)[..., None]
@@ -222,8 +229,11 @@ def check_generator_decomposition(
 def semigroup(chain: FiniteChain, t: float) -> np.ndarray:
     """e^{t(P - I)} as a dense matrix.
 
-    Reversible chains go through the pi-symmetrized eigendecomposition;
-    otherwise scipy's scaling-and-squaring Pade expm.
+    Reversible chains go through the pi-symmetrized eigendecomposition.
+    Other chains go through uniformization: with s = max(0, ceil(log2 t))
+    and tau = t / 2^s, e^{tau(P - I)} = sum_k e^{-tau} tau^k/k! P^k, summed
+    until the Poisson weight tau^k/k! falls below 1e-17, then squared s
+    times.  Every term is nonnegative, so nothing cancels.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -233,7 +243,20 @@ def semigroup(chain: FiniteChain, t: float) -> np.ndarray:
         weighted = rows * np.exp(t * (lam - 1.0))[None, :]
         S = (weighted @ rows.T) * (root[None, :] / root[:, None])
         return S
-    return scipy.linalg.expm(t * (chain.P - np.eye(chain.n_states)))
+    squarings = math.ceil(math.log2(t)) if t > 1 else 0
+    tau = t / 2.0 ** squarings
+    term = np.eye(chain.n_states)  # tau^k/k! P^k
+    total = term.copy()
+    k, weight = 0, 1.0
+    while weight >= 1e-17:
+        k += 1
+        weight *= tau / k
+        term = (tau / k) * (term @ chain.P)
+        total += term
+    S = math.exp(-tau) * total
+    for _ in range(squarings):
+        S = S @ S
+    return S
 
 
 def _symmetric_spectrum(chain: FiniteChain):
@@ -394,7 +417,7 @@ def hypercontractivity_check(
     log_wstar = math.log(mix.w_star)
     F = _random_fs(rng, trials, mix.n_states, "positive")
     curve = np.stack([
-        np.exp(logsumexp(log_pi + q * np.log(F @ S.T), axis=1) / q - log_wstar / q)
+        np.exp(_row_logsumexp(log_pi + q * np.log(F @ S.T)) / q - log_wstar / q)
         for S, q in zip(semis, qs)
     ], axis=1)
     drops = curve[:, :-1] - curve[:, 1:]  # >= 0 when non-increasing

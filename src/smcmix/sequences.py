@@ -10,6 +10,7 @@ its mixture and exponent β; ``level_log_density`` and
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -96,6 +97,15 @@ def geometric_schedule(
     return TemperingSchedule(betas=betas, d=d, sigma=sigma)
 
 
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
+
+
+def _exp_bound(log_bound: float) -> float:
+    """e^log_bound of a ratio bound taken in log space; ``inf`` past the
+    float range, without numpy's overflow warning."""
+    return math.inf if log_bound > _LOG_FLOAT_MAX else float(np.exp(log_bound))
+
+
 def power_tempering_gamma(
     target: TargetMixture, beta_i: float, beta_prev: float, conservative: bool = False
 ) -> float:
@@ -119,7 +129,7 @@ def power_tempering_gamma(
     )
     if conservative:
         out += 0.5 * d * dbeta * _LOG_2PI
-    return float(np.exp(out))
+    return _exp_bound(out)
 
 
 def tempered_component_lsi(target: TargetMixture, component: int, beta_i: float) -> float:
@@ -292,10 +302,9 @@ def build_gaussian_convolution(
                 bound = convolution_gamma(betas[k], betas[k - 1], d)
             else:
                 tau = sigma2 / betas[-1]
-                bound = max(
-                    np.exp(0.5 * (g.convolved(tau).log_det_cov - g.log_det_cov))
-                    for g in gauss
-                )
+                bound = _exp_bound(max(
+                    0.5 * (g.convolved(tau).log_det_cov - g.log_det_cov) for g in gauss
+                ))
             gamma = max(gamma, bound)
         levels.append(
             Level(

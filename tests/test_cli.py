@@ -690,6 +690,32 @@ class TestBounds:
         assert inputs["c_star_per_level"] == c_star == [17.0, 5.0, 1.0]
         assert inputs["gamma"] == ladder.gamma_bound == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("given,convolution,message", [
+        # the README ladder has two noised levels; a third beta charges the target
+        ({}, {"sigma": 2.0, "betas": [0.1, 0.25, 1.0], "d": 2}, "has 2 noised levels"),
+        ({"n": 3, "M": 2, "w_star": 0.3, "gamma": 5.0, "c_star": 1.0},
+         {"sigma": 2.0, "betas": [0.1, 0.25, 1.0], "d": 2}, "has 2 noised levels"),
+        ({}, {"sigma": 2.0, "betas": [0.5, 1.0], "d": 2},
+         "the experiment's ladder has [0.25, 1.0]"),
+        # the ladder's constants are [17, 5, 1]; sigma 5 would give [101, 26, 1]
+        ({}, {"sigma": 5.0, "betas": [0.25, 1.0], "d": 2}, "the experiment's ladder has 2.0"),
+        ({"n": 3, "M": 2, "w_star": 0.3, "gamma": 5.0, "c_star": 1.0},
+         {"sigma": 2.0, "betas": [0.25, 1.0], "d": 3}, "the target has dimension 2"),
+    ])
+    def test_convolution_section_unlike_the_ladder_is_config_error(
+            self, tmp_path, capsys, given, convolution, message):
+        exp = base_experiment(ladder={"kind": "convolution", "betas": [0.25, 1.0],
+                                      "sigma": 2.0})
+        cfg = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "experiment": exp,
+            "bounds": {"mode": "tv", "epsilon": 0.1, "f_sup_bound": 1.0, **given,
+                       "convolution": convolution},
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "bounds"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_report_does_not_apply_run_budgets(self, tmp_path):
         # from_theorem budgets of this ladder need ~7.3e9 kernel steps per
         # particle, beyond the run cap; the report is the same without them
@@ -1003,6 +1029,29 @@ assert "smcmix.oracle" in sys.modules
         proc = run_python("-c", script, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert read_output(tmp_path / "v" / "verify.json")["all_passed"] is True
+
+    def test_verify_runs_without_scipy(self, tmp_path):
+        chain = write_json(tmp_path / "chain.json", {"P": [[0.1, 0.9, 0.0], [0.0, 0.2, 0.8],
+                                                           [0.7, 0.0, 0.3]]})
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1,
+                                               "verify": {"chain_file": chain}})
+        script = f"""
+import sys
+import numpy as np
+import smcmix.cli as cli
+assert cli.main(["--config", {cfg!r}, "--out", "v", "--seed", "0", "verify"]) == 0
+from smcmix import oracle
+from smcmix.core import FiniteChain
+chain = FiniteChain(P=np.array([[0.1, 0.9, 0.0], [0.0, 0.2, 0.8], [0.7, 0.0, 0.3]]))
+assert not chain.reversible and oracle.semigroup(chain, 5.0).shape == (3, 3)
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+"""
+        proc = run_python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        doc = read_output(tmp_path / "v" / "verify.json")
+        assert doc["all_passed"] is True
+        assert doc["checks"][0]["name"] == "chain_validation"
+        assert len(doc["checks"]) == 18
 
     def test_lazy_submodules_import_on_first_use(self):
         script = """

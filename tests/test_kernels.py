@@ -10,6 +10,7 @@ from smcmix.core import FiniteChain
 from smcmix.kernels import (
     KernelSpec,
     _chain_step,
+    _poisson_jumps,
     default_step_size,
     glauber_transition_matrix,
     mh_evolve,
@@ -231,6 +232,32 @@ class TestPoissonized:
         table = (np.cumsum(chain.P, axis=1)[states] < u[:, None]).sum(axis=1)
         np.testing.assert_array_equal(nxt, np.minimum(table, n_states - 1))
         assert nxt.dtype == np.int64
+
+    def test_jumps_equal_the_masked_loop(self):
+        """The index-shrinking jump loop against the boolean-mask loop it
+        replaced, restated here: same particles, same uniforms, same states."""
+        P = np.random.default_rng(0).random((5, 5))
+        chain = FiniteChain(P=P / P.sum(axis=1, keepdims=True))
+        start = np.random.default_rng(1).integers(0, 5, size=(3, 40))
+
+        def masked(state, t, rngs, step):
+            jumps = np.empty(state.shape[:2], dtype=np.int64)
+            for row, rng in zip(jumps, rngs):
+                row[:] = rng.poisson(t, size=state.shape[1])
+            n_jumps = int(jumps.max(initial=0))
+            hist = [np.bincount(row, minlength=n_jumps + 1) for row in jumps]
+            remaining = state.shape[1] - np.cumsum(hist, axis=1)
+            for j in range(n_jumps):
+                active = jumps > j
+                state[active] = step(state[active], rngs, remaining[:, j])
+            return state
+
+        for seed, t in enumerate((0.0, 0.7, 4.0)):
+            streams = [[np.random.default_rng([seed, b]) for b in range(3)] for _ in range(2)]
+            ref = masked(start.copy(), t, streams[0], _chain_step(chain))
+            out = _poisson_jumps(start.copy(), t, streams[1], _chain_step(chain))
+            np.testing.assert_array_equal(out, ref)
+            assert [r.random() for r in streams[0]] == [r.random() for r in streams[1]]
 
     def test_single_state_input(self, rng):
         chain = glauber_transition_matrix(np.ones(4) / 4, 2)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import logsumexp
 
 from smcmix import oracle
 from smcmix.core import FiniteChain, NonReversibleChainError
@@ -127,6 +128,35 @@ class TestSemigroup:
         np.testing.assert_allclose(
             semigroup(chain, 1.1), scipy.linalg.expm(1.1 * (P - np.eye(3))), atol=1e-12
         )
+
+    @pytest.mark.parametrize("size", [3, 8, 16, 64])
+    def test_uniformization_matches_scipy_on_random_nonreversible(self, size):
+        rng = np.random.default_rng([7, size])
+        P = rng.random((size, size)) ** 3
+        P /= P.sum(axis=1, keepdims=True)
+        chain = FiniteChain(P=P)
+        assert not chain.reversible
+        for t in (0.0, 0.1, 1.3, 5.0, 100.0):
+            S = semigroup(chain, t)
+            ref = scipy.linalg.expm(t * (P - np.eye(size)))
+            assert np.max(np.abs(S - ref)) <= 1e-12, t
+            np.testing.assert_allclose(S.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.array_equal(semigroup(chain, 0.0), np.eye(size))
+
+
+class TestRowLogSumExp:
+    def test_matches_scipy_on_wide_rows(self):
+        rng = np.random.default_rng(3)
+        a = rng.uniform(-500.0, 500.0, size=(20, 9))
+        np.testing.assert_allclose(oracle._row_logsumexp(a), logsumexp(a, axis=1),
+                                   rtol=1e-15, atol=0)
+
+    def test_matches_scipy_on_rows_with_minus_infinity(self):
+        a = np.array([[0.0, -np.inf, 3.0], [-np.inf, -np.inf, -np.inf], [-np.inf, 2.0, -1e3]])
+        out = oracle._row_logsumexp(a)
+        ref = logsumexp(a, axis=1)
+        assert out[1] == ref[1] == -np.inf
+        np.testing.assert_allclose(out[[0, 2]], ref[[0, 2]], rtol=1e-15, atol=0)
 
 
 class TestVarianceDecay:

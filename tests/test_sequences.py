@@ -1,6 +1,7 @@
 """Ladder builders and their analytic constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,12 @@ class TestPowerTemperingGamma:
         got = power_tempering_gamma(target, 1.0, 0.5)
         assert got == pytest.approx(2.0 * 2.0 ** 0.5 * 4.0 ** 0.25, rel=1e-12)
 
+    def test_bound_beyond_float_range_is_inf_without_warning(self):
+        target = equal_cov_target(means=((-2.0,) * 10, (2.0,) * 10), d=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert power_tempering_gamma(target, 1.0, 1e-300) == math.inf
+
 
 class TestTemperedConstants:
     def test_lsi_single_standard_component(self):
@@ -281,6 +288,16 @@ class TestGaussianConvolution:
         for level in ladder.levels[1:]:
             ratios = level.normalized_ratio(probes)
             assert np.max(ratios) <= level.ratio_bound * (1 + 1e-9)
+
+    def test_denoising_bound_beyond_float_range_is_inf_without_warning(self):
+        # d = 160, noise 1e5: the bound (1 + 1e5)^80 is beyond the float range
+        d = 160
+        target = TargetMixture.gaussian([1.0], [[0.0] * d], [np.eye(d)])
+        sched = TemperingSchedule(betas=(1e-5,), d=d, sigma=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ladder = build_gaussian_convolution(target, sched)
+        assert ladder.levels[1].ratio_bound == ladder.gamma_bound == math.inf
 
     def test_requires_sigma(self, bimodal_target):
         with pytest.raises(ValueError, match="sigma"):
