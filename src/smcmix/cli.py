@@ -25,7 +25,6 @@ import sys
 from dataclasses import replace
 from functools import partial
 from importlib import resources
-from typing import NamedTuple, Optional
 
 import jsonschema
 import numpy as np
@@ -280,32 +279,14 @@ def build_smc_config(exp: dict):
 # ---------------------------------------------------------------------------
 
 
-class _Replicate(NamedTuple):
-    """What ``run`` and ``sweep`` write of one replicate: no particles, so a
-    worker process sends back a few hundred bytes, not the final ensemble."""
-
-    eta: float
-    nu: Optional[float]
-    ess_per_level: tuple
-    weight_sums_per_level: tuple
-    normalized_weight_sums_per_level: Optional[tuple]
-    level_wall_times: tuple
-    init_acceptance_rate: float
-
-
 def _run_chunk(config, seeds) -> list:
-    return [
-        _Replicate(
-            r.eta_estimate, r.nu_estimate, r.ess_per_level, r.weight_sums_per_level,
-            r.normalized_weight_sums_per_level, r.level_wall_times,
-            r.final_ensemble.init_acceptance_rate,
-        )
-        for r in smc.run_seeded(config, seeds)
-    ]
+    """The runs of ``config`` at ``seeds`` without their particles, so that a
+    worker process sends back a few hundred bytes, not the final ensembles."""
+    return [replace(r, final_ensemble=None) for r in smc.run_seeded(config, seeds)]
 
 
 def _run_replicates(config, seeds: list, threads: int) -> list:
-    """``_Replicate`` records of ``config``, one per seed, in order.
+    """The runs of ``config``, one per seed, in order, without their particles.
 
     With ``threads > 1`` the seeds are split into contiguous chunks, one per
     worker process, and each worker is sent the pickled ``config``.
@@ -329,45 +310,27 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     master_seed = int(exp["master_seed"] if seed_override is None else seed_override)
     n_rep = exp["replicates"]
     config, exact = build_smc_config(exp)
+    _make_out_dir(out_dir)
     seeds = [smc.replicate_seed(master_seed, i) for i in range(n_rep)]
     results = _run_replicates(config, seeds, threads)
 
-    stats = smc.summarize_etas([r.eta for r in results], exact)
-    nus = [r.nu for r in results]
+    stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
+    nus = [r.nu_estimate for r in results]
     doc = {
         "schema_version": 1,
         "master_seed": master_seed,
         "n_particles": exp["n_particles"],
         "n_levels": config.ladder.n_levels,
         "estimand": exp["estimand"],
-        "replicates": [
-            {
-                "replicate": i,
-                "seed": seed,
-                "eta": float(r.eta),
-                "nu": None if r.nu is None else float(r.nu),
-                "ess_per_level": [float(v) for v in r.ess_per_level],
-                "weight_sums_per_level": [float(v) for v in r.weight_sums_per_level],
-                "normalized_weight_sums_per_level": (
-                    None
-                    if r.normalized_weight_sums_per_level is None
-                    else [float(v) for v in r.normalized_weight_sums_per_level]
-                ),
-                "init_acceptance_rate": float(r.init_acceptance_rate),
-            }
-            for i, (seed, r) in enumerate(zip(seeds, results))
-        ],
+        "replicates": [{"replicate": i, **r.to_dict()} for i, r in enumerate(results)],
         "summary": {
             "mean_eta": stats["mean_eta"],
             "var_eta": stats["variance"],
-            "mean_nu": (
-                float(np.mean([v for v in nus])) if all(v is not None for v in nus) else None
-            ),
+            "mean_nu": None if None in nus else float(np.mean(nus)),
             "mse": stats["mse"],
             "exact_value": exact,
         },
     }
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "run.json"), doc)
     with open(os.path.join(out_dir, "levels.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -380,8 +343,9 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     with open(os.path.join(out_dir, "replicates.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replicate", "seed", "eta", "nu"])
-        for i, (seed, r) in enumerate(zip(seeds, results)):
-            writer.writerow([i, seed, f"{r.eta!r}", "" if r.nu is None else f"{r.nu!r}"])
+        for i, r in enumerate(results):
+            nu = "" if r.nu_estimate is None else f"{r.nu_estimate!r}"
+            writer.writerow([i, r.master_seed, f"{r.eta_estimate!r}", nu])
     print(f"wrote {out_dir}/run.json, levels.csv, replicates.csv")
     return 0
 
@@ -506,7 +470,7 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
     print()
     print(format_bound_table(report, feasible=doc["feasible"], cap=cap))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+        _make_out_dir(out_dir)
         _write_json(os.path.join(out_dir, "bounds.json"), doc)
     if not doc["feasible"]:
         print(
@@ -559,6 +523,8 @@ def cmd_verify(cfg: dict | None, out_dir, seed_override, args_suites) -> int:
     suites = args_suites or verify_cfg.get("suites")
     seed = int(seed_override if seed_override is not None else 0)
     scale = verify_cfg.get("trials_scale", 1.0)
+    if out_dir:
+        _make_out_dir(out_dir)
     checks = []
     chain_file = verify_cfg.get("chain_file")
     if chain_file:
@@ -574,7 +540,6 @@ def cmd_verify(cfg: dict | None, out_dir, seed_override, args_suites) -> int:
     doc = report.to_dict()
     print(json.dumps(doc, indent=2, sort_keys=True))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "verify.json"), doc)
     if not report.all_passed:
         failed = [c.name for c in report.checks if not c.passed]
@@ -620,12 +585,13 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     base_config, exact = build_smc_config(exp)
     if exact is None:
         raise ConfigError("sweep needs exact_value in the experiment (or a finite target)")
+    _make_out_dir(out_dir)
     seeds = [smc.replicate_seed(master_seed, i) for i in range(sweep["replicates"])]
     points = []
     for value in sweep["values"]:
         config = _at_point(base_config, sweep["parameter"], value)
         results = _run_replicates(config, seeds, threads)
-        stats = smc.summarize_etas([r.eta for r in results], exact)
+        stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
         points.append({"value": float(value), **stats})
     doc = {
         "schema_version": 1,
@@ -634,7 +600,6 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
         "exact_value": exact,
         "points": points,
     }
-    os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "sweep.json"), doc)
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -645,6 +610,15 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
             writer.writerow([pt[h] for h in header])
     print(f"wrote {out_dir}/sweep.json, sweep.csv")
     return 0
+
+
+def _make_out_dir(path: str):
+    """Create the output directory, or refuse one that cannot be made (a file
+    of that name, no permission) as a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the output directory --out {path}: {exc}") from exc
 
 
 def _write_json(path: str, doc: dict):
@@ -660,6 +634,14 @@ def _write_json(path: str, doc: dict):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _seed(text: str) -> int:
+    """``--seed``: a master seed, which ``SeedSequence`` needs non-negative."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _usable_cpus() -> int:
@@ -678,7 +660,7 @@ def main(argv=None) -> int:
         "on exact finite chains, and sweep parameter grids.",
     )
     parser.add_argument("--config", help="path to the JSON configuration")
-    parser.add_argument("--seed", type=int, help="override the master seed")
+    parser.add_argument("--seed", type=_seed, help="override the master seed")
     parser.add_argument("--threads", type=int, default=_usable_cpus(),
                         help="worker processes for replicates (default: the CPUs "
                         "this process may use)")

@@ -79,25 +79,44 @@ class SmcConfig:
 
 @dataclass(frozen=True, eq=False)
 class SmcRunResult:
-    """Estimates and per-level diagnostics of one run.
+    """Estimates and per-level diagnostics of one run, the one per-run record.
 
     ``weight_sums_per_level`` holds the empirical means of the raw
     (unnormalized) ratios used for resampling, self-normalized by the
     level-1 importance weights at the first step; ``nu_estimate`` is the
     unbiased weighted estimator, the product of
     ``normalized_weight_sums_per_level`` times eta, when normalized ratios
-    were available and level 1 was drawn unweighted, else None.  Wall times
-    are excluded from any serialized payload that must be reproducible.
+    were available and level 1 was drawn unweighted, else None.
+    ``init_acceptance_rate`` is the efficiency of the level-1 draw (see
+    ``sequences.init_sampler``); ``final_ensemble`` is None in a record sent
+    back without its particles.  ``to_dict`` is the one definition of a
+    replicate's ``run.json`` entry: the wall times are not reproducible and
+    appear only in ``levels.csv``.
     """
 
-    final_ensemble: ParticleEnsemble
     eta_estimate: float
     nu_estimate: Optional[float]
     ess_per_level: tuple
     weight_sums_per_level: tuple
     normalized_weight_sums_per_level: Optional[tuple]
+    init_acceptance_rate: float
     level_wall_times: tuple
     master_seed: int
+    final_ensemble: Optional[ParticleEnsemble] = None
+
+    def to_dict(self) -> dict:
+        """This run's replicate entry of ``run.json``, without its index:
+        every field but the wall times and the particles."""
+        nbar = self.normalized_weight_sums_per_level
+        return {
+            "seed": self.master_seed,
+            "eta": self.eta_estimate,
+            "nu": self.nu_estimate,
+            "ess_per_level": list(self.ess_per_level),
+            "weight_sums_per_level": list(self.weight_sums_per_level),
+            "normalized_weight_sums_per_level": None if nbar is None else list(nbar),
+            "init_acceptance_rate": self.init_acceptance_rate,
+        }
 
 
 def _mean_exact(values: np.ndarray) -> float:
@@ -171,7 +190,7 @@ def apply_kernel(level: Level, particles: np.ndarray, rngs) -> np.ndarray:
     log_density = partial(level_log_density, level)
     rows = [mh_evolve(log_density, x, t, spec.proposal_scale, rng)
             for x, rng in zip(particles, rngs)]
-    return rows[0][None] if len(rows) == 1 else np.stack(rows)
+    return np.stack(rows)
 
 
 # particle cells per block: the finite kernel's table lookup builds a
@@ -227,7 +246,7 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
     log_w = None
     if ensembles[0].log_weights is not None:
         log_w = np.stack([e.log_weights[o] for e, o in zip(ensembles, orders)])
-    init_rates = [e.init_acceptance_rate for e in ensembles]
+    init_rates = [float(e.init_acceptance_rate) for e in ensembles]
     del ensembles, orders  # the block holds the particles now
     state_shape = particles.shape[2:]
 
@@ -271,20 +290,17 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
             eta = _mean_exact(values[b])
         else:
             eta = float(np.average(values[b], weights=np.exp(log_w[b] - np.max(log_w[b]))))
-        final = ParticleEnsemble(
-            particles=particles[b],
-            init_acceptance_rate=init_rates[b],
-            log_weights=None if log_w is None else log_w[b],
-        )
         results.append(SmcRunResult(
-            final_ensemble=final,
             eta_estimate=eta,
             nu_estimate=math.prod(nbar_rows[b]) * eta if normalized_ok else None,
             ess_per_level=ess_rows[b],
             weight_sums_per_level=wsum_rows[b],
             normalized_weight_sums_per_level=nbar_rows[b],
+            init_acceptance_rate=init_rates[b],
             level_wall_times=tuple(wall_log),
             master_seed=seed,
+            final_ensemble=ParticleEnsemble(
+                particles[b], log_weights=None if log_w is None else log_w[b]),
         ))
     return results
 

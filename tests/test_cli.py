@@ -190,6 +190,38 @@ class TestConfigValidation:
         assert run_exit_code(tmp_path, exp) == 2
         assert "one dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+    def test_negative_seed_refused_when_parsed(self, tmp_path, capsys, command):
+        # refused when parsed: SeedSequence would raise only once the work has started
+        cfg = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "experiment": finite_experiment(tmp_path),
+            "sweep": {"parameter": "n_particles", "values": [8], "replicates": 2}})
+        out = tmp_path / "o"
+        argv = ["--config", cfg, "--seed", "-1", "--out", str(out), "--threads", "1", command]
+        if command == "verify":
+            argv += ["--suite", "decomposition"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_out_naming_a_file_is_refused_before_the_work(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        ran = []
+        monkeypatch.setattr(cli, "_run_replicates", lambda *args: ran.append(args))
+        monkeypatch.setattr(oracle, "run_verification_suite", lambda **kw: ran.append(kw))
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        cfg = write_json(tmp_path / "c.json",
+                         {"schema_version": 1, "experiment": finite_experiment(tmp_path)})
+        assert main(["--config", cfg, "--out", str(taken), "--threads", "1", command]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: cannot create the output directory --out {taken}")
+        assert ran == []
+        assert taken.read_text() == "a file"
+
 
 class TestRun:
     @pytest.mark.parametrize("kind", SCHEMA_KERNEL_KINDS)
@@ -421,6 +453,23 @@ class TestRun:
         assert doc["summary"]["exact_value"] == pytest.approx(float(pmf2[0]))
         assert doc["summary"]["mse"] is not None
         assert_summary_from_replicates(doc)
+
+    @pytest.mark.parametrize("finite", [False, True])
+    def test_replicate_entries_are_the_run_records(self, tmp_path, finite):
+        # each entry is SmcRunResult.to_dict(), through the worker pool too
+        exp = finite_experiment(tmp_path) if finite else base_experiment()
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--threads", "2", "run"]) == 0
+        config, _ = cli.build_smc_config(exp)
+        records = smc.run_replicates(config, exp["replicates"])
+        entries = read_output(out / "run.json")["replicates"]
+        assert entries == [{"replicate": i, **r.to_dict()} for i, r in enumerate(records)]
+        rates = [r.init_acceptance_rate for r in records]
+        if finite:  # an exact level-1 draw, and nu from the normalized weight sums
+            assert rates == [1.0] * 3 and None not in [r.nu_estimate for r in records]
+        else:  # a two-mode tempering ladder starts from a weighted proposal draw
+            assert all(0 < rate < 1 for rate in rates)
 
     def test_from_theorem_time_policy(self, tmp_path):
         # single Gaussian: gamma = 2^{d/2} per step, t_k = 2 C*_k gamma^7

@@ -1,12 +1,13 @@
 """Seeded config fuzzing: every schema-valid experiment ends in exit 0, 2 or 3
-through both ``run`` and ``bounds``, never in an uncaught exception, and what
-it writes conforms to its schema.
+through ``run``, ``bounds`` and ``sweep``, never in an uncaught exception, and
+what it writes conforms to its schema.
 
 The generator draws from numpy's seeded ``Generator`` (no ``hypothesis``):
 dimensions up to 160, up to three modes with optional full covariances, both
 ladder kinds with betas down to 1e-5, both Euclidean kernels, explicit times
 up to 0.05 or ``from_theorem`` times capped at 200 kernel steps, at most 16
-particles, and ``bounds`` sections with and without a ``convolution`` part.
+particles, ``bounds`` sections with and without a ``convolution`` part, and
+sweeps of two replicates over two values of ``n_particles`` or ``time_budget``.
 """
 
 import numpy as np
@@ -97,30 +98,41 @@ def random_bounds(rng, exp: dict) -> dict:
     return section
 
 
-def run_both(tmp_path, cfg: dict):
-    """Run ``run`` and ``bounds`` on ``cfg``; every exit is 0, 2 or 3, and an
-    exit 0 leaves a document that conforms to its schema."""
+def random_sweep(rng, exp: dict) -> dict:
+    """A config that sweeps ``exp``, given an exact value, over two values."""
+    if rng.random() < 0.5:
+        sweep = {"parameter": "n_particles", "values": rng.integers(1, 17, size=2).tolist()}
+    else:
+        sweep = {"parameter": "time_budget", "values": rng.uniform(1e-3, 0.05, size=2).tolist()}
+    return {"schema_version": 1, "experiment": {**exp, "exact_value": float(rng.normal())},
+            "sweep": {**sweep, "replicates": 2}}
+
+
+def run_commands(tmp_path, cfg: dict, commands=("run", "bounds")):
+    """Run each command on ``cfg``; every exit is 0, 2 or 3, and an exit 0
+    leaves a ``<command>.json`` that conforms to its schema."""
     assert_conforms(cfg, "config.schema.json")
     path = write_json(tmp_path / "c.json", cfg)
-    for command, written in (("run", "run.json"), ("bounds", "bounds.json")):
+    for command in commands:
         out = tmp_path / command
         code = main(["--config", path, "--out", str(out), "--threads", "1", command])
         assert code in (0, 2, 3), (command, code)
         if code == 0:
-            read_output(out / written)
+            read_output(out / f"{command}.json")
 
 
 @pytest.mark.parametrize("index", range(N_CONFIGS))
 def test_random_config_exits_cleanly(tmp_path, index):
     rng = np.random.default_rng([SEED, index])
     exp = random_experiment(rng)
-    run_both(tmp_path, {"schema_version": 1, "experiment": exp,
-                        "bounds": random_bounds(rng, exp)})
+    run_commands(tmp_path, {"schema_version": 1, "experiment": exp,
+                            "bounds": random_bounds(rng, exp)})
+    run_commands(tmp_path, random_sweep(rng, exp), ("sweep",))
 
 
 @pytest.mark.parametrize("time_policy", [{"mode": "explicit", "t": 0.05},
                                          {"mode": "from_theorem", "max_total_steps": 200}])
 def test_overflowing_convolution_step_bound(tmp_path, time_policy):
     exp = overflowing_convolution_experiment(time_policy=time_policy)
-    run_both(tmp_path, {"schema_version": 1, "experiment": exp,
-                        "bounds": {"mode": "tv", "epsilon": 0.1, "f_sup_bound": 1.0}})
+    run_commands(tmp_path, {"schema_version": 1, "experiment": exp,
+                            "bounds": {"mode": "tv", "epsilon": 0.1, "f_sup_bound": 1.0}})

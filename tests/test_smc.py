@@ -150,7 +150,7 @@ def assert_same_run(a, b):
     assert a.ess_per_level == b.ess_per_level
     assert a.weight_sums_per_level == b.weight_sums_per_level
     assert a.normalized_weight_sums_per_level == b.normalized_weight_sums_per_level
-    assert a.final_ensemble.init_acceptance_rate == b.final_ensemble.init_acceptance_rate
+    assert a.init_acceptance_rate == b.init_acceptance_rate
     np.testing.assert_array_equal(a.final_ensemble.particles, b.final_ensemble.particles)
     assert a.final_ensemble.particles.dtype == b.final_ensemble.particles.dtype
 
