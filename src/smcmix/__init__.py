@@ -12,8 +12,9 @@ bounds     closed-form constants and N / t prescriptions
 oracle     exact finite-state verification of the underlying inequalities
 cli        config-driven command line (run / bounds / verify / sweep)
 
-``oracle`` and ``cli`` (and with it jsonschema) are imported on first
-attribute access, so ``import smcmix`` loads neither.
+``oracle`` and ``cli`` are imported on first attribute access, so
+``import smcmix`` loads neither; numpy is the only third-party module
+either loads.
 """
 
 import importlib

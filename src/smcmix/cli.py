@@ -9,9 +9,12 @@ the replicates are split into K contiguous chunks of seeds and each worker
 process is sent the pickled config, so outputs are the same at any K.
 Only ``verify`` (and its chain-file check) imports ``oracle``, so ``run``,
 ``sweep`` and ``bounds`` start without it.
-A config is validated against ``smcmix/schemas/config.schema.json`` on load;
-every emitted JSON document conforms to its schema under ``smcmix/schemas``,
-which the test suite checks rather than each command at run time.
+A config is checked against ``smcmix/schemas/config.schema.json`` on load by
+a small standard-library checker of the JSON Schema keywords the package's
+schemas use, which raises on any other keyword; a number the schema types
+``integer`` (64.0 is one) is handed on as an ``int``.  Every emitted JSON
+document conforms to its schema under ``smcmix/schemas``, which the test
+suite checks (with jsonschema) rather than each command at run time.
 """
 
 from __future__ import annotations
@@ -20,13 +23,13 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import replace
 from functools import partial
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import bounds, sequences, smc
@@ -45,16 +48,127 @@ def _load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-def _validate(document: dict, schema_name: str, what: str):
-    schema = _load_schema(schema_name)
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(document), key=lambda e: list(e.absolute_path))
+_JSON_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_BOUNDS = {  # keyword: (whether a number breaks the bound, message)
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+_ANNOTATIONS = frozenset({"$schema", "title", "description", "$defs"})
+
+
+def _json_equal(a, b) -> bool:
+    """Equality of scalars as ``const`` and ``enum`` see it: 1 equals 1.0,
+    true is not 1."""
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _check(schema: dict, value, path: tuple, root: dict, errors: list):
+    """Append ``(path, message)`` to ``errors`` for each keyword of ``schema``
+    (Draft 2020-12) that ``value`` breaks, and return ``value`` with every
+    number the schema types ``integer`` as an ``int``.  ``$ref`` points into
+    ``root``.  A keyword this checker does not implement raises ValueError,
+    so that a schema edit cannot silently weaken the check."""
+    out = value
+    for key, arg in schema.items():
+        if key == "type":
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_JSON_TYPES[t](value) for t in types):
+                errors.append((path, f"{value!r} is not of type {', '.join(map(repr, types))}"))
+            elif "integer" in types and isinstance(value, float) and value.is_integer():
+                out = int(value)
+        elif key == "const":
+            if not _json_equal(value, arg):
+                errors.append((path, f"{arg!r} was expected"))
+        elif key == "enum":
+            if not any(_json_equal(value, a) for a in arg):
+                errors.append((path, f"{value!r} is not one of {arg!r}"))
+        elif key in _BOUNDS:
+            breaks, text = _BOUNDS[key]
+            if _JSON_TYPES["number"](value) and breaks(value, arg):
+                errors.append((path, f"{value!r} is {text} {arg!r}"))
+        elif key == "minItems":
+            if isinstance(value, list) and len(value) < arg:
+                text = "should be non-empty" if arg == 1 else "is too short"
+                errors.append((path, f"{value!r} {text}"))
+        elif key == "required":
+            if isinstance(value, dict):
+                errors.extend((path, f"{name!r} is a required property")
+                              for name in arg if name not in value)
+        elif key == "additionalProperties" and arg is False:
+            extras = isinstance(value, dict) and sorted(
+                set(value) - set(schema.get("properties", ())))
+            if extras:
+                verb = "was" if len(extras) == 1 else "were"
+                errors.append((path, "Additional properties are not allowed "
+                                     f"({', '.join(map(repr, extras))} {verb} unexpected)"))
+        elif key == "properties":
+            if isinstance(value, dict):
+                out = {k: _check(arg[k], v, (*path, k), root, errors) if k in arg else v
+                       for k, v in out.items()}
+        elif key == "prefixItems":
+            if isinstance(value, list):
+                out = [_check(s, v, (*path, i), root, errors)
+                       for i, (s, v) in enumerate(zip(arg, out))] + out[len(arg):]
+        elif key == "items":
+            if isinstance(value, list):
+                skip = len(schema.get("prefixItems", ()))
+                out = out[:skip] + [_check(arg, v, (*path, i), root, errors)
+                                    for i, v in enumerate(out[skip:], skip)]
+        elif key == "$ref" and arg.startswith("#/"):
+            target = root
+            for part in arg[2:].split("/"):
+                target = target[part]
+            out = _check(target, out, path, root, errors)
+        elif key == "oneOf":
+            valid = []
+            for branch in arg:
+                branch_errors = []
+                checked = _check(branch, out, path, root, branch_errors)
+                if not branch_errors:
+                    valid.append((branch, checked))
+            if len(valid) == 1:
+                out = valid[0][1]
+            elif not valid:
+                errors.append((path, f"{value!r} is not valid under any of the given schemas"))
+            else:
+                errors.append((path, f"{value!r} is valid under each of "
+                                     f"{', '.join(repr(branch) for branch, _ in valid)}"))
+        elif key not in _ANNOTATIONS:
+            raise ValueError(f"schema keyword {key!r}: {arg!r} is not implemented")
+    return out
+
+
+def check_schema(schema: dict, document) -> tuple:
+    """``(document, errors)``: ``document`` with every number ``schema`` types
+    ``integer`` as an ``int``, and a ``(path, message)`` for each keyword it
+    breaks, sorted by path (a tuple of keys and indices)."""
+    errors = []
+    document = _check(schema, document, (), schema, errors)
+    errors.sort(key=lambda error: error[0])
+    return document, errors
+
+
+def _validate(document, schema_name: str, what: str):
+    """``document`` as ``check_schema`` hands it back, or a ConfigError with
+    its first 10 errors."""
+    document, errors = check_schema(_load_schema(schema_name), document)
     if errors:
         lines = [f"{what} failed schema validation ({schema_name}):"]
-        for err in errors[:10]:
-            path = "/".join(str(p) for p in err.absolute_path) or "<root>"
-            lines.append(f"  at {path}: {err.message}")
+        for path, message in errors[:10]:
+            lines.append(f"  at {'/'.join(map(str, path)) or '<root>'}: {message}")
         raise ConfigError("\n".join(lines))
+    return document
 
 
 def load_config(path: str) -> dict:
@@ -65,8 +179,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _validate(cfg, "config.schema.json", "config")
-    return cfg
+    return _validate(cfg, "config.schema.json", "config")
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +577,14 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
     non_finite = [key for key, value in doc.items() if not _all_finite(value)]
     if non_finite:
         raise ConfigError(f"bound constants overflow to infinity: {', '.join(non_finite)}")
+    if out_dir:  # made before the report is printed, so a bad --out prints nothing
+        _make_out_dir(out_dir)
     doc["feasible"] = cap is None or report.prescribed_N <= cap
     doc["feasibility_cap"] = cap
     print(json.dumps(doc, indent=2, sort_keys=True))
     print()
     print(format_bound_table(report, feasible=doc["feasible"], cap=cap))
     if out_dir:
-        _make_out_dir(out_dir)
         _write_json(os.path.join(out_dir, "bounds.json"), doc)
     if not doc["feasible"]:
         print(

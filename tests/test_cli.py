@@ -1,9 +1,11 @@
 """Command line: schema validation, exit codes, determinism, outputs."""
 
 import csv
+import functools
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -17,8 +19,31 @@ from smcmix.kernels import glauber_transition_matrix
 
 
 def write_json(path, doc):
+    """Write ``doc``; a config (it has a ``schema_version``) must first get
+    the same verdict from ``cli.check_schema`` as from jsonschema."""
+    if "schema_version" in doc:
+        assert_checker_agrees(doc, "config.schema.json")
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+@functools.cache
+def schema_and_reference(schema_name):
+    """A package schema and its jsonschema validator, loaded once."""
+    schema = cli._load_schema(schema_name)
+    return schema, jsonschema.Draft202012Validator(schema)
+
+
+def assert_checker_agrees(doc, schema_name):
+    """``cli.check_schema`` finds errors at the same paths as jsonschema's
+    Draft 2020-12 validator, its reference, so it accepts and rejects alike;
+    a document it accepts comes back equal to ``doc``."""
+    schema, reference = schema_and_reference(schema_name)
+    checked, errors = cli.check_schema(schema, doc)
+    assert ([list(path) for path, _ in errors]
+            == sorted(list(err.absolute_path) for err in reference.iter_errors(doc))), errors
+    if not errors:
+        assert checked == doc
 
 
 def base_experiment(**overrides):
@@ -82,7 +107,8 @@ OUTPUT_SCHEMAS = {
 
 def assert_conforms(doc, schema_name):
     """The commands do not check what they emit: every output test does."""
-    jsonschema.Draft202012Validator(cli._load_schema(schema_name)).validate(doc)
+    assert_checker_agrees(doc, schema_name)
+    schema_and_reference(schema_name)[1].validate(doc)
 
 
 def read_output(path):
@@ -221,6 +247,58 @@ class TestConfigValidation:
         assert line.startswith(f"config error: cannot create the output directory --out {taken}")
         assert ran == []
         assert taken.read_text() == "a file"
+
+
+def schema_integer_names(node) -> set:
+    """The names of the config schema's properties it types ``integer``."""
+    names = set()
+    if isinstance(node, dict):
+        for name, sub in node.get("properties", {}).items():
+            if isinstance(sub, dict) and sub.get("type") == "integer":
+                names.add(name)
+        for sub in node.values():
+            names |= schema_integer_names(sub)
+    elif isinstance(node, list):
+        for sub in node:
+            names |= schema_integer_names(sub)
+    return names
+
+
+def integer_names(doc) -> set:
+    """The keys of ``doc`` (at any depth) that hold an ``int``."""
+    if isinstance(doc, list):
+        return set().union(*map(integer_names, doc))
+    if not isinstance(doc, dict):
+        return set()
+    return {k for k, v in doc.items() if type(v) is int} | integer_names(list(doc.values()))
+
+
+@pytest.mark.parametrize("name", ["indicator_halfspace", "mode_indicator"])
+def test_integer_valued_floats_run_as_integers(tmp_path, capsys, name):
+    # JSON Schema calls 64.0 an integer: the commands must run as with 64
+    estimand = {"name": name, "coordinate": 1, "threshold": 0.0, "mode_index": 1}
+    exp = base_experiment(ladder={"kind": "tempering", "n_levels": 3, "beta_min": 0.1},
+                          n_particles=64, replicates=2, estimand=estimand, exact_value=0.7)
+    cfg = {"schema_version": 1, "experiment": exp,
+           "sweep": {"parameter": "n_particles", "values": [16.0, 32.0], "replicates": 2},
+           "bounds": bounds_section(n=3, M=2, p=4, c_star=[1.0, 1.0, 1.0],
+                                    convolution={"sigma": 1.0, "betas": [0.1], "d": 2})}
+    assert schema_integer_names(cli._load_schema("config.schema.json")) <= integer_names(cfg)
+    floats = json.loads(json.dumps(cfg), parse_int=float)
+    assert integer_names(floats) == set()
+    printed = {}
+    for label, doc in (("int", cfg), ("float", floats)):
+        path = write_json(tmp_path / f"{label}.json", doc)
+        for command in ("run", "sweep", "bounds"):
+            out = str(tmp_path / label / command)
+            assert main(["--config", path, "--out", out, "--threads", "1", command]) == 0
+        printed[label] = capsys.readouterr().out.replace(str(tmp_path / label), "<out>")
+    assert printed["int"] == printed["float"]
+    for file in ("run/run.json", "run/replicates.csv", "sweep/sweep.json", "sweep/sweep.csv",
+                 "bounds/bounds.json"):
+        assert (tmp_path / "int" / file).read_bytes() == (tmp_path / "float" / file).read_bytes()
+    assert (levels_without_wall_time(tmp_path / "int" / "run" / "levels.csv")
+            == levels_without_wall_time(tmp_path / "float" / "run" / "levels.csv"))
 
 
 class TestRun:
@@ -648,6 +726,17 @@ class TestBounds:
         assert doc["prescribed_t_per_level"] == [2.0]
         printed = capsys.readouterr().out
         assert "prescribed N" in printed  # aligned table alongside the JSON
+
+    def test_out_naming_a_file_is_refused_before_the_report(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "bounds": bounds_section()})
+        assert main(["--config", cfg, "--out", str(taken), "bounds"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"config error: cannot create the output directory --out {taken}")
+        assert taken.read_text() == "a file"
 
     def test_high_probability_and_tv_branches(self, tmp_path):
         for mode, expected in (("high_probability", 640.0), ("tv", 64.0)):
@@ -1108,6 +1197,8 @@ import sys
 import smcmix
 assert "smcmix.oracle" not in sys.modules and "smcmix.cli" not in sys.modules
 assert "jsonschema" not in sys.modules
+import smcmix.cli
+assert "jsonschema" not in sys.modules
 assert smcmix.oracle is sys.modules["smcmix.oracle"]
 from smcmix import oracle
 assert oracle is smcmix.oracle and oracle.product_pmf([0.5]).sum() == 1.0
@@ -1125,6 +1216,35 @@ else:
 """
         proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
+
+    def test_run_and_verify_load_no_third_party_module_but_numpy(self, tmp_path):
+        exp = base_experiment(n_particles=20, replicates=2)
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        script = f"""
+import sys
+
+def packages():
+    # top-level names of modules loaded from a file (Cython's runtime shims have none)
+    return {{name.split(".")[0] for name, module in list(sys.modules.items())
+            if getattr(module, "__file__", None)}}
+
+before = packages()
+import smcmix.cli as cli
+assert cli.main(["--config", {cfg!r}, "--out", "o", "--threads", "1", "run"]) == 0
+assert cli.main(["--out", "v", "verify"]) == 0
+loaded = packages() - before - set(sys.stdlib_module_names) - {{"smcmix"}}
+assert loaded == {{"numpy"}}, sorted(loaded)
+"""
+        proc = run_python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.dirname(cli.__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+            project = tomllib.load(fh)["project"]
+        assert [re.match(r"[\w.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+        assert "jsonschema" in " ".join(project["optional-dependencies"]["test"])
 
     def test_module_entry_point_warns_nothing(self):
         proc = run_python("-W", "error::RuntimeWarning", "-m", "smcmix.cli", "--help")
