@@ -73,6 +73,20 @@ def _json_equal(a, b) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
+# characters of an offending value that an error line shows
+_SHOWN_CHARS = 200
+
+
+def _shown(value) -> str:
+    """``repr(value)``, cut after ``_SHOWN_CHARS`` characters with a marker
+    that gives its full length, so that one large value (a d = 160
+    covariance) cannot flood the error output."""
+    text = repr(value)
+    if len(text) <= _SHOWN_CHARS:
+        return text
+    return f"{text[:_SHOWN_CHARS]}... [{len(text)} characters]"
+
+
 def _check(schema: dict, value, path: tuple, root: dict, errors: list):
     """Append ``(path, message)`` to ``errors`` for each keyword of ``schema``
     (Draft 2020-12) that ``value`` breaks, and return ``value`` with every
@@ -84,7 +98,8 @@ def _check(schema: dict, value, path: tuple, root: dict, errors: list):
         if key == "type":
             types = [arg] if isinstance(arg, str) else arg
             if not any(_JSON_TYPES[t](value) for t in types):
-                errors.append((path, f"{value!r} is not of type {', '.join(map(repr, types))}"))
+                errors.append((path, f"{_shown(value)} is not of type "
+                                     f"{', '.join(map(repr, types))}"))
             elif "integer" in types and isinstance(value, float) and value.is_integer():
                 out = int(value)
         elif key == "const":
@@ -92,15 +107,15 @@ def _check(schema: dict, value, path: tuple, root: dict, errors: list):
                 errors.append((path, f"{arg!r} was expected"))
         elif key == "enum":
             if not any(_json_equal(value, a) for a in arg):
-                errors.append((path, f"{value!r} is not one of {arg!r}"))
+                errors.append((path, f"{_shown(value)} is not one of {arg!r}"))
         elif key in _BOUNDS:
             breaks, text = _BOUNDS[key]
             if _JSON_TYPES["number"](value) and breaks(value, arg):
-                errors.append((path, f"{value!r} is {text} {arg!r}"))
+                errors.append((path, f"{_shown(value)} is {text} {arg!r}"))
         elif key == "minItems":
             if isinstance(value, list) and len(value) < arg:
                 text = "should be non-empty" if arg == 1 else "is too short"
-                errors.append((path, f"{value!r} {text}"))
+                errors.append((path, f"{_shown(value)} {text}"))
         elif key == "required":
             if isinstance(value, dict):
                 errors.extend((path, f"{name!r} is a required property")
@@ -140,9 +155,10 @@ def _check(schema: dict, value, path: tuple, root: dict, errors: list):
             if len(valid) == 1:
                 out = valid[0][1]
             elif not valid:
-                errors.append((path, f"{value!r} is not valid under any of the given schemas"))
+                errors.append((path, f"{_shown(value)} is not valid under any of "
+                                     "the given schemas"))
             else:
-                errors.append((path, f"{value!r} is valid under each of "
+                errors.append((path, f"{_shown(value)} is valid under each of "
                                      f"{', '.join(repr(branch) for branch, _ in valid)}"))
         elif key not in _ANNOTATIONS:
             raise ValueError(f"schema keyword {key!r}: {arg!r} is not implemented")
@@ -424,7 +440,7 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     n_rep = exp["replicates"]
     config, exact = build_smc_config(exp)
     _make_out_dir(out_dir)
-    seeds = [smc.replicate_seed(master_seed, i) for i in range(n_rep)]
+    seeds = smc.replicate_seeds(master_seed, n_rep)
     results = _run_replicates(config, seeds, threads)
 
     stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
@@ -700,7 +716,7 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     if exact is None:
         raise ConfigError("sweep needs exact_value in the experiment (or a finite target)")
     _make_out_dir(out_dir)
-    seeds = [smc.replicate_seed(master_seed, i) for i in range(sweep["replicates"])]
+    seeds = smc.replicate_seeds(master_seed, sweep["replicates"])
     points = []
     for value in sweep["values"]:
         config = _at_point(base_config, sweep["parameter"], value)
@@ -751,7 +767,7 @@ def _write_json(path: str, doc: dict):
 
 
 def _seed(text: str) -> int:
-    """``--seed``: a master seed, which ``SeedSequence`` needs non-negative."""
+    """``--seed``: a master seed, which the ``SeedSequence`` hash needs non-negative."""
     seed = int(text)
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")

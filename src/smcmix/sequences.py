@@ -209,8 +209,9 @@ def build_power_tempering(
         raise ValueError("schedule dimension does not match the target")
     if not conservative_gamma:
         warnings.warn(
-            "power-tempering ratio bound uses the plain closed form; "
-            "pass conservative_gamma=True for the (2*pi)^(d*dbeta/2)-inflated variant",
+            "power-tempering ratio bound uses the plain closed form; for the "
+            "(2*pi)^(d*dbeta/2)-inflated variant, set ladder.conservative_gamma to "
+            "true in the config, or pass conservative_gamma=True",
             RuntimeWarning,
             stacklevel=2,
         )

@@ -2,11 +2,17 @@
 
 Level 1 is drawn exactly when the ladder allows it, and otherwise from a
 Gaussian proposal whose importance weights are folded into the first
-reweighting.  One run is fully determined by its master seed.  Randomness
-is split with ``numpy.random.SeedSequence`` into one stream for
-initialization and, per level, one stream for resampling and one for kernel
-smoothing.  Replicates derive independent seeds from
-``(master_seed, replicate_index)``.
+reweighting.  One run is fully determined by its master seed.  Its 2n - 1
+streams on an n-level ladder are PCG64 generators seeded by the children of
+``numpy.random.SeedSequence(seed).spawn(2n - 1)``: child 0 initializes,
+children 1..n-1 resample at levels 2..n and children n..2n-2 smooth at
+levels 2..n.  The children's seed words are computed for a whole block of
+seeds in one vectorized pass of numpy's documented ``SeedSequence`` hash,
+bitwise as numpy derives them, and no ``SeedSequence`` is built; so a
+stream's ``bit_generator.seed_seq`` is not a ``SeedSequence`` and cannot
+``spawn``.  Replicate i of a master seed m runs at the seed
+``SeedSequence((m, i)).generate_state(1, np.uint64)``, computed the same
+way (``replicate_seed``, ``replicate_seeds``).
 
 One driver runs a block of B replicates as a (B, N) array: the ratio, the
 estimand, the Langevin gradient and the finite kernel's table lookup see the
@@ -35,7 +41,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,6 +58,7 @@ __all__ = [
     "apply_kernel",
     "run_smc",
     "replicate_seed",
+    "replicate_seeds",
     "run_replicates",
     "run_seeded",
     "summarize_etas",
@@ -157,13 +164,130 @@ def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
     return idx if rows else idx[0]
 
 
-def _streams(master_seed: int, n_levels: int):
-    ss = np.random.SeedSequence(master_seed)
-    children = ss.spawn(1 + 2 * max(n_levels - 1, 0))
-    init = np.random.default_rng(children[0])
-    resample = [np.random.default_rng(c) for c in children[1 : n_levels]]
-    kernel = [np.random.default_rng(c) for c in children[n_levels :]]
-    return init, resample, kernel
+# numpy's SeedSequence hash (pool size 4), evaluated on uint32 arrays with one
+# entropy row per sequence; the hash constants are precomputed, so that every
+# step is an array operation that wraps modulo 2^32 without a warning
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _powers(init: int, mult: int, n: int) -> np.ndarray:
+    """``init * mult**k mod 2**32`` for k < n, as uint32."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)
+
+
+# hashmix constants: an entropy row of L >= 4 words takes 4 L of them, plus
+# the multiplier of the last; these cover rows of up to 16 words
+_HASH_A = _powers(_INIT_A, _MULT_A, 4 * 16 + 1)
+# generate_state constants for up to 4 uint64 (8 uint32) words
+_HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 8 + 1)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Hash calls k..k+m-1 at once: column j of ``value`` (or its only
+    column) is hashed with the constants of call k+j."""
+    value = (value ^ consts[k:k + m]) * consts[k + 1:k + m + 1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> 16)
+
+
+# for each pool word, the other words in order: the words it is mixed into
+_OTHERS = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
+# generate_state reads the pool words in turn, cycling
+_CYCLE = np.arange(8) % _POOL_SIZE
+
+
+def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """(R, n_words) uint64: row r is ``generate_state(n_words, np.uint64)``
+    of a ``SeedSequence`` whose assembled entropy is the uint32 row
+    ``entropy[r]`` (n_words <= 4)."""
+    n_rows, width = entropy.shape
+    if width < _POOL_SIZE:  # the pool is filled with hashed zeros
+        entropy = np.concatenate(
+            [entropy, np.zeros((n_rows, _POOL_SIZE - width), dtype=np.uint32)], axis=1)
+        width = _POOL_SIZE
+    consts = _HASH_A if 4 * width < _HASH_A.size else _powers(_INIT_A, _MULT_A, 4 * width + 1)
+    pool = _hashmix(entropy[:, :_POOL_SIZE], consts, 0, _POOL_SIZE)
+    k = _POOL_SIZE
+    # numpy mixes each word into the others one call at a time; the word
+    # mixed in does not change meanwhile, so its calls run as one
+    for src, others in enumerate(_OTHERS):
+        hashed = _hashmix(pool[:, src:src + 1], consts, k, len(others))
+        pool[:, others] = _mix(pool[:, others], hashed)
+        k += len(others)
+    for src in range(_POOL_SIZE, width):  # then the entropy past the pool
+        pool = _mix(pool, _hashmix(entropy[:, src:src + 1], consts, k, _POOL_SIZE))
+        k += _POOL_SIZE
+    n32 = 2 * n_words
+    state = _hashmix(pool[:, _CYCLE[:n32]], _HASH_B, 0, n32)
+    # pairs of little-endian uint32 words make one uint64, as numpy reads them
+    return state.astype("<u4", order="C").view("<u8").astype(np.uint64)
+
+
+def _by_width(values, min_width: int):
+    """Yield ``(positions, words)`` per group of ``values`` (non-negative
+    ints) that take the same number of 32-bit words, at least ``min_width``:
+    ``words`` holds their little-endian words, one row per value."""
+    values = [int(v) for v in values]
+    if values and min(values) < 0:
+        raise ValueError("seeds must be non-negative")
+    widths = [max(min_width, -(-v.bit_length() // 32)) for v in values]
+    for width in sorted(set(widths)):  # not np.unique, which loads numpy.ma
+        at = np.array([i for i, w in enumerate(widths) if w == width], dtype=np.intp)
+        data = b"".join(values[i].to_bytes(4 * width, "little") for i in at.tolist())
+        yield at, np.frombuffer(data, dtype="<u4").reshape(at.size, width).astype(np.uint32)
+
+
+def _child_states(seeds, n_children: int) -> np.ndarray:
+    """(B, n_children, 4) uint64: entry [b, j] is the PCG64 seed
+    ``SeedSequence(seeds[b]).spawn(n_children)[j].generate_state(4,
+    np.uint64)``, for the whole block in one pass."""
+    out = np.empty((len(seeds), n_children, 4), dtype=np.uint64)
+    keys = np.arange(n_children, dtype=np.uint32)
+    for at, words in _by_width(seeds, _POOL_SIZE):
+        # a child's entropy: its parent's words, zero-padded to the pool
+        # size, then its spawn key
+        entropy = np.column_stack([np.repeat(words, n_children, axis=0), np.tile(keys, at.size)])
+        out[at] = _seed_state(entropy, 4).reshape(at.size, n_children, 4)
+    return out
+
+
+@cache
+def _seed_words_type() -> type:
+    """The ``ISeedSequence`` that hands a bit generator the seed words a
+    ``SeedSequence`` child would generate for it, precomputed by
+    ``_child_states``; it cannot spawn.  Built on first use, so that a
+    command that runs no sampler does not load ``numpy.random`` (13 ms and
+    6 MB)."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if np.dtype(dtype) != np.uint64 or n_words > self.words.size:
+                raise ValueError("only the precomputed uint64 seed words are available")
+            return self.words[:n_words]
+
+    return SeedWords
+
+
+def _streams(seeds, n_levels: int) -> list:
+    """Per seed, its 2 n_levels - 1 generators: level-1 initialization, then
+    resampling at levels 2..n, then smoothing at levels 2..n."""
+    states = _child_states(seeds, 2 * n_levels - 1)
+    seed_words = _seed_words_type()
+    return [[np.random.Generator(np.random.PCG64(seed_words(w))) for w in row] for row in states]
 
 
 def apply_kernel(level: Level, particles: np.ndarray, rngs) -> np.ndarray:
@@ -233,10 +357,10 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
     n = len(levels)
     N = config.n_particles
     B = len(seeds)
-    init_rngs, resample_rngs, kernel_rngs = zip(*(_streams(s, n) for s in seeds))
+    streams = _streams(seeds, n)
 
     if initial_ensemble is None:
-        ensembles = [sample_initial(ladder, N, rng) for rng in init_rngs]
+        ensembles = [sample_initial(ladder, N, rngs[0]) for rngs in streams]
     else:
         if initial_ensemble.n_particles != N:
             raise ValueError("initial ensemble size does not match the config")
@@ -275,9 +399,9 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
             else:
                 gbar = np.asarray(level.normalized_ratio(block), dtype=float).reshape(B, N)
             nbar_log.append(gbar.mean(axis=1))
-        ancestors = multinomial_resample(w, N, [rngs[k - 1] for rngs in resample_rngs])
+        ancestors = multinomial_resample(w, N, [rngs[k] for rngs in streams])
         particles = particles.reshape(B * N, *state_shape)[ancestors]
-        particles = apply_kernel(level, particles, [rngs[k - 1] for rngs in kernel_rngs])
+        particles = apply_kernel(level, particles, [rngs[n - 1 + k] for rngs in streams])
         wall_log.append((time.perf_counter() - t0) / B)
 
     values = np.asarray(config.estimand(particles.reshape(B * N, *state_shape)), dtype=float)
@@ -337,16 +461,30 @@ def run_seeded(config: SmcConfig, seeds):
         yield from _run_block(config, seeds[i:i + size])
 
 
+def _replicate_seeds(master_seed: int, indices) -> list:
+    """``SeedSequence((master_seed, i)).generate_state(1, np.uint64)`` for
+    each index i, as Python ints."""
+    ((_, master),) = _by_width([master_seed], 1)
+    out = np.empty(len(indices), dtype=np.uint64)
+    for at, words in _by_width(indices, 1):
+        entropy = np.column_stack([np.repeat(master, at.size, axis=0), words])
+        out[at] = _seed_state(entropy, 1)[:, 0]
+    return out.tolist()
+
+
 def replicate_seed(master_seed: int, index: int) -> int:
     """Stable 64-bit seed for replicate ``index`` derived from the master seed."""
-    ss = np.random.SeedSequence((int(master_seed), int(index)))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return _replicate_seeds(master_seed, [index])[0]
+
+
+def replicate_seeds(master_seed: int, n_replicates: int) -> list:
+    """``replicate_seed(master_seed, i)`` for i < n_replicates, in one pass."""
+    return _replicate_seeds(master_seed, range(n_replicates))
 
 
 def run_replicates(config: SmcConfig, n_replicates: int) -> list:
     """Independent seeded replicates of one configuration, in index order."""
-    seeds = [replicate_seed(config.master_seed, i) for i in range(n_replicates)]
-    return list(run_seeded(config, seeds))
+    return list(run_seeded(config, replicate_seeds(config.master_seed, n_replicates)))
 
 
 def _jackknife_se(loo: np.ndarray) -> float:

@@ -9,8 +9,10 @@ import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import jsonschema
+import numpy as np
 import pytest
 
 from smcmix import cli, oracle, smc
@@ -514,6 +516,24 @@ class TestRun:
         b = read_output(out2 / "run.json")
         assert a["master_seed"] == 11 and b["master_seed"] == 99
         assert a["replicates"][0]["eta"] != b["replicates"][0]["eta"]
+
+    @pytest.mark.parametrize("master", [5, 2**64 + 3])
+    def test_master_seeds_of_one_and_three_words(self, tmp_path, master):
+        # replicate i runs at SeedSequence((master, i)), and each replicate is
+        # its lone run at that seed
+        exp = finite_experiment(tmp_path, n_particles=64, replicates=5)
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), "--seed", str(master),
+                     "--threads", "1", "run"]) == 0
+        doc = read_output(out / "run.json")
+        assert doc["master_seed"] == master
+        seeds = [int(np.random.SeedSequence((master, i)).generate_state(1, np.uint64)[0])
+                 for i in range(5)]
+        assert [r["seed"] for r in doc["replicates"]] == seeds
+        config, _ = cli.build_smc_config(exp)
+        lone = [smc.run_smc(replace(config, master_seed=s)).eta_estimate for s in seeds]
+        assert [r["eta"] for r in doc["replicates"]] == lone
 
     def test_finite_ladder_target(self, tmp_path):
         path, pmf2 = finite_ladder_file(tmp_path)
@@ -1167,6 +1187,23 @@ assert "smcmix.oracle" in sys.modules
         proc = run_python("-c", script, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert read_output(tmp_path / "v" / "verify.json")["all_passed"] is True
+
+    def test_numpy_submodules_load_only_when_used(self, tmp_path):
+        # the sampler's seeding loads numpy.random (13 ms, 6 MB) on first use,
+        # and no command loads numpy.ma (0.7 MB), which np.unique imports
+        exp = base_experiment(n_particles=20, replicates=2)
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp,
+                                               "bounds": bounds_section()})
+        script = f"""
+import sys
+import smcmix.cli as cli
+assert cli.main(["--config", {cfg!r}, "--out", "o", "bounds"]) == 0
+assert "numpy.random" not in sys.modules
+assert cli.main(["--config", {cfg!r}, "--out", "r", "--threads", "1", "run"]) == 0
+assert "numpy.random" in sys.modules and "numpy.ma" not in sys.modules
+"""
+        proc = run_python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
 
     def test_verify_runs_without_scipy(self, tmp_path):
         chain = write_json(tmp_path / "chain.json", {"P": [[0.1, 0.9, 0.0], [0.0, 0.2, 0.8],

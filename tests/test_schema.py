@@ -196,6 +196,21 @@ def test_cli_prints_the_first_ten_errors_sorted_by_path(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_error_lines_cut_a_large_value(tmp_path, capsys):
+    # fuzz config 18 has d = 160 and full covariances: its target's repr is
+    # over half a million characters, which an error line shows only in part
+    exp = random_experiment(np.random.default_rng([SEED, 18]))
+    assert len(repr(exp["target"])) > 100 * cli._SHOWN_CHARS
+    exp["target"]["path"] = "x"
+    path = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+    assert main(["--config", path, "--out", str(tmp_path / "o"), "run"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    (line,) = [line for line in lines if line.startswith("  at experiment/target: ")]
+    assert line.endswith(" characters] is not valid under any of the given schemas")
+    # the value is cut to the cap, and the rest of the line is the message
+    assert all(len(line) < cli._SHOWN_CHARS + 100 for line in lines)
+
+
 def subschemas(schema: dict):
     """``schema`` and every schema inside it."""
     yield schema

@@ -100,6 +100,16 @@ class TestPowerTempering:
         with pytest.warns(RuntimeWarning, match="plain closed form"):
             build_power_tempering(bimodal_target, TemperingSchedule(betas=(0.5, 1.0), d=2))
 
+    def test_warning_names_the_config_key_and_the_keyword(self, bimodal_target):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_power_tempering(bimodal_target, TemperingSchedule(betas=(0.5, 1.0), d=2))
+        (message,) = [str(w.message) for w in caught]
+        # the prefix is what the pytest filterwarnings entry matches
+        assert message.startswith("power-tempering ratio bound")
+        assert "ladder.conservative_gamma" in message
+        assert "conservative_gamma=True" in message
+
     def test_normalized_ratio_is_rescaled_raw_ratio(self, rng):
         # single Gaussian: both ratios exist, linked by the normalizer ratio
         target = TargetMixture.gaussian([1.0], [[0.5, -0.5]], [1.3 * np.eye(2)])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,59 @@ class TestDeterminism:
         assert replicate_seed(123, 0) == replicate_seed(123, 0)
         assert replicate_seed(123, 0) != replicate_seed(123, 1)
         assert replicate_seed(123, 5) != replicate_seed(124, 5)
+
+
+# one to five 32-bit words: the seeds at each word boundary, and 2^130 + 1
+# takes the entropy past the four-word pool
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 2**64 + 5, 2**130 + 1]
+
+
+class TestSeeding:
+    """The block seeding against its reference, numpy's ``SeedSequence``."""
+
+    @pytest.fixture(autouse=True)
+    def _warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("n_levels", [1, 2, 3, 10])
+    def test_block_streams_are_the_seed_sequence_children(self, n_levels):
+        seeds = EDGE_SEEDS + np.random.default_rng(20261019).integers(0, 2**63, 20).tolist()
+        streams = smc._streams(seeds, n_levels)
+        assert len(streams) == len(seeds)
+        for seed, gens in zip(seeds, streams):
+            children = np.random.SeedSequence(seed).spawn(2 * n_levels - 1)
+            assert len(gens) == len(children)
+            for gen, child in zip(gens, children):
+                ref = np.random.default_rng(child)
+                assert gen.bit_generator.state == ref.bit_generator.state
+                np.testing.assert_array_equal(gen.random(4), ref.random(4))
+                np.testing.assert_array_equal(gen.standard_normal(3), ref.standard_normal(3))
+
+    @pytest.mark.parametrize("master", [0, 2**32, 2**64 - 1, 2**70])
+    def test_replicate_seeds_are_seed_sequence_states(self, master):
+        expected = [int(np.random.SeedSequence((master, i)).generate_state(1, np.uint64)[0])
+                    for i in range(1000)]
+        got = smc.replicate_seeds(master, 1000)
+        assert got == expected
+        assert all(type(s) is int for s in got)
+        assert [replicate_seed(master, i) for i in (0, 999)] == [expected[0], expected[999]]
+
+    def test_replicate_seed_of_a_two_word_index(self):
+        ref = np.random.SeedSequence((5, 2**40)).generate_state(1, np.uint64)[0]
+        assert replicate_seed(5, 2**40) == int(ref)
+
+    def test_negative_seeds_are_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            smc._streams([3, -1], 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            smc.replicate_seeds(-1, 2)
+
+    def test_streams_cannot_spawn(self):
+        (gens,) = smc._streams([3], 2)
+        with pytest.raises(TypeError, match="spawning"):
+            gens[0].spawn(1)
 
 
 class TestExchangeability:
