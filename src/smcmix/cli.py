@@ -187,15 +187,19 @@ def _validate(document, schema_name: str, what: str):
     return document
 
 
-def load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON document at ``path``, or a ConfigError that names ``what``."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return _validate(cfg, "config.schema.json", "config")
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_config(path: str) -> dict:
+    return _validate(_read_json(path, "config"), "config.schema.json", "config")
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +216,17 @@ def _build_target(spec: dict) -> TargetMixture:
 
 
 def _load_finite_ladder(path: str):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read finite ladder file: {exc}") from exc
-    if doc.get("kind") != "finite_ladder" or "levels" not in doc:
-        raise ConfigError("finite ladder file must have kind=finite_ladder and levels")
+    doc = _read_json(path, "finite ladder file")
+    if not isinstance(doc, dict) or doc.get("kind") != "finite_ladder" \
+            or not isinstance(doc.get("levels"), list):
+        raise ConfigError(f"finite ladder file {path} must be an object with "
+                          "kind=finite_ladder and a list of levels")
     pmfs, chains = [], []
     for i, level in enumerate(doc["levels"]):
+        if not isinstance(level, dict) or not isinstance(level.get("pmf"), list) \
+                or not isinstance(level.get("P", []), (list, type(None))):
+            raise ConfigError(f"finite ladder file {path}: level {i + 1} must be an "
+                              "object with a list pmf and a list or null P")
         pmfs.append(np.asarray(level["pmf"], dtype=float))
         P = level.get("P")
         if P is None:  # refused after level 1 by build_finite_ladder
@@ -403,6 +409,14 @@ def build_smc_config(exp: dict):
     return config, _exact_value(exp, ladder, estimand)
 
 
+def _seeded_config(exp: dict, seed_override):
+    """``build_smc_config(exp)`` with ``--seed``, when given, as the master seed."""
+    config, exact = build_smc_config(exp)
+    if seed_override is not None:
+        config = replace(config, master_seed=seed_override)
+    return config, exact
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -414,13 +428,14 @@ def _run_chunk(config, seeds) -> list:
     return [replace(r, final_ensemble=None) for r in smc.run_seeded(config, seeds)]
 
 
-def _run_replicates(config, seeds: list, threads: int) -> list:
-    """The runs of ``config``, one per seed, in order, without their particles.
+def _run_replicates(config, n_rep: int, threads: int) -> list:
+    """The ``n_rep`` runs of ``config`` at ``smc.replicate_seeds`` of its
+    master seed, in order, without their particles.
 
     With ``threads > 1`` the seeds are split into contiguous chunks, one per
     worker process, and each worker is sent the pickled ``config``.
     """
-    n_rep = len(seeds)
+    seeds = smc.replicate_seeds(config.master_seed, n_rep)
     if threads <= 1 or n_rep == 1:
         return _run_chunk(config, seeds)
     from concurrent.futures import ProcessPoolExecutor
@@ -436,18 +451,15 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     if "experiment" not in cfg:
         raise ConfigError("run needs an 'experiment' section")
     exp = cfg["experiment"]
-    master_seed = int(exp["master_seed"] if seed_override is None else seed_override)
-    n_rep = exp["replicates"]
-    config, exact = build_smc_config(exp)
+    config, exact = _seeded_config(exp, seed_override)
     _make_out_dir(out_dir)
-    seeds = smc.replicate_seeds(master_seed, n_rep)
-    results = _run_replicates(config, seeds, threads)
+    results = _run_replicates(config, exp["replicates"], threads)
 
     stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
     nus = [r.nu_estimate for r in results]
     doc = {
         "schema_version": 1,
-        "master_seed": master_seed,
+        "master_seed": config.master_seed,
         "n_particles": exp["n_particles"],
         "n_levels": config.ladder.n_levels,
         "estimand": exp["estimand"],
@@ -461,20 +473,15 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
         },
     }
     _write_json(os.path.join(out_dir, "run.json"), doc)
-    with open(os.path.join(out_dir, "levels.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "level", "ess", "weight_sum", "wall_time"])
-        for i, r in enumerate(results):
-            for k, (ess, ws, wt) in enumerate(
-                zip(r.ess_per_level, r.weight_sums_per_level, r.level_wall_times)
-            ):
-                writer.writerow([i, k + 2, f"{ess!r}", f"{ws!r}", f"{wt:.6f}"])
-    with open(os.path.join(out_dir, "replicates.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "seed", "eta", "nu"])
-        for i, r in enumerate(results):
-            nu = "" if r.nu_estimate is None else f"{r.nu_estimate!r}"
-            writer.writerow([i, r.master_seed, f"{r.eta_estimate!r}", nu])
+    _write_csv(os.path.join(out_dir, "levels.csv"), [
+        ["replicate", "level", "ess", "weight_sum", "wall_time"],
+        *([i, k + 2, f"{ess!r}", f"{ws!r}", f"{wt:.6f}"] for i, r in enumerate(results)
+          for k, (ess, ws, wt) in enumerate(
+              zip(r.ess_per_level, r.weight_sums_per_level, r.level_wall_times)))])
+    _write_csv(os.path.join(out_dir, "replicates.csv"), [
+        ["replicate", "seed", "eta", "nu"],
+        *([i, r.master_seed, f"{r.eta_estimate!r}",
+           "" if r.nu_estimate is None else f"{r.nu_estimate!r}"] for i, r in enumerate(results))])
     print(f"wrote {out_dir}/run.json, levels.csv, replicates.csv")
     return 0
 
@@ -597,11 +604,12 @@ def cmd_bounds(cfg: dict, out_dir) -> int:
         _make_out_dir(out_dir)
     doc["feasible"] = cap is None or report.prescribed_N <= cap
     doc["feasibility_cap"] = cap
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    text = _json_text(doc)
+    print(text)
     print()
     print(format_bound_table(report, feasible=doc["feasible"], cap=cap))
     if out_dir:
-        _write_json(os.path.join(out_dir, "bounds.json"), doc)
+        _write_text(os.path.join(out_dir, "bounds.json"), text)
     if not doc["feasible"]:
         print(
             f"warning: prescribed N = {report.prescribed_N} exceeds the cap {cap:g}",
@@ -649,28 +657,25 @@ def format_bound_table(report: bounds.BoundReport, feasible: bool = True, cap=No
 def cmd_verify(cfg: dict | None, out_dir, seed_override, args_suites) -> int:
     from . import oracle
 
-    verify_cfg = (cfg or {}).get("verify", {}) if cfg else {}
+    verify_cfg = (cfg or {}).get("verify", {})
     suites = args_suites or verify_cfg.get("suites")
-    seed = int(seed_override if seed_override is not None else 0)
+    seed = 0 if seed_override is None else seed_override
     scale = verify_cfg.get("trials_scale", 1.0)
     if out_dir:
         _make_out_dir(out_dir)
-    checks = []
     chain_file = verify_cfg.get("chain_file")
-    if chain_file:
-        checks.append(_chain_validation_check(chain_file))
+    checks = (_chain_validation_check(chain_file),) if chain_file else ()
     try:
         report = oracle.run_verification_suite(
             selectors=suites, seed=seed, trials_scale=scale
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    all_checks = tuple(checks) + report.checks
-    report = oracle.VerificationReport(seed=seed, checks=all_checks)
-    doc = report.to_dict()
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    report = oracle.VerificationReport(seed=seed, checks=checks + report.checks)
+    text = _json_text(report.to_dict())
+    print(text)
     if out_dir:
-        _write_json(os.path.join(out_dir, "verify.json"), doc)
+        _write_text(os.path.join(out_dir, "verify.json"), text)
     if not report.all_passed:
         failed = [c.name for c in report.checks if not c.passed]
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
@@ -679,27 +684,21 @@ def cmd_verify(cfg: dict | None, out_dir, seed_override, args_suites) -> int:
 
 
 def _chain_validation_check(path: str) -> oracle.CheckReport:
+    """Whether the chain file at ``path`` holds a valid ``FiniteChain``: an
+    object with a transition matrix ``P`` and an optional ``pi``."""
     from . import oracle
 
+    doc = _read_json(path, "chain file")
+    details = {"path": path}
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read chain file: {exc}") from exc
-    try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"a chain file holds an object, not a {type(doc).__name__}")
         FiniteChain(P=np.asarray(doc["P"], dtype=float), pi=doc.get("pi"))
-    except (KeyError, ValueError) as exc:
-        return oracle.CheckReport(
-            name="chain_validation",
-            passed=False,
-            min_slack=-math.inf,
-            n_trials=1,
-            details={"error": str(exc), "path": path},
-        )
-    return oracle.CheckReport(
-        name="chain_validation", passed=True, min_slack=0.0, n_trials=1,
-        details={"path": path},
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        details["error"] = str(exc)
+    passed = "error" not in details
+    return oracle.CheckReport("chain_validation", passed, 0.0 if passed else -math.inf, 1,
+                              details=details)
 
 
 def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
@@ -711,33 +710,28 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
         bad = [v for v in sweep["values"] if v < 1 or v != int(v)]
         if bad:
             raise ConfigError(f"sweep values of n_particles must be whole numbers >= 1, got {bad}")
-    master_seed = int(exp["master_seed"] if seed_override is None else seed_override)
-    base_config, exact = build_smc_config(exp)
+    base_config, exact = _seeded_config(exp, seed_override)
     if exact is None:
         raise ConfigError("sweep needs exact_value in the experiment (or a finite target)")
     _make_out_dir(out_dir)
-    seeds = smc.replicate_seeds(master_seed, sweep["replicates"])
     points = []
     for value in sweep["values"]:
         config = _at_point(base_config, sweep["parameter"], value)
-        results = _run_replicates(config, seeds, threads)
+        results = _run_replicates(config, sweep["replicates"], threads)
         stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
         points.append({"value": float(value), **stats})
     doc = {
         "schema_version": 1,
         "parameter": sweep["parameter"],
-        "master_seed": master_seed,
+        "master_seed": base_config.master_seed,
         "exact_value": exact,
         "points": points,
     }
     _write_json(os.path.join(out_dir, "sweep.json"), doc)
-    with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["value", "mse", "mse_se", "variance", "variance_se", "bias_sq",
-                  "bias_sq_se", "mean_eta", "n_replicates"]
-        writer.writerow(header)
-        for pt in points:
-            writer.writerow([pt[h] for h in header])
+    header = ["value", "mse", "mse_se", "variance", "variance_se", "bias_sq",
+              "bias_sq_se", "mean_eta", "n_replicates"]
+    rows = ([pt[h] for h in header] for pt in points)
+    _write_csv(os.path.join(out_dir, "sweep.csv"), [header, *rows])
     print(f"wrote {out_dir}/sweep.json, sweep.csv")
     return 0
 
@@ -751,19 +745,36 @@ def _make_out_dir(path: str):
         raise ConfigError(f"cannot create the output directory --out {path}: {exc}") from exc
 
 
-def _write_json(path: str, doc: dict):
-    """Write ``doc`` to a temporary file beside ``path``, then move it there:
-    a dump that fails (on a NaN or an infinity) leaves ``path`` as it was."""
+def _write_file(path: str, write):
+    """Call ``write(fh)`` on a temporary file beside ``path``, then move the
+    file there: a write that fails partway leaves ``path`` as it was and no
+    temporary file behind.  Every file a command writes goes through here."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        with open(tmp, "w", newline="") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _json_text(doc: dict) -> str:
+    """``doc`` as the commands print and write it; a NaN or infinity raises ValueError."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _write_text(path: str, text: str):
+    _write_file(path, lambda fh: fh.write(text + "\n"))
+
+
+def _write_json(path: str, doc: dict):
+    _write_text(path, _json_text(doc))
+
+
+def _write_csv(path: str, rows):
+    _write_file(path, lambda fh: csv.writer(fh).writerows(rows))
 
 
 def _seed(text: str) -> int:
@@ -803,24 +814,20 @@ def main(argv=None) -> int:
                         help="check-name prefix to run (repeatable); default all")
     sub.add_parser("sweep", help="grid over N or t with per-point MSE")
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"argument --threads: must be a positive integer, got {args.threads}")
 
     try:
+        if not args.config and args.command != "verify":
+            raise ConfigError(f"{args.command} requires --config")
         cfg = load_config(args.config) if args.config else None
         if args.command == "run":
-            if cfg is None:
-                raise ConfigError("run requires --config")
             return cmd_run(cfg, args.out, args.seed, args.threads)
         if args.command == "bounds":
-            if cfg is None:
-                raise ConfigError("bounds requires --config")
             return cmd_bounds(cfg, args.out)
         if args.command == "verify":
             return cmd_verify(cfg, args.out, args.seed, args.suites)
-        if args.command == "sweep":
-            if cfg is None:
-                raise ConfigError("sweep requires --config")
-            return cmd_sweep(cfg, args.out, args.seed, args.threads)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep(cfg, args.out, args.seed, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

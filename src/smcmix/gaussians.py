@@ -15,18 +15,6 @@ __all__ = ["GaussianComponent", "power_normalizer"]
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _as_cov(cov, d: int) -> np.ndarray:
-    """Accept a scalar, a diagonal vector, or a full matrix as a covariance."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim == 0:
-        cov = float(cov) * np.eye(d)
-    elif cov.ndim == 1:
-        cov = np.diag(cov)
-    if cov.shape != (d, d):
-        raise ValueError(f"covariance shape {cov.shape} does not match dimension {d}")
-    return cov
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianComponent:
     """A single N(mean, cov) component with cached factorizations.
@@ -35,7 +23,7 @@ class GaussianComponent:
     ----------
     mean : array_like, shape (d,)
     cov : array_like
-        Scalar (isotropic), diagonal vector, or full SPD matrix.
+        Scalar (isotropic) or full SPD matrix, shape (d, d).
     """
 
     mean: np.ndarray
@@ -47,7 +35,12 @@ class GaussianComponent:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = _as_cov(self.cov, mean.shape[0])
+        d = mean.shape[0]
+        cov = np.asarray(self.cov, dtype=float)
+        if cov.ndim == 0:  # a scalar is an isotropic covariance
+            cov = float(cov) * np.eye(d)
+        if cov.shape != (d, d):
+            raise ValueError(f"covariance shape {cov.shape} does not match dimension {d}")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         try:

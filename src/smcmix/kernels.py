@@ -81,18 +81,16 @@ def ula_evolve(grad_log_density, x, t: float, h: float, rng):
 
     Each step is ``x <- x + h * grad_log_density(x) + sqrt(2h) * xi`` with
     standard normal ``xi``, updated in place on a copy of ``x``; the drift
-    ``h * grad`` and the noise share one reused buffer.  ``x`` may be one
-    state ``(d,)`` or a batch ``(N, d)`` with one generator ``rng``, or a
-    block ``(B, N, d)`` with a sequence of B generators: the gradient sees
-    the whole block, and row b draws its noise from ``rng[b]`` into its own
-    (N, d) slice, so it ends where an ``(N, d)`` call on that row would.
-    With ``t=0`` the input is returned unchanged.
+    ``h * grad`` and the noise share one reused buffer.  ``x`` is a batch
+    ``(N, d)`` with one generator ``rng``, or a block ``(B, N, d)`` with a
+    sequence of B generators: the gradient sees the whole block, and row b
+    draws its noise from ``rng[b]`` into its own (N, d) slice, so it ends
+    where an ``(N, d)`` call on that row would.  With ``t=0`` the input is
+    returned unchanged.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    state = np.atleast_2d(x).copy()
+    state = np.array(x, dtype=float, order="C")
     rngs = rng if state.ndim == 3 else (rng,)
     n_steps = int(np.ceil(t / h))
     root = np.sqrt(2.0 * h)
@@ -111,24 +109,22 @@ def ula_evolve(grad_log_density, x, t: float, h: float, rng):
             gen.standard_normal(out=row)
         noise *= root
         state += noise
-    return state[0] if single else state
+    return state
 
 
 def mh_step(log_density, x, proposal_scale: float, rng: np.random.Generator):
-    """One Metropolis step with a symmetric isotropic Gaussian proposal.
+    """One Metropolis step of a batch ``x`` of shape ``(N, d)`` with a
+    symmetric isotropic Gaussian proposal.
 
     The proposal symmetry reduces the acceptance ratio to
     min(1, p(y)/p(x)), with ``log_density`` the vectorized log p;
     higher-density proposals are always accepted.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    state = np.atleast_2d(x)
+    state = np.asarray(x, dtype=float)
     proposal = state + proposal_scale * rng.standard_normal(state.shape)
-    log_ratio = np.atleast_1d(log_density(proposal)) - np.atleast_1d(log_density(state))
+    log_ratio = np.asarray(log_density(proposal)) - np.asarray(log_density(state))
     accept = np.log(rng.random(state.shape[0])) < log_ratio
-    out = np.where(accept[:, None], proposal, state)
-    return out[0] if single else out
+    return np.where(accept[:, None], proposal, state)
 
 
 def _poisson_jumps(state: np.ndarray, t: float, rngs, step) -> np.ndarray:
@@ -156,13 +152,13 @@ def _poisson_jumps(state: np.ndarray, t: float, rngs, step) -> np.ndarray:
 
 
 def mh_evolve(log_density, x, t: float, proposal_scale: float, rng: np.random.Generator):
-    """Poissonized Metropolis chain: K ~ Poisson(t) steps per particle."""
-    x = np.asarray(x, dtype=float)
+    """Poissonized Metropolis chain on a batch ``x`` of shape ``(N, d)``:
+    K ~ Poisson(t) steps per particle."""
     state = _poisson_jumps(
-        np.atleast_2d(x)[None].copy(), t, (rng,),
+        np.array(x, dtype=float, order="C")[None], t, (rng,),
         lambda states, rngs, counts: mh_step(log_density, states, proposal_scale, rngs[0]),
     )
-    return state[0, 0] if x.ndim == 1 else state[0]
+    return state[0]
 
 
 def glauber_transition_matrix(pmf, d: int) -> FiniteChain:

@@ -218,7 +218,6 @@ def build_power_tempering(
     budgets = _as_budgets(time_budget, len(betas))
     proposal = _tempering_init_proposal(target, betas[0]) if target.n_components > 1 else None
     levels = []
-    gamma = 1.0
     for i, beta in enumerate(betas):
         spec = kernel or KernelSpec(
             kind="langevin", step_size=kernels.default_step_size(_hessian_bound(target, beta))
@@ -233,7 +232,6 @@ def build_power_tempering(
                 shift = power_normalizer(gauss[0], betas[i - 1]) - power_normalizer(gauss[0], beta)
                 normalized = partial(_power_ratio, target, dbeta, shift)
             bound = power_tempering_gamma(target, beta, betas[i - 1], conservative_gamma)
-            gamma = max(gamma, bound)
         levels.append(
             Level(
                 kernel=spec,
@@ -249,7 +247,7 @@ def build_power_tempering(
                 init_proposal=proposal if i == 0 else None,
             )
         )
-    return Ladder(levels=tuple(levels), gamma_bound=gamma)
+    return _ladder(levels)
 
 
 def build_gaussian_convolution(
@@ -286,7 +284,6 @@ def build_gaussian_convolution(
     ] + [target]
 
     levels = []
-    gamma = 1.0
     for k, mix in enumerate(mixtures):
         noise = sigma2 / betas[k] if k < len(betas) else 0.0
         spec = kernel or KernelSpec(
@@ -306,7 +303,6 @@ def build_gaussian_convolution(
                 bound = _exp_bound(max(
                     0.5 * (g.convolved(tau).log_det_cov - g.log_det_cov) for g in gauss
                 ))
-            gamma = max(gamma, bound)
         levels.append(
             Level(
                 kernel=spec,
@@ -318,7 +314,7 @@ def build_gaussian_convolution(
                 mixture=mix,
             )
         )
-    return Ladder(levels=tuple(levels), gamma_bound=gamma)
+    return _ladder(levels)
 
 
 def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
@@ -334,7 +330,6 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
         raise ValueError("need one chain per level")
     budgets = _as_budgets(time_budget, len(pmfs))
     levels = []
-    gamma = 1.0
     for k, (pmf, chain) in enumerate(zip(pmfs, chains)):
         if chain is None and k > 0:
             raise ValueError(f"level {k + 1} needs a chain (transition matrix P) to smooth with")
@@ -348,7 +343,6 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
             ratio = partial(_table_ratio, ratios)
             finite = ratios[np.isfinite(ratios)]
             bound = float(finite.max()) if finite.size else 1.0
-            gamma = max(gamma, bound)
         levels.append(
             Level(
                 kernel=None,
@@ -360,7 +354,13 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
                 chain=chain,
             )
         )
-    return Ladder(levels=tuple(levels), gamma_bound=gamma)
+    return _ladder(levels)
+
+
+def _ladder(levels: list) -> Ladder:
+    """The ladder of ``levels``, its γ the largest of 1 and their ratio bounds."""
+    return Ladder(levels=tuple(levels),
+                  gamma_bound=max([1.0] + [lv.ratio_bound for lv in levels[1:]]))
 
 
 def _as_budgets(time_budget, n: int):

@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import math
 import os
 import pickle
 import re
@@ -1287,3 +1288,173 @@ assert loaded == {{"numpy"}}, sorted(loaded)
         proc = run_python("-W", "error::RuntimeWarning", "-m", "smcmix.cli", "--help")
         assert proc.returncode == 0, proc.stderr
         assert "usage: smcmix" in proc.stdout
+
+
+def test_failed_csv_write_leaves_existing_file(tmp_path):
+    path = tmp_path / "levels.csv"
+    cli._write_csv(str(path), [["replicate", "level"], [0, 2]])
+    before = path.read_bytes()
+
+    def rows():
+        yield ["replicate", "level"]
+        raise RuntimeError("interrupted after the header")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        cli._write_csv(str(path), rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["levels.csv"]
+
+
+class TestCommandLineInputs:
+    @pytest.mark.parametrize("command", ["run", "bounds", "sweep"])
+    def test_command_without_config(self, capsys, command):
+        assert main(["--threads", "1", command]) == 2
+        assert capsys.readouterr().err == f"config error: {command} requires --config\n"
+
+    @pytest.mark.parametrize("command, message", [
+        ("run", "run needs an 'experiment' section"),
+        ("bounds", "bounds needs a 'bounds' section"),
+        ("sweep", "sweep needs both 'sweep' and 'experiment' sections"),
+    ])
+    def test_command_without_its_section(self, tmp_path, capsys, command, message):
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1})
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--threads", "1", command]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [b'{"schema_version": 1,', b'\xff\xfe{}'],
+                             ids=["truncated", "not_utf8"])
+    def test_config_that_is_not_json(self, tmp_path, capsys, content):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        assert main(["--config", str(path), "--threads", "1", "run"]) == 2
+        assert capsys.readouterr().err.startswith("config error: config is not valid JSON: ")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_refused_when_parsed(self, tmp_path, capsys, threads):
+        cfg = write_json(tmp_path / "c.json",
+                         {"schema_version": 1, "experiment": base_experiment()})
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", cfg, "--out", str(out), "--threads", threads, "run"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --threads: must be a positive integer, got {threads}" in err
+        assert not out.exists()
+
+
+class TestLadderFile:
+    def run_with_ladder(self, tmp_path, path):
+        exp = finite_experiment(tmp_path, target={"kind": "finite_ladder_file", "path": path})
+        return run_exit_code(tmp_path, exp)
+
+    @pytest.mark.parametrize("doc", [
+        {"kind": "finite_ladder", "levels": [{"P": None}]},
+        [{"pmf": [0.5, 0.5]}],
+        {"kind": "finite_ladder", "levels": [[0.5, 0.5]]},
+        {"kind": "finite_ladder", "levels": [{"pmf": [0.5, 0.5]},
+                                             {"pmf": [0.5, 0.5], "P": {"0": [0.5, 0.5]}}]},
+        {"kind": "finite_ladder", "levels": {"pmf": [0.5, 0.5]}},
+    ], ids=["level_without_pmf", "top_level_array", "level_array", "P_object",
+            "levels_object"])
+    def test_malformed_file_is_config_error_naming_it(self, tmp_path, capsys, doc):
+        path = write_json(tmp_path / "bad_ladder.json", doc)
+        assert self.run_with_ladder(tmp_path, path) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: finite ladder file {path}")
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert self.run_with_ladder(tmp_path, str(tmp_path / "nope.json")) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: cannot read finite ladder file: ")
+        assert "nope.json" in line
+
+    def test_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "bad_ladder.json"
+        path.write_text('{"kind": "finite_ladder", "levels": [')
+        assert self.run_with_ladder(tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: finite ladder file is not valid JSON: ")
+
+
+class TestChainFile:
+    def verify_chain(self, tmp_path, chain_path):
+        cfg = write_json(tmp_path / "c.json", {
+            "schema_version": 1,
+            "verify": {"suites": ["delta_recursion"], "chain_file": chain_path}})
+        return main(["--config", cfg, "--out", str(tmp_path / "out"), "verify"])
+
+    def test_valid_chain_passes(self, tmp_path):
+        _, pmf2 = finite_ladder_file(tmp_path)
+        chain = write_json(tmp_path / "chain.json",
+                           {"P": glauber_transition_matrix(pmf2, 2).P.tolist()})
+        assert self.verify_chain(tmp_path, chain) == 0
+        doc = read_output(tmp_path / "out" / "verify.json")
+        first = doc["checks"][0]
+        assert first == {"name": "chain_validation", "passed": True, "min_slack": 0.0,
+                         "n_trials": 1, "details": {"path": chain}}
+
+    @pytest.mark.parametrize("content", [[[0.5, 0.5], [0.5, 0.5]], "P", 3])
+    def test_file_that_is_not_an_object_fails_the_check(self, tmp_path, capsys, content):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(content))
+        assert self.verify_chain(tmp_path, str(chain)) == 1
+        doc = read_output(tmp_path / "out" / "verify.json")
+        (failed,) = [c for c in doc["checks"] if not c["passed"]]
+        assert failed["name"] == "chain_validation"
+        assert "a chain file holds an object" in failed["details"]["error"]
+        assert "FAILED checks: chain_validation" in capsys.readouterr().err
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert self.verify_chain(tmp_path, str(tmp_path / "nope.json")) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read chain file: ")
+
+    def test_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text('{"P": [[1.0]')
+        assert self.verify_chain(tmp_path, str(path)) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: chain file is not valid JSON: ")
+
+
+class TestFailedCheckReports:
+    def test_failed_check_entry_carries_its_witness(self, tmp_path, capsys, monkeypatch):
+        # a NaN Dirichlet form makes every slack NaN: the check fails on entry 0
+        monkeypatch.setattr(oracle, "dirichlet_form",
+                            lambda chain, f: np.full(np.shape(f)[0], np.nan))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "--seed", "0", "verify",
+                     "--suite", "decomposition_glauber_d2_m2"]) == 1
+        assert "FAILED checks: decomposition_glauber_d2_m2" in capsys.readouterr().err
+        (check,) = read_output(out / "verify.json")["checks"]
+        assert check["passed"] is False and check["min_slack"] is None
+        assert check["witness"]["slack"] is None
+        assert len(check["witness"]["f"]) == 4
+
+    def test_semigroup_properties_names_the_failed_property(self, monkeypatch):
+        chain = glauber_transition_matrix(np.full(4, 0.25), 2)
+        passed = oracle.semigroup_properties_check(chain)
+        assert passed.passed and passed.witness is None
+        monkeypatch.setattr(oracle, "semigroup",
+                            lambda chain, t: np.full((chain.n_states,) * 2, np.nan))
+        failed = oracle.semigroup_properties_check(chain)
+        assert not failed.passed and math.isnan(failed.min_slack)
+        doc = oracle.VerificationReport(seed=0, checks=(failed,)).to_dict()
+        assert_conforms(doc, "verify_report.schema.json")
+        assert doc["checks"][0]["witness"] == {"property": "identity", "error": None,
+                                               "tol": 1e-12, "slack": None}
+
+    def test_poissonized_law_names_the_worst_state(self, monkeypatch):
+        chain = glauber_transition_matrix(np.full(4, 0.25), 2)
+        # an identity semigroup: the exact law stays on the start state
+        monkeypatch.setattr(oracle, "semigroup", lambda chain, t: np.eye(chain.n_states))
+        report = oracle.poissonized_fidelity_check(chain, 1.3, 2000, np.random.default_rng(3))
+        assert not report.passed
+        assert report.min_slack == report.details["tv_tol"] - report.details["tv"]
+        doc = oracle.VerificationReport(seed=0, checks=(report,)).to_dict()
+        assert_conforms(doc, "verify_report.schema.json")
+        witness = doc["checks"][0]["witness"]
+        assert witness["state"] == 0 and witness["exact"] == 1.0
+        assert witness["empirical"] == pytest.approx(1.0 - report.details["tv"])
+        assert witness["slack"] == report.min_slack
