@@ -108,7 +108,7 @@ class AssumptionParams:
             raise ValueError("n and M must be >= 1")
         if not 0.0 < self.w_star <= 1.0:
             raise ValueError("w_star must lie in (0, 1]")
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ValueError("gamma must be >= 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
@@ -119,7 +119,7 @@ class AssumptionParams:
         if self.p < 4 or not _is_power_of_two(self.p):
             raise ValueError("p must be a power of 2, at least 4")
         cs = tuple(float(c) for c in self.c_star_per_level)
-        if len(cs) not in (1, self.n) or any(c <= 0 for c in cs):
+        if len(cs) not in (1, self.n) or not all(c > 0 for c in cs):
             raise ValueError("need a positive c_star per level (or one shared value)")
         object.__setattr__(self, "c_star_per_level", cs if len(cs) == self.n else cs * self.n)
 

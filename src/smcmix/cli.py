@@ -187,14 +187,19 @@ def _validate(document, schema_name: str, what: str):
     return document
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _read_json(path: str, what: str):
-    """The JSON document at ``path``, or a ConfigError that names ``what``."""
+    """The standard JSON document at ``path`` (``NaN``, ``Infinity`` and
+    ``-Infinity`` are refused), or a ConfigError that names ``what``."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_refuse_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # a JSONDecodeError, UnicodeDecodeError or refused constant
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -475,13 +480,12 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     _write_json(os.path.join(out_dir, "run.json"), doc)
     _write_csv(os.path.join(out_dir, "levels.csv"), [
         ["replicate", "level", "ess", "weight_sum", "wall_time"],
-        *([i, k + 2, f"{ess!r}", f"{ws!r}", f"{wt:.6f}"] for i, r in enumerate(results)
+        *([i, k + 2, ess, ws, f"{wt:.6f}"] for i, r in enumerate(results)
           for k, (ess, ws, wt) in enumerate(
               zip(r.ess_per_level, r.weight_sums_per_level, r.level_wall_times)))])
     _write_csv(os.path.join(out_dir, "replicates.csv"), [
         ["replicate", "seed", "eta", "nu"],
-        *([i, r.master_seed, f"{r.eta_estimate!r}",
-           "" if r.nu_estimate is None else f"{r.nu_estimate!r}"] for i, r in enumerate(results))])
+        *([i, r.master_seed, r.eta_estimate, r.nu_estimate] for i, r in enumerate(results))])
     print(f"wrote {out_dir}/run.json, levels.csv, replicates.csv")
     return 0
 
@@ -627,7 +631,7 @@ def _all_finite(value) -> bool:
     return not isinstance(value, (list, tuple)) or all(_all_finite(v) for v in value)
 
 
-def format_bound_table(report: bounds.BoundReport, feasible: bool = True, cap=None) -> str:
+def format_bound_table(report: bounds.BoundReport, feasible: bool, cap) -> str:
     rows = [
         ("theorem", report.which_theorem),
         ("gamma", f"{report.params.gamma:.6g}"),

@@ -124,9 +124,9 @@ class TargetMixture:
             raise ValueError("mixture components must share one dimension")
         if w.shape != (len(comps),):
             raise ValueError("weights length does not match component count")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):
             raise ValueError("mixture weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ValueError("mixture weights must sum to 1")
         d = comps[0].dim
         means = np.stack([g.mean for g in comps])
@@ -328,10 +328,10 @@ class FiniteChain:
             raise ValueError("transition matrix must be square")
         if P.shape[0] > MAX_FINITE_STATES:
             raise ValueError(f"state space too large ({P.shape[0]} > {MAX_FINITE_STATES})")
-        if np.any(P < -1e-15):
+        if not np.all(P >= -1e-15):
             raise ValueError("transition matrix has negative entries")
         row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
-        if row_err > 1e-12:
+        if not row_err <= 1e-12:
             raise ValueError(f"rows must sum to 1 (max deviation {row_err:.3e})")
         if self.pi is None:
             pi = _stationary_distribution(P)
@@ -339,7 +339,7 @@ class FiniteChain:
             pi = np.asarray(self.pi, dtype=float)
             pi = pi / pi.sum()
         stat_err = np.max(np.abs(pi @ P - pi))
-        if stat_err > 1e-10:
+        if not stat_err <= 1e-10:
             raise ValueError(f"pi is not stationary (max deviation {stat_err:.3e})")
         flux = pi[:, None] * P
         rev = bool(np.max(np.abs(flux - flux.T)) <= 1e-12)
@@ -398,11 +398,11 @@ class Level:
     _cdf: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        if self.time_budget < 0:
+        if not self.time_budget >= 0:
             raise ValueError("time budget must be nonnegative")
         if self.pmf is not None:
             pmf = np.asarray(self.pmf, dtype=float)
-            if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > 1e-12:
+            if not (np.all(pmf >= 0) and abs(pmf.sum() - 1.0) <= 1e-12):
                 raise ValueError("level pmf must be a probability vector")
             cdf = pmf.cumsum()
             cdf /= cdf[-1]  # as Generator.choice normalizes it

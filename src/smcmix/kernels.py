@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteChain
+from .core import MAX_FINITE_STATES, FiniteChain
 
 __all__ = [
     "KernelSpec",
@@ -58,9 +58,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.step_size <= 0:
+        if not self.step_size > 0:
             raise ValueError("step_size must be positive")
-        if self.proposal_scale <= 0:
+        if not self.proposal_scale > 0:
             raise ValueError("proposal_scale must be positive")
 
 
@@ -169,8 +169,8 @@ def glauber_transition_matrix(pmf, d: int) -> FiniteChain:
     (1/d) * p(flip) / (p(x) + p(flip)).  The result is reversible with
     stationary distribution ``pmf``.
     """
-    if d > 14:
-        raise ValueError("hypercube dimension too large (d must be <= 14)")
+    if d > np.log2(MAX_FINITE_STATES):
+        raise ValueError(f"hypercube dimension too large (2^{d} states > {MAX_FINITE_STATES})")
     pmf = np.asarray(pmf, dtype=float)
     size = 2 ** d
     if pmf.shape != (size,):
@@ -187,23 +187,19 @@ def glauber_transition_matrix(pmf, d: int) -> FiniteChain:
     return FiniteChain(P=P, pi=pmf)
 
 
-def mh_transition_matrix(pmf, proposal=None) -> FiniteChain:
-    """Metropolis-Hastings chain on an enumerated space.
+def mh_transition_matrix(pmf) -> FiniteChain:
+    """Metropolis-Hastings chain on an enumerated space with the uniform
+    proposal P(y|x) = 1/S over all S states.
 
-    ``proposal`` is a row-stochastic matrix P(y|x); the default is uniform
-    over all states.  Off-diagonal entries are
-    P(y|x) * min(1, pi(y)P(x|y) / (pi(x)P(y|x))), the diagonal absorbs the
-    rejected mass.
+    Off-diagonal entries are P(y|x) * min(1, pi(y)P(x|y) / (pi(x)P(y|x))),
+    the diagonal absorbs the rejected mass.
     """
     pmf = np.asarray(pmf, dtype=float)
     size = pmf.shape[0]
     if np.any(pmf <= 0):
         raise ValueError("Metropolis chain requires a strictly positive pmf")
     pmf = pmf / pmf.sum()
-    if proposal is None:
-        proposal = np.full((size, size), 1.0 / size)
-    else:
-        proposal = np.asarray(proposal, dtype=float)
+    proposal = np.full((size, size), 1.0 / size)
     flux = pmf[:, None] * proposal
     accept = np.minimum(1.0, np.divide(flux.T, flux, out=np.ones_like(flux), where=flux > 0))
     Q = proposal * accept

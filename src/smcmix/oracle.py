@@ -83,10 +83,10 @@ class FiniteMixture:
     def __post_init__(self):
         comps = tuple(self.components)
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (len(comps),) or np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
+        if not (w.shape == (len(comps),) and np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be positive and sum to 1, one per component")
         recombined = sum(wi * c.pi for wi, c in zip(w, comps))
-        if np.max(np.abs(recombined - self.chain.pi)) > 1e-12:
+        if not np.max(np.abs(recombined - self.chain.pi)) <= 1e-12:
             raise ValueError("component stationary distributions do not recombine to pi")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "weights", w)
@@ -593,14 +593,14 @@ def glauber_mixture(weights, component_probs) -> FiniteMixture:
     return FiniteMixture(chain=chain, components=comps, weights=weights)
 
 
-def mh_mixture(weights, component_pmfs, proposal=None) -> FiniteMixture:
-    """Metropolis chains (shared proposal) for a mixture of pmfs."""
+def mh_mixture(weights, component_pmfs) -> FiniteMixture:
+    """Metropolis chains (shared uniform proposal) for a mixture of pmfs."""
     weights = np.asarray(weights, dtype=float)
     pmfs = [np.asarray(p, dtype=float) for p in component_pmfs]
     pmfs = [p / p.sum() for p in pmfs]
     mix_pmf = sum(w * p for w, p in zip(weights, pmfs))
-    chain = _kernels.mh_transition_matrix(mix_pmf, proposal)
-    comps = tuple(_kernels.mh_transition_matrix(p, proposal) for p in pmfs)
+    chain = _kernels.mh_transition_matrix(mix_pmf)
+    comps = tuple(_kernels.mh_transition_matrix(p) for p in pmfs)
     return FiniteMixture(chain=chain, components=comps, weights=weights)
 
 

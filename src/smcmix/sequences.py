@@ -67,11 +67,11 @@ class TemperingSchedule:
         betas = tuple(float(b) for b in self.betas)
         if len(betas) < 1:
             raise ValueError("schedule needs at least one beta")
-        if any(b <= 0 for b in betas):
+        if not all(b > 0 for b in betas):
             raise ValueError("betas must be positive")
-        if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
+        if not all(b2 > b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("betas must be strictly increasing")
-        if self.sigma is not None and self.sigma <= 0:
+        if self.sigma is not None and not self.sigma > 0:
             raise ValueError("sigma must be positive")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
@@ -333,7 +333,7 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     for k, (pmf, chain) in enumerate(zip(pmfs, chains)):
         if chain is None and k > 0:
             raise ValueError(f"level {k + 1} needs a chain (transition matrix P) to smooth with")
-        if chain is not None and np.max(np.abs(chain.pi - pmf)) > 1e-10:
+        if chain is not None and not np.max(np.abs(chain.pi - pmf)) <= 1e-10:
             raise ValueError(f"chain at level {k + 1} is not stationary for its pmf")
         ratio = None
         bound = None

@@ -19,16 +19,15 @@ estimand, the Langevin gradient and the finite kernel's table lookup see the
 whole block at once, while every replicate draws only from its own streams
 into its own row, so each result is bitwise that of a lone ``run_smc``.
 Replicates run in blocks of up to 2^16 particle cells: a particle has S
-cells on a ladder over S finite states (level 1 has a pmf; 2^14 particles
-on four states) and M·d cells on a ladder whose levels carry a mixture of M
-components in dimension d.  Other ladders run one replicate at a time.  A
-Euclidean block keeps its (B, N, d) shape through the mixture evaluators:
-a flattened (B·N, d) stack rounds differently from each replicate's
-points alone (with numpy 2.4 and OpenBLAS 0.3.31: from d = 16 on for N >= 2,
-through the BLAS products, and from d = 2 on for N = 1, through the squared
-norms), but each (d, d) @ (d, N) slice of the block is the product of a lone
-run, and the components are summed in a fixed order, so a row's values do
-not depend on the block it shares.
+cells on a ladder over S finite states (level 1 has a pmf; 2^14 particles on
+four states) and M·d cells on a ladder whose levels carry a mixture of M
+components in dimension d.  A Euclidean block keeps its (B, N, d) shape
+through the mixture evaluators: a flattened (B·N, d) stack rounds
+differently from each replicate's points alone (with numpy 2.4 and OpenBLAS
+0.3.31: from d = 16 on for N >= 2, through the BLAS products, and from d = 2
+on for N = 1, through the squared norms), but each (d, d) @ (d, N) slice of
+the block is the product of a lone run, and the components are summed in a
+fixed order, so a row's values do not depend on the block it shares.
 
 Run results are invariant to the storage order of the particle ensemble:
 particles carry lane ids and the driver canonicalizes their order on entry,
@@ -165,7 +164,7 @@ def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
 
 
 # numpy's SeedSequence hash (pool size 4), evaluated on uint32 arrays with one
-# entropy row per sequence; the hash constants are precomputed, so that every
+# entropy row per sequence; the hash constants are computed ahead, so that every
 # step is an array operation that wraps modulo 2^32 without a warning
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
@@ -181,9 +180,6 @@ def _powers(init: int, mult: int, n: int) -> np.ndarray:
     return np.array(out, dtype=np.uint32)
 
 
-# hashmix constants: an entropy row of L >= 4 words takes 4 L of them, plus
-# the multiplier of the last; these cover rows of up to 16 words
-_HASH_A = _powers(_INIT_A, _MULT_A, 4 * 16 + 1)
 # generate_state constants for up to 4 uint64 (8 uint32) words
 _HASH_B = _powers(0x8B51F9DD, 0x58F38DED, 8 + 1)
 
@@ -215,7 +211,9 @@ def _seed_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
         entropy = np.concatenate(
             [entropy, np.zeros((n_rows, _POOL_SIZE - width), dtype=np.uint32)], axis=1)
         width = _POOL_SIZE
-    consts = _HASH_A if 4 * width < _HASH_A.size else _powers(_INIT_A, _MULT_A, 4 * width + 1)
+    # an entropy row of width L >= 4 takes 4 L hashmix constants, plus the
+    # multiplier of the last
+    consts = _powers(_INIT_A, _MULT_A, 4 * width + 1)
     pool = _hashmix(entropy[:, :_POOL_SIZE], consts, 0, _POOL_SIZE)
     k = _POOL_SIZE
     # numpy mixes each word into the others one call at a time; the word
@@ -325,16 +323,14 @@ _BLOCK_CELLS = 2 ** 16
 
 def _block_size(config: SmcConfig) -> int:
     """Replicates per block: as many as keep particles times cells within
-    ``_BLOCK_CELLS``, one on a ladder with neither a pmf nor mixtures (see
-    the module docstring)."""
+    ``_BLOCK_CELLS`` (see the module docstring); a ladder that
+    ``sample_initial`` can start has a level-1 pmf or mixtures."""
     levels = config.ladder.levels
     if levels[0].pmf is not None:
         cells = levels[0].pmf.size
     else:
-        mixtures = [lv.mixture for lv in levels if lv.mixture is not None]
-        if not mixtures:
-            return 1
-        cells = max(m.n_components * m.dim for m in mixtures)
+        cells = max(lv.mixture.n_components * lv.mixture.dim
+                    for lv in levels if lv.mixture is not None)
     return max(1, _BLOCK_CELLS // (config.n_particles * cells))
 
 

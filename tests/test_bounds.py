@@ -114,6 +114,9 @@ class TestThetaAndQ:
         limit = theta_hyper(q_of_t(2.0, 1.0, 50.0), 2.0, w)
         assert limit == pytest.approx((1.0 / w) ** 0.5, rel=1e-9)
 
+    def test_q_past_the_float_range_is_infinite(self):
+        assert q_of_t(2.0, 1e-3, 1e3) == math.inf  # e^(2e6)
+
 
 class TestChatVbar:
     def test_unit_plug_in(self):

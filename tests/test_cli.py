@@ -11,6 +11,7 @@ import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -250,6 +251,17 @@ class TestConfigValidation:
         assert line.startswith(f"config error: cannot create the output directory --out {taken}")
         assert ran == []
         assert taken.read_text() == "a file"
+
+    def test_from_theorem_on_a_finite_ladder_refused(self, tmp_path, capsys):
+        exp = finite_experiment(tmp_path, time_policy={"mode": "from_theorem"})
+        assert run_exit_code(tmp_path, exp) == 2
+        assert "from_theorem time policy needs an analytic ladder" in capsys.readouterr().err
+
+    def test_finite_target_needs_a_from_file_ladder(self, tmp_path, capsys):
+        exp = finite_experiment(tmp_path, ladder={"kind": "tempering"})
+        assert run_exit_code(tmp_path, exp) == 2
+        assert ("finite ladder targets and ladder.kind = from_file go together"
+                in capsys.readouterr().err)
 
 
 def schema_integer_names(node) -> set:
@@ -970,6 +982,25 @@ class TestBounds:
         assert not (tmp_path / "o").exists()
 
 
+    def test_constants_are_not_derived_from_a_finite_ladder(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "experiment": finite_experiment(tmp_path),
+            "bounds": {"mode": "mse", "epsilon": 0.5, "f_sup_bound": 1.0}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "bounds"]) == 2
+        assert ("cannot derive assumption constants from a finite ladder file"
+                in capsys.readouterr().err)
+
+    def test_convolution_section_with_given_constants_beside_a_finite_ladder(self, tmp_path):
+        # every constant is given, so nothing is compared with the finite experiment
+        section = bounds_section(n=2, convolution={"sigma": 1.0, "betas": [0.5], "d": 2})
+        cfg = write_json(tmp_path / "c.json", {
+            "schema_version": 1, "experiment": finite_experiment(tmp_path), "bounds": section})
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
+        doc = read_output(out / "bounds.json")
+        assert doc["which_theorem"] == "convolution"
+        assert doc["inputs"]["c_star_per_level"] == [3.0, 1.0]  # 1 + sigma^2 / 0.5, then 1
+
 def test_failed_json_dump_leaves_existing_file(tmp_path):
     path = tmp_path / "run.json"
     cli._write_json(str(path), {"eta": 0.5})
@@ -1343,6 +1374,23 @@ class TestCommandLineInputs:
         assert f"argument --threads: must be a positive integer, got {threads}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("run", "experiment", "exact_value", math.nan),
+        ("bounds", "bounds", "feasibility_cap", math.inf),
+        ("run", "experiment", "estimand", {"name": "indicator_halfspace", "threshold": -math.inf}),
+    ], ids=["nan", "infinity", "minus_infinity"])
+    def test_config_with_a_non_standard_constant_is_not_json(self, tmp_path, capsys, command,
+                                                             section, key, value):
+        doc = {"schema_version": 1, "experiment": base_experiment(replicates=1),
+               "bounds": bounds_section()}
+        doc[section][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))  # json.dumps writes NaN, Infinity and -Infinity
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out), "--threads", "1", command]) == 2
+        assert capsys.readouterr().err.startswith("config error: config is not valid JSON: ")
+        assert not out.exists()
+
 
 class TestLadderFile:
     def run_with_ladder(self, tmp_path, path):
@@ -1376,6 +1424,24 @@ class TestLadderFile:
         assert self.run_with_ladder(tmp_path, str(path)) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: finite ladder file is not valid JSON: ")
+
+    def test_non_stochastic_chain_is_config_error_naming_its_level(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bad_ladder.json", {"kind": "finite_ladder", "levels": [
+            {"pmf": [0.5, 0.5], "P": None},
+            {"pmf": [0.5, 0.5], "P": [[0.5, 0.4], [0.5, 0.5]]}]})
+        assert self.run_with_ladder(tmp_path, path) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: invalid chain at level 2: rows must sum to 1")
+
+    def test_nan_is_not_valid_json(self, tmp_path, capsys):
+        doc = json.loads(Path(finite_ladder_file(tmp_path)[0]).read_text())
+        doc["levels"][1]["P"][0][1] = math.nan  # read as a number, it makes state 0 absorb
+        path = tmp_path / "nan_ladder.json"
+        path.write_text(json.dumps(doc))
+        assert self.run_with_ladder(tmp_path, str(path)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("config error: finite ladder file is not valid JSON: "
+                        "NaN is not a JSON number")
 
 
 class TestChainFile:
@@ -1416,6 +1482,13 @@ class TestChainFile:
         assert self.verify_chain(tmp_path, str(path)) == 2
         assert capsys.readouterr().err.startswith(
             "config error: chain file is not valid JSON: ")
+
+    def test_nan_is_not_valid_json(self, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"P": [[math.nan, 1.0], [0.5, 0.5]], "pi": [1 / 3, 2 / 3]}))
+        assert self.verify_chain(tmp_path, str(path)) == 2
+        assert capsys.readouterr().err == ("config error: chain file is not valid JSON: "
+                                           "NaN is not a JSON number\n")
 
 
 class TestFailedCheckReports:

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import smcmix
-from smcmix import sequences
+from smcmix import oracle, sequences
+from smcmix.bounds import AssumptionParams
 from smcmix.core import (
     FiniteChain,
+    Level,
     ParticleEnsemble,
     TargetMixture,
     effective_sample_size,
@@ -21,6 +23,7 @@ from smcmix.core import (
     mixture_grad_logdensity,
 )
 from smcmix.gaussians import GaussianComponent
+from smcmix.kernels import KernelSpec
 
 # log pdf of a standard normal at its mean
 LOG_PHI_0 = -0.5 * math.log(2.0 * math.pi)
@@ -391,3 +394,47 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+def finite_mixture_with_weights(weights):
+    mix = oracle.standard_glauber_mixture(2)
+    return oracle.FiniteMixture(chain=mix.chain, components=mix.components, weights=weights)
+
+
+def assumption_params(**overrides):
+    return AssumptionParams(**{"n": 1, "M": 1, "w_star": 1.0, "gamma": 1.0,
+                               "c_star_per_level": (1.0,), "f_sup_bound": 1.0,
+                               "epsilon": 0.5, **overrides})
+
+
+NAN = math.nan
+# each range check with a NaN where its condition must hold
+NAN_INPUTS = {
+    "mixture_weights": (lambda: TargetMixture.gaussian([0.5, NAN], [[0.0], [1.0]],
+                                                       [[[1.0]], [[1.0]]]), "positive"),
+    "chain_entries": (lambda: FiniteChain(P=[[NAN, 1.0], [0.5, 0.5]], pi=[1 / 3, 2 / 3]),
+                      "negative entries"),
+    "chain_pi": (lambda: FiniteChain(P=np.full((2, 2), 0.5), pi=[NAN, 1.0]), "not stationary"),
+    "level_time_budget": (lambda: Level(kernel=None, time_budget=NAN), "nonnegative"),
+    "level_pmf": (lambda: Level(kernel=None, time_budget=1.0, pmf=[NAN, 1.0]),
+                  "probability vector"),
+    "kernel_step_size": (lambda: KernelSpec("langevin", step_size=NAN), "step_size"),
+    "kernel_proposal_scale": (lambda: KernelSpec("metropolis_hastings", proposal_scale=NAN),
+                              "proposal_scale"),
+    "schedule_betas": (lambda: sequences.TemperingSchedule((NAN, 1.0), d=1), "positive"),
+    "schedule_sigma": (lambda: sequences.TemperingSchedule((0.5, 1.0), d=1, sigma=NAN),
+                       "sigma must be positive"),
+    "ladder_pmf": (lambda: sequences.build_finite_ladder(
+        [[0.5, 0.5], [NAN, 1.0]], [None, FiniteChain(P=np.full((2, 2), 0.5))]),
+        "not stationary"),
+    "finite_mixture_weights": (lambda: finite_mixture_with_weights([NAN, 0.5]),
+                               "positive and sum to 1"),
+    "assumption_gamma": (lambda: assumption_params(gamma=NAN), "gamma must be >= 1"),
+    "assumption_c_star": (lambda: assumption_params(c_star_per_level=(NAN,)), "positive c_star"),
+}
+
+
+@pytest.mark.parametrize("build, message", NAN_INPUTS.values(), ids=NAN_INPUTS.keys())
+def test_range_checks_refuse_nan(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -212,6 +212,19 @@ class TestVarianceDecay:
             min(seconds), rel=1e-9, abs=1e-15
         )
 
+    def test_concave_variance_curve_fails_on_convexity_alone(self, monkeypatch, rng):
+        # P_t = a(t) I scales every variance by a(t)^2: 0.09, 0.09, 0 on the
+        # convexity grid is concave, and 0.09 keeps the decay bound at t = 1
+        scale = {0.0: 0.3, 1.0: 0.3, 2.0: 0.0}
+        monkeypatch.setattr(oracle, "semigroup",
+                            lambda chain, t: scale[t] * np.eye(chain.n_states))
+        mix = oracle.standard_glauber_mixture(2)
+        report = variance_decay_check(mix, [1.0], 5, rng, convexity_grid=[0.0, 1.0, 2.0])
+        assert not report.passed and report.min_slack >= 0.0
+        assert report.details["min_second_difference"] < -1e-10
+        assert report.witness["second_difference"] == report.details["min_second_difference"]
+        assert len(report.witness["f"]) == 4
+
 
 class TestInterIntra:
     def test_zero_function(self):
@@ -388,6 +401,11 @@ class TestContraction:
         report = markov_contraction_check(mix, [0.1, 0.5, 1.0, 3.0, 10.0])
         assert report.passed
         assert report.min_slack >= -1e-12
+
+    def test_empty_grid_passes_vacuously(self):
+        report = markov_contraction_check(oracle.standard_glauber_mixture(2), [])
+        assert report.passed and report.min_slack == math.inf
+        assert report.n_trials == 0 and report.witness is None
 
 
 class TestSuite:

@@ -140,6 +140,17 @@ class TestSeeding:
         with pytest.raises(TypeError, match="spawning"):
             gens[0].spawn(1)
 
+    # 2^511 takes 16 words, the others 17 to 20: with the spawn key or the
+    # replicate index, every entropy row is wider than 16 words
+    @pytest.mark.parametrize("seed", [2**511, 2**512, 2**600 + 12345, 3**400])
+    def test_entropy_wider_than_sixteen_words(self, seed):
+        children = np.random.SeedSequence(seed).spawn(3)
+        expected = np.stack([child.generate_state(4, np.uint64) for child in children])
+        np.testing.assert_array_equal(smc._child_states([seed, 7], 3)[0], expected)
+        expected = [int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
+                    for i in range(5)]
+        assert smc.replicate_seeds(seed, 5) == expected
+
 
 class TestExchangeability:
     def test_permuted_ensemble_reproduces_run(self, bimodal_target, rng):
@@ -400,6 +411,19 @@ class TestEstimators:
         assert result.eta_estimate == pytest.approx(expected, abs=1e-15)
         assert result.nu_estimate == result.eta_estimate  # empty product
         assert result.ess_per_level == ()
+
+    def test_single_level_weighted_ensemble_gives_the_weighted_mean(self, bimodal_target, rng):
+        one_level = sequences.TemperingSchedule((1.0,), d=2)
+        ladder = sequences.build_power_tempering(bimodal_target, one_level)
+        config = SmcConfig(ladder=ladder, n_particles=64, master_seed=5,
+                           estimand=lambda x: x[:, 0])
+        particles = rng.standard_normal((64, 2))
+        log_w = rng.normal(scale=3.0, size=64)
+        result = run_smc(config, ParticleEnsemble(particles, log_weights=log_w))
+        expected = np.average(particles[:, 0], weights=np.exp(log_w - log_w.max()))
+        assert result.eta_estimate == pytest.approx(expected, rel=1e-14)
+        assert result.nu_estimate is None and result.ess_per_level == ()
+        np.testing.assert_array_equal(result.final_ensemble.log_weights, log_w)
 
     @pytest.mark.parametrize("c", [3.0, 0.5, -2.25, 0.3, 1.0 / 7.0])
     def test_constant_estimand_exact(self, finite_ladder, c):

@@ -1,0 +1,139 @@
+"""Compare what two source trees of smcmix print and write, command by command.
+
+    python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
+
+Cases: ``run`` and ``bounds`` on the 100 pinned configs of
+``tests/test_fuzz.py``, ``sweep`` on their sweeps, a README-style tempering,
+convolution, Metropolis and finite-ladder ``run``, and ``verify --seed 0``.
+Each side runs them through ``smcmix.cli.main`` in its own process with
+``PYTHONPATH=<side>``.  Compared per case: the exit code (or uncaught
+exception), stdout, stderr with each warning's ``file:line`` masked, and every
+file written, ``levels.csv`` without its ``wall_time``.  Prints each
+difference; exits 1 if there is any.  Drawing the configs needs the ``test``
+extra.
+"""
+
+import contextlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+WARNING_AT = re.compile(r"^\S+\.py:\d+: ", re.MULTILINE)
+
+
+def make_cases(workdir: str) -> list:
+    """Write every case's config under ``workdir``; ``[name, argv]`` per case."""
+    import numpy as np
+    from test_cli import finite_ladder_file
+    from test_fuzz import N_CONFIGS, SEED, random_bounds, random_experiment, random_sweep
+
+    cases = []
+
+    def add(name, cfg, *commands):
+        path = os.path.join(workdir, f"{name}.json")
+        Path(path).write_text(json.dumps(cfg))
+        for command in commands:
+            out = f"{name}_{command}"
+            cases.append([out, ["--config", path, "--out", out, "--threads", "1", command]])
+
+    for i in range(N_CONFIGS):
+        rng = np.random.default_rng([SEED, i])
+        exp = random_experiment(rng)
+        add(f"fuzz{i}", {"schema_version": 1, "experiment": exp,
+                         "bounds": random_bounds(rng, exp)}, "run", "bounds")
+        add(f"sweep{i}", random_sweep(rng, exp), "sweep")
+
+    def readme(**changes):  # the README config at N = 512, 4 replicates; None drops a key
+        exp = {"target": {"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                          "means": [[-3.0, -3.0], [3.0, 3.0]]},
+               "ladder": {"kind": "tempering", "n_levels": 10, "beta_min": 0.05},
+               "kernel": {"kind": "langevin", "step_size": 0.05},
+               "time_policy": {"mode": "explicit", "t": 1.0}, "n_particles": 512,
+               "estimand": {"name": "indicator_halfspace", "coordinate": 0, "threshold": 0.0},
+               "replicates": 4, "master_seed": 7, **changes}
+        return {"schema_version": 1, "experiment": {k: v for k, v in exp.items() if v is not None}}
+
+    add("tempering", readme(), "run")
+    add("convolution", readme(n_particles=2000, kernel=None, ladder={
+        "kind": "convolution", "n_levels": 10, "beta_min": 0.05, "sigma": 3.0}), "run")
+    add("metropolis", readme(kernel={"kind": "metropolis_hastings", "proposal_scale": 1.0},
+                             time_policy={"mode": "explicit", "t": 3.0}), "run")
+    add("finite", readme(replicates=50, kernel=None, ladder={"kind": "from_file"},
+                         target={"kind": "finite_ladder_file",
+                                 "path": finite_ladder_file(Path(workdir))[0]},
+                         estimand={"name": "mode_indicator", "mode_index": 0}), "run")
+    return cases + [["verify", ["--out", "verify", "--seed", "0", "verify"]]]
+
+
+def run_side(cases: list) -> dict:
+    """Every case through ``cli.main`` in this process and directory."""
+    from smcmix.cli import main
+
+    results = {}
+    for name, argv in cases:
+        out, err = io.StringIO(), io.StringIO()
+        # catch_warnings resets the warnings registry, as a new process would
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # an uncaught error is a result to compare
+                code = f"{type(exc).__name__}: {exc}"
+        out_dir = Path(argv[argv.index("--out") + 1])
+        files = {f.name: f.read_text() for f in sorted(out_dir.glob("*"))}
+        if "levels.csv" in files:
+            rows = files["levels.csv"].splitlines()
+            files["levels.csv"] = "\n".join(row.rsplit(",", 1)[0] for row in rows)
+        results[name] = {"code": code, "stdout": out.getvalue(), "files": files,
+                         "stderr": WARNING_AT.sub("<file>:<line>: ", err.getvalue())}
+    return results
+
+
+def child(pythonpath: str, cwd: str, *args):
+    subprocess.run([sys.executable, os.path.abspath(__file__), *args], cwd=cwd, check=True,
+                   env={**os.environ, "PYTHONPATH": pythonpath})
+
+
+def main(parent_src: str, change_src: str) -> int:
+    sides = {}
+    with tempfile.TemporaryDirectory() as work:
+        cases = os.path.join(work, "cases.json")
+        child(os.pathsep.join([os.path.abspath(change_src), str(TESTS)]), work, "--cases", cases)
+        for side, src in (("parent", parent_src), ("change", change_src)):
+            os.makedirs(os.path.join(work, side))
+            results = os.path.join(work, f"{side}.json")
+            child(os.path.abspath(src), os.path.join(work, side), "--side", cases, results)
+            sides[side] = json.loads(Path(results).read_text())
+    differences = 0
+    for name, parent in sides["parent"].items():
+        change = sides["change"][name]
+        for key in ("code", "stdout", "stderr"):
+            if parent[key] != change[key]:
+                differences += 1
+                print(f"{name}: {key} differs\n  parent: {parent[key]!r}\n"
+                      f"  change: {change[key]!r}")
+        for file in sorted(set(parent["files"]) | set(change["files"])):
+            if parent["files"].get(file) != change["files"].get(file):
+                differences += 1
+                print(f"{name}: {file} differs")
+    print(f"{len(sides['parent'])} cases, {differences} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1] == "--cases":
+        Path(sys.argv[2]).write_text(json.dumps(make_cases(os.path.dirname(sys.argv[2]))))
+    elif sys.argv[1] == "--side":
+        cases = json.loads(Path(sys.argv[2]).read_text())
+        Path(sys.argv[3]).write_text(json.dumps(run_side(cases)))
+    else:
+        sys.exit(main(*sys.argv[1:]))
