@@ -212,6 +212,11 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _given(section: dict, *keys) -> dict:
+    """The ``keys`` that ``section`` sets; the others keep the library's defaults."""
+    return {k: section[k] for k in keys if k in section}
+
+
 def _build_target(spec: dict) -> TargetMixture:
     means = spec["means"]
     covs = spec.get("covariances")
@@ -244,9 +249,17 @@ def _load_finite_ladder(path: str):
     return sequences.build_finite_ladder(pmfs, chains)
 
 
-def _resolve_time_budgets(policy: dict | None, ladder):
-    if policy is None or policy["mode"] == "explicit":
-        return 1.0 if policy is None else policy["t"]
+def _kernel_steps(level, t: float) -> float:
+    """Kernel steps per particle that time ``t`` takes on a smoothed ``level``:
+    ceil(t/h) Langevin steps or t expected Poissonized jumps; t/h may be inf."""
+    if level.kernel is not None and level.kernel.kind == "langevin":
+        return float(np.ceil(t / level.kernel.step_size))
+    return t
+
+
+def _resolve_time_budgets(policy: dict, ladder):
+    if policy["mode"] == "explicit":
+        return policy["t"]
     # from_theorem: the theorem's t_k from the ladder's analytic constants
     if any(level.lsi_constant_bound is None for level in ladder.levels):
         raise ConfigError("from_theorem time policy needs an analytic ladder "
@@ -254,12 +267,7 @@ def _resolve_time_budgets(policy: dict | None, ladder):
     budgets = bounds.theorem_times([lv.lsi_constant_bound for lv in ladder.levels],
                                    ladder.gamma_bound)
     cap = policy.get("max_total_steps", MAX_THEOREM_STEPS)
-    # per smoothed level (2..n): ceil(t/h) Langevin steps or t expected
-    # Poissonized jumps, as floats: t/h may still overflow to inf
-    steps = sum(
-        float(np.ceil(t / lv.kernel.step_size)) if lv.kernel.kind == "langevin" else t
-        for lv, t in zip(ladder.levels[1:], budgets[1:])
-    )
+    steps = sum(_kernel_steps(lv, t) for lv, t in zip(ladder.levels[1:], budgets[1:]))
     if steps > cap:
         raise ConfigError(
             f"from_theorem budgets need ~{steps:.3g} kernel steps per particle "
@@ -269,8 +277,16 @@ def _resolve_time_budgets(policy: dict | None, ladder):
 
 
 def _with_budgets(ladder, time_budget):
-    """The ladder with its levels' time budgets set (one number or one per level)."""
+    """The ladder with its levels' time budgets set (one number or one per
+    level).  A budget that takes 2^62 kernel steps per particle or more on a
+    smoothed level is a ConfigError: no run could take them, and numpy's
+    Poisson draws refuse a mean past about 9.22e18."""
     budgets = sequences._as_budgets(time_budget, ladder.n_levels)
+    for k, (lv, t) in enumerate(zip(ladder.levels[1:], budgets[1:]), start=2):
+        steps = _kernel_steps(lv, t)
+        if not steps < 2.0 ** 62:
+            raise ConfigError(f"time budget {t:g} at level {k} takes ~{steps:.3g} kernel "
+                              f"steps per particle, not below 2^62")
     levels = tuple(replace(lv, time_budget=t) for lv, t in zip(ladder.levels, budgets))
     return replace(ladder, levels=levels)
 
@@ -316,7 +332,7 @@ def _build_ladder(exp: dict):
             if ladder_spec["kind"] == "tempering":
                 ladder = sequences.build_power_tempering(
                     target, schedule, kernel=kernel,
-                    conservative_gamma=ladder_spec.get("conservative_gamma", False),
+                    **_given(ladder_spec, "conservative_gamma"),
                 )
             else:
                 ladder = sequences.build_gaussian_convolution(target, schedule, kernel=kernel)
@@ -400,10 +416,11 @@ def _at_point(config, parameter: str, value):
 
 def build_smc_config(exp: dict):
     ladder, target = _build_ladder(exp)
-    try:
-        ladder = _with_budgets(ladder, _resolve_time_budgets(exp.get("time_policy"), ladder))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if "time_policy" in exp:  # else each level keeps the builders' unit budget
+        try:
+            ladder = _with_budgets(ladder, _resolve_time_budgets(exp["time_policy"], ladder))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     estimand = _build_estimand(exp["estimand"], ladder, target)
     config = smc.SmcConfig(
         ladder=ladder,
@@ -507,7 +524,7 @@ def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
     ``tempered_weight_lower_bound`` on its levels' weights.
     """
     b = cfg["bounds"]
-    merged = {k: b[k] for k in _ASSUMPTION_KEYS if k in b}
+    merged = _given(b, *_ASSUMPTION_KEYS)
     weights = None
     try:
         if len(merged) < len(_ASSUMPTION_KEYS):
@@ -543,9 +560,8 @@ def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
             c_star_per_level=tuple(float(c) for c in np.atleast_1d(c_star)),
             f_sup_bound=float(b["f_sup_bound"]),
             epsilon=float(b["epsilon"]),
-            delta=float(b.get("delta", 0.1)),
-            p=int(b.get("p", 4)),
             per_level_weights=weights,
+            **_given(b, "delta", "p"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -663,19 +679,17 @@ def cmd_verify(cfg: dict | None, out_dir, seed_override, args_suites) -> int:
 
     verify_cfg = (cfg or {}).get("verify", {})
     suites = args_suites or verify_cfg.get("suites")
-    seed = 0 if seed_override is None else seed_override
-    scale = verify_cfg.get("trials_scale", 1.0)
+    seed = {} if seed_override is None else {"seed": seed_override}
     if out_dir:
         _make_out_dir(out_dir)
     chain_file = verify_cfg.get("chain_file")
     checks = (_chain_validation_check(chain_file),) if chain_file else ()
     try:
         report = oracle.run_verification_suite(
-            selectors=suites, seed=seed, trials_scale=scale
-        )
+            selectors=suites, **seed, **_given(verify_cfg, "trials_scale"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    report = oracle.VerificationReport(seed=seed, checks=checks + report.checks)
+    report = replace(report, checks=checks + report.checks)
     text = _json_text(report.to_dict())
     print(text)
     if out_dir:
@@ -717,10 +731,10 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     base_config, exact = _seeded_config(exp, seed_override)
     if exact is None:
         raise ConfigError("sweep needs exact_value in the experiment (or a finite target)")
+    configs = [_at_point(base_config, sweep["parameter"], value) for value in sweep["values"]]
     _make_out_dir(out_dir)
     points = []
-    for value in sweep["values"]:
-        config = _at_point(base_config, sweep["parameter"], value)
+    for value, config in zip(sweep["values"], configs):
         results = _run_replicates(config, sweep["replicates"], threads)
         stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
         points.append({"value": float(value), **stats})

@@ -30,13 +30,13 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .bounds import _float_power
 from .gaussians import _LOG_2PI, GaussianComponent
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import, kernels imports core at runtime
@@ -328,6 +328,8 @@ class FiniteChain:
             raise ValueError("transition matrix must be square")
         if P.shape[0] > MAX_FINITE_STATES:
             raise ValueError(f"state space too large ({P.shape[0]} > {MAX_FINITE_STATES})")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("transition matrix has non-finite entries")
         if not np.all(P >= -1e-15):
             raise ValueError("transition matrix has negative entries")
         row_err = np.max(np.abs(P.sum(axis=1) - 1.0))
@@ -498,17 +500,10 @@ def effective_sample_size(weights: np.ndarray):
     """
     totals = np.atleast_1d(weights.sum(axis=-1))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ess = np.array([_square(t) for t in totals.tolist()]) / np.sum(weights * weights, axis=-1)
+        squares = np.array([_float_power(t, 2) for t in totals.tolist()])
+        ess = squares / np.sum(weights * weights, axis=-1)
     off = ~np.isfinite(ess)
     if off.any():
         p = np.atleast_2d(weights)[off] / totals[off, None]
         ess[off] = 1.0 / np.sum(p * p, axis=-1)
     return float(ess[0]) if weights.ndim == 1 else ess
-
-
-def _square(t: float) -> float:
-    """``t ** 2`` of a Python float, inf where it leaves the float range."""
-    try:
-        return t ** 2
-    except OverflowError:
-        return math.inf

@@ -178,15 +178,15 @@ def _ent(pi: np.ndarray, g: np.ndarray):
 
 
 def _report(name, slack, n_trials, witness, tol=INEQ_TOL, details=None) -> CheckReport:
-    """One-sided check over an array of slacks: passes when the smallest is
-    >= -tol (a NaN fails); on failure ``witness(*index)`` describes the
-    entry holding the smallest slack."""
+    """One-sided check over an array of slacks: passes when every slack is >=
+    -its tolerance (``tol``: one for all, or one per slack; a NaN fails).
+    ``min_slack`` is the smallest slack; ``witness(*index)`` describes it."""
     slack = np.asarray(slack, dtype=float)
     if slack.size == 0:
         return CheckReport(name, True, math.inf, n_trials, details=details or {})
     index = tuple(int(k) for k in np.unravel_index(np.argmin(slack), slack.shape))
     worst = float(slack[index])
-    passed = worst >= -tol
+    passed = bool(np.all(slack >= -np.asarray(tol)))
     found = None if passed else {**witness(*index), "slack": worst}
     return CheckReport(name, passed, worst, n_trials, found, details or {})
 
@@ -299,7 +299,8 @@ def variance_decay_check(
     curve = np.stack([_var(pi, F @ S.T) for S in conv_semis], axis=1)
     second = curve[:, 2:] - 2.0 * curve[:, 1:-1] + curve[:, :-2]
     min_second = float(np.min(second, initial=math.inf))
-    # convexity passes at its own tolerance, 1e-10, so it amends _report's verdict
+    # convexity passes at its own tolerance, 1e-10, and amends _report's verdict:
+    # as slacks, second differences could become the min_slack it reports
     report = _report(
         "variance_decay", slack, trials, lambda i, j: {"f": F[i], "t": t_grid[j]},
         details={"c_star": c_star, "min_second_difference": min_second},
@@ -334,7 +335,7 @@ def inter_intra_decomposition(
         w * (float(c.pi @ smoothed) - mean) ** 2
         for w, c in zip(mix.weights, mix.components)
     )
-    if abs(total - intra - inter) > 1e-12:
+    if not abs(total - intra - inter) <= 1e-12:
         raise AssertionError(
             f"variance decomposition identity violated: {total - intra - inter:.3e}"
         )
@@ -346,9 +347,9 @@ def inter_intra_decomposition(
         mu2_f = float(next_pmf @ f)
         intra_bound = c_star * gamma / (2.0 * t) * mu2_f2
         inter_bound = float(np.sum(1.0 / mix.weights)) * mu2_f ** 2
-        if intra > intra_bound + INEQ_TOL:
+        if not intra <= intra_bound + INEQ_TOL:
             raise AssertionError(f"intra-mode bound violated: {intra} > {intra_bound}")
-        if inter > inter_bound + INEQ_TOL:
+        if not inter <= inter_bound + INEQ_TOL:
             raise AssertionError(f"inter-mode bound violated: {inter} > {inter_bound}")
         result.update({"intra_bound": intra_bound, "inter_bound": inter_bound})
     return result
@@ -650,12 +651,11 @@ def semigroup_properties_check(chain: FiniteChain, t: float = 1.3, s: float = 0.
     """Identity at t=0, stochastic rows, the semigroup law, and the ergodic limit."""
     _check_size(chain)
     size = chain.n_states
+    at_t = semigroup(chain, t)
     errs = {
         "identity": float(np.max(np.abs(semigroup(chain, 0.0) - np.eye(size)))),
-        "rows": float(np.max(np.abs(semigroup(chain, t).sum(axis=1) - 1.0))),
-        "law": float(
-            np.max(np.abs(semigroup(chain, t) @ semigroup(chain, s) - semigroup(chain, t + s)))
-        ),
+        "rows": float(np.max(np.abs(at_t.sum(axis=1) - 1.0))),
+        "law": float(np.max(np.abs(at_t @ semigroup(chain, s) - semigroup(chain, t + s)))),
         "ergodic": float(np.max(np.abs(semigroup(chain, 100.0) - chain.pi[None, :]))),
     }
     tols = {"identity": 1e-12, "rows": 1e-10, "law": 1e-10, "ergodic": 1e-8}
@@ -671,26 +671,23 @@ def delta_recursion_check() -> CheckReport:
     """Closed-form consistency of the moment recursion.
 
     At gamma=1, alpha=1/2, beta=2 the recursion gives delta(8) = 4^{7/8}
-    exactly, and over a small grid with alpha = 1/(2 gamma^6) the simplified
-    cap (2 beta)^{7/8} gamma^{5/4} dominates delta(8).
+    within 1e-12, and over a small grid with alpha = 1/(2 gamma^6) the
+    simplified cap (2 beta)^{7/8} gamma^{5/4} dominates delta(8).
     """
     table = bounds.delta_recursion(8, alpha=0.5, beta=2.0, gamma=1.0)
     exact_err = abs(table[8] - 4.0 ** (7.0 / 8.0))
-    min_slack = math.inf
-    for gamma in (1.0, 1.5, 2.0):
-        for beta in (2.0, 5.0, 10.0):
-            alpha = 1.0 / (2.0 * gamma ** 6)
-            d8 = bounds.delta_recursion(8, alpha=alpha, beta=beta, gamma=gamma)[8]
-            cap = (2.0 * beta) ** (7.0 / 8.0) * gamma ** (5.0 / 4.0)
-            min_slack = min(min_slack, cap - d8)
-    # two tolerances in one check, which _report's single tol cannot express
-    passed = exact_err <= 1e-12 and min_slack >= -INEQ_TOL
-    return CheckReport(
-        name="delta_recursion",
-        passed=passed,
-        min_slack=min(min_slack, 1e-12 - exact_err),
-        n_trials=10,
-        details={"exact_error": exact_err, "min_cap_slack": min_slack},
+    grid = [(gamma, beta) for gamma in (1.0, 1.5, 2.0) for beta in (2.0, 5.0, 10.0)]
+    cap_slack = [
+        (2.0 * beta) ** (7.0 / 8.0) * gamma ** (5.0 / 4.0)
+        - bounds.delta_recursion(8, alpha=1.0 / (2.0 * gamma ** 6), beta=beta, gamma=gamma)[8]
+        for gamma, beta in grid
+    ]
+    return _report(
+        "delta_recursion", [1e-12 - exact_err, *cap_slack], 10,
+        lambda i: ({"exact_error": exact_err} if i == 0
+                   else {"gamma": grid[i - 1][0], "beta": grid[i - 1][1]}),
+        tol=[0.0] + [INEQ_TOL] * len(grid),
+        details={"exact_error": exact_err, "min_cap_slack": min(cap_slack)},
     )
 
 

@@ -143,12 +143,10 @@ def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
     """
     w = np.asarray(weights, dtype=float)
     rows = w.ndim == 2
-    if not rows:
-        if w.ndim != 1:
-            raise DegenerateWeightsError("degenerate weights: empty or not a vector")
-        w, rng = w[None], (rng,)
-    if w.shape[1] == 0:
+    if w.ndim not in (1, 2) or w.shape[-1] == 0:
         raise DegenerateWeightsError("degenerate weights: empty or not a vector")
+    if not rows:
+        w, rng = w[None], (rng,)
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise DegenerateWeightsError("degenerate weights: negative or non-finite")
     total = w.sum(axis=1, keepdims=True)

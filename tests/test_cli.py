@@ -665,6 +665,38 @@ class TestRun:
         assert run_exit_code(tmp_path, exp) == 2
         assert "t_k = 2 C*_k gamma^7 overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, kernel, t", [
+        ("run", {"kind": "langevin", "step_size": 0.05}, 1e308),  # ceil(t/h) is inf
+        ("run", {"kind": "metropolis_hastings"}, 1e20),  # past numpy's Poisson mean
+        ("sweep", {"kind": "langevin", "step_size": 0.05}, 1e308),
+    ])
+    def test_budget_past_the_step_limit_is_config_error(self, tmp_path, capsys, command,
+                                                        kernel, t):
+        exp = base_experiment(
+            target={"kind": "gaussian_mixture", "weights": [0.5, 0.5], "means": [[-1.0], [1.0]]},
+            ladder={"kind": "tempering", "betas": [0.5, 1.0]},
+            kernel=kernel, n_particles=4, replicates=2, exact_value=0.0,
+        )
+        cfg = {"schema_version": 1, "experiment": exp}
+        if command == "run":
+            exp["time_policy"] = {"mode": "explicit", "t": t}
+        else:
+            cfg["sweep"] = {"parameter": "time_budget", "values": [0.01, t], "replicates": 2}
+        path = write_json(tmp_path / "c.json", cfg)
+        out = tmp_path / "o"
+        assert main(["--config", path, "--out", str(out), "--threads", "1", command]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: time budget {t:g} at level 2 takes" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_step_limit_is_two_to_the_sixty_two(self, tmp_path):
+        # a finite ladder smooths by Poissonized jumps: t expected jumps
+        ladder = cli._load_finite_ladder(finite_ladder_file(tmp_path)[0])
+        below = math.nextafter(2.0 ** 62, 0.0)
+        assert cli._with_budgets(ladder, below).levels[1].time_budget == below
+        with pytest.raises(cli.ConfigError, match="not below 2\\^62"):
+            cli._with_budgets(ladder, 2.0 ** 62)
+
     def test_degenerate_run_exits_three(self, tmp_path):
         doc = {
             "kind": "finite_ladder",

@@ -413,7 +413,9 @@ NAN_INPUTS = {
     "mixture_weights": (lambda: TargetMixture.gaussian([0.5, NAN], [[0.0], [1.0]],
                                                        [[[1.0]], [[1.0]]]), "positive"),
     "chain_entries": (lambda: FiniteChain(P=[[NAN, 1.0], [0.5, 0.5]], pi=[1 / 3, 2 / 3]),
-                      "negative entries"),
+                      "non-finite entries"),
+    "chain_entries_inf": (lambda: FiniteChain(P=[[np.inf, 1.0], [0.5, 0.5]],
+                                              pi=[1 / 3, 2 / 3]), "non-finite entries"),
     "chain_pi": (lambda: FiniteChain(P=np.full((2, 2), 0.5), pi=[NAN, 1.0]), "not stationary"),
     "level_time_budget": (lambda: Level(kernel=None, time_budget=NAN), "nonnegative"),
     "level_pmf": (lambda: Level(kernel=None, time_budget=1.0, pmf=[NAN, 1.0]),

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 from scipy.special import logsumexp
 
-from smcmix import oracle
+from smcmix import bounds, oracle
 from smcmix.core import FiniteChain, NonReversibleChainError
 from smcmix.kernels import glauber_transition_matrix
 from smcmix.oracle import (
@@ -249,6 +249,13 @@ class TestInterIntra:
             assert out["intra"] <= out["intra_bound"] + 1e-12
             assert out["inter"] <= out["inter_bound"] + 1e-12
 
+    def test_nan_function_fails_the_identity(self):
+        mix, next_pmf = oracle._two_level_pmfs(3)
+        f = np.ones(8)
+        f[3] = np.nan
+        with pytest.raises(AssertionError, match="identity violated"):
+            inter_intra_decomposition(mix, next_pmf, f, t=1.0)
+
 
 class TestSingleStep:
     def test_constant_function_bound(self, rng):
@@ -393,6 +400,53 @@ class TestLsiEstimate:
                                   max_iter=1)
         assert info.value.best_value >= 0.0
         assert info.value.best_f.shape == (2,)
+
+
+class TestReport:
+    def test_each_slack_meets_its_own_tolerance(self):
+        # the smaller slack is within its tolerance, the other breaks a zero one
+        def report(tol):
+            return oracle._report("x", [-5e-13, -9e-13], 2, lambda i: {"entry": i}, tol=tol)
+
+        failed = report([0.0, 1e-12])
+        assert not failed.passed and failed.min_slack == -9e-13
+        assert failed.witness == {"entry": 1, "slack": -9e-13}
+        assert report([1e-12, 1e-12]).passed
+
+
+class TestDeltaRecursionCheck:
+    @staticmethod
+    def patched(monkeypatch, shift):
+        """``bounds.delta_recursion`` with ``shift(alpha, beta, gamma)`` added to delta(8)."""
+        exact = bounds.delta_recursion
+
+        def delta_recursion(p_target, alpha, beta, gamma):
+            table = exact(p_target, alpha=alpha, beta=beta, gamma=gamma)
+            return {**table, 8: table[8] + shift(alpha, beta, gamma)}
+
+        monkeypatch.setattr(bounds, "delta_recursion", delta_recursion)
+        return oracle.delta_recursion_check()
+
+    def test_passes_at_the_smallest_slack(self):
+        report = oracle.delta_recursion_check()
+        assert report.passed and report.witness is None and report.n_trials == 10
+        details = report.details
+        assert report.min_slack == min(details["min_cap_slack"], 1e-12 - details["exact_error"])
+
+    def test_fails_on_the_exact_value_alone(self, monkeypatch):
+        # 2e-12 under 4^{7/8}: outside the exact tolerance, and below every cap
+        report = self.patched(monkeypatch, lambda alpha, beta, gamma: -2e-12)
+        assert not report.passed and report.details["min_cap_slack"] >= 0.0
+        assert report.witness == {"exact_error": report.details["exact_error"],
+                                  "slack": report.min_slack}
+        assert report.min_slack == 1e-12 - report.details["exact_error"] < 0.0
+
+    def test_fails_on_one_cap_alone(self, monkeypatch):
+        report = self.patched(
+            monkeypatch, lambda alpha, beta, gamma: 1e3 if (gamma, beta) == (2.0, 10.0) else 0.0)
+        assert not report.passed and report.details["exact_error"] <= 1e-12
+        assert report.witness == {"gamma": 2.0, "beta": 10.0, "slack": report.min_slack}
+        assert report.min_slack == report.details["min_cap_slack"] < -oracle.INEQ_TOL
 
 
 class TestContraction:

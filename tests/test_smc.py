@@ -56,7 +56,8 @@ class TestMultinomialResample:
         assert abs(freq - 0.75) <= 3 * se
 
     @pytest.mark.parametrize(
-        "weights", [[0.0, 0.0], [1.0, -0.5], [np.nan, 1.0], [np.inf, 1.0]]
+        "weights", [[0.0, 0.0], [1.0, -0.5], [np.nan, 1.0], [np.inf, 1.0], [],
+                    np.array(1.0), np.ones((1, 2, 2))]
     )
     def test_degenerate_weights_rejected(self, weights, rng):
         with pytest.raises(DegenerateWeightsError, match="degenerate weights"):

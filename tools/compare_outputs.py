@@ -3,8 +3,11 @@
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 Cases: ``run`` and ``bounds`` on the 100 pinned configs of
-``tests/test_fuzz.py``, ``sweep`` on their sweeps, a README-style tempering,
-convolution, Metropolis and finite-ladder ``run``, and ``verify --seed 0``.
+``tests/test_fuzz.py``, ``sweep`` on their sweeps, a README-style tempering
+``run`` with and without a ``time_policy`` (the latter also with
+``conservative_gamma``), convolution, Metropolis and finite-ladder ``run``,
+``bounds`` with explicit ``delta`` and ``p``, and ``verify`` with
+``--seed 0``, without it, and with ``trials_scale`` 0.3 and a chain file.
 Each side runs them through ``smcmix.cli.main`` in its own process with
 ``PYTHONPATH=<side>``.  Compared per case: the exit code (or uncaught
 exception), stdout, stderr with each warning's ``file:line`` masked, and every
@@ -61,6 +64,9 @@ def make_cases(workdir: str) -> list:
         return {"schema_version": 1, "experiment": {k: v for k, v in exp.items() if v is not None}}
 
     add("tempering", readme(), "run")
+    add("unit_budgets", readme(time_policy=None), "run")
+    add("conservative", readme(time_policy=None, ladder={
+        "kind": "tempering", "n_levels": 10, "beta_min": 0.05, "conservative_gamma": True}), "run")
     add("convolution", readme(n_particles=2000, kernel=None, ladder={
         "kind": "convolution", "n_levels": 10, "beta_min": 0.05, "sigma": 3.0}), "run")
     add("metropolis", readme(kernel={"kind": "metropolis_hastings", "proposal_scale": 1.0},
@@ -69,7 +75,16 @@ def make_cases(workdir: str) -> list:
                          target={"kind": "finite_ladder_file",
                                  "path": finite_ladder_file(Path(workdir))[0]},
                          estimand={"name": "mode_indicator", "mode_index": 0}), "run")
-    return cases + [["verify", ["--out", "verify", "--seed", "0", "verify"]]]
+    add("moments", {"schema_version": 1, "bounds": {
+        "mode": "high_probability", "epsilon": 0.2, "f_sup_bound": 1.0, "delta": 0.05, "p": 8,
+        "n": 5, "M": 2, "w_star": 0.3, "gamma": 1.0, "c_star": [1.0, 2.0, 1.5, 1.0, 3.0]}},
+        "bounds")
+    chain = os.path.join(workdir, "chain.json")
+    Path(chain).write_text(json.dumps({"P": [[0.5, 0.5], [0.25, 0.75]]}))
+    add("scaled", {"schema_version": 1, "verify": {"trials_scale": 0.3, "chain_file": chain}},
+        "verify")
+    return cases + [["verify", ["--out", "verify", "--seed", "0", "verify"]],
+                    ["verify_default_seed", ["--out", "verify_default_seed", "verify"]]]
 
 
 def run_side(cases: list) -> dict:
