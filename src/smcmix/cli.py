@@ -191,12 +191,19 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if math.isinf(value):  # a JSON number literal is never NaN
+        raise ValueError(f"{literal} is beyond the float range")
+    return value
+
+
 def _read_json(path: str, what: str):
-    """The standard JSON document at ``path`` (``NaN``, ``Infinity`` and
-    ``-Infinity`` are refused), or a ConfigError that names ``what``."""
+    """The standard JSON document at ``path`` (no ``NaN``, ``Infinity``, ``-Infinity``
+    or number beyond the float range), or a ConfigError that names ``what``."""
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=_refuse_constant)
+            return json.load(fh, parse_constant=_refuse_constant, parse_float=_finite_float)
     except OSError as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
     except ValueError as exc:  # a JSONDecodeError, UnicodeDecodeError or refused constant

@@ -354,6 +354,13 @@ class FiniteChain:
         return self.P.shape[0]
 
 
+def _cumulative(p: np.ndarray) -> np.ndarray:
+    """Cumulative sums of ``p`` along the last axis over their last entry, as in
+    ``Generator.choice``: a row ends at exactly 1, and a zero entry adds no step."""
+    cum = np.cumsum(p, axis=-1)
+    return cum / cum[..., -1:]
+
+
 def _stationary_distribution(P: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eig(P.T)
     k = int(np.argmin(np.abs(vals - 1.0)))
@@ -406,10 +413,8 @@ class Level:
             pmf = np.asarray(self.pmf, dtype=float)
             if not (np.all(pmf >= 0) and abs(pmf.sum() - 1.0) <= 1e-12):
                 raise ValueError("level pmf must be a probability vector")
-            cdf = pmf.cumsum()
-            cdf /= cdf[-1]  # as Generator.choice normalizes it
             object.__setattr__(self, "pmf", pmf)
-            object.__setattr__(self, "_cdf", cdf)
+            object.__setattr__(self, "_cdf", _cumulative(pmf))
 
     @cached_property
     def exact_law(self) -> Optional[TargetMixture | GaussianComponent]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_FINITE_STATES, FiniteChain
+from .core import MAX_FINITE_STATES, FiniteChain, _cumulative
 
 __all__ = [
     "KernelSpec",
@@ -210,18 +210,18 @@ def mh_transition_matrix(pmf) -> FiniteChain:
 
 def _chain_step(chain: FiniteChain):
     """One jump of ``chain`` for stacked rows of states: each row's uniforms
-    come from its own generator, the lookup runs once for all rows.  The
-    next state is the count of entries of the cumulative row below the
-    uniform, counted one column at a time, so no (n, S) array is built."""
-    columns = np.ascontiguousarray(np.cumsum(chain.P, axis=1).T)
+    come from its own generator, the lookup runs once for all rows.  The next
+    state counts the entries <= the uniform of the state's ``_cumulative`` row
+    but its last (1), one column at a time, so no (n, S) array is built."""
+    columns = np.ascontiguousarray(_cumulative(chain.P)[:, :-1].T)
 
     def step(states, rngs, counts):
         parts = [rng.random(c) for rng, c in zip(rngs, counts.tolist())]
         u = parts[0] if len(parts) == 1 else np.concatenate(parts)
         nxt = np.zeros(states.shape, dtype=np.int64)
         for col in columns:
-            nxt += col[states] < u
-        return np.minimum(nxt, chain.n_states - 1, out=nxt)
+            nxt += col[states] <= u
+        return nxt
 
     return step
 

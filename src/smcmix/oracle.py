@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -72,8 +73,9 @@ class ConvergenceError(RuntimeError):
 class FiniteMixture:
     """A mixture chain together with its component chains.
 
-    The component stationary distributions must recombine to the mixture
-    stationary distribution: sum_k w_k pi_k = pi entrywise within 1e-12.
+    The chain has at most ``MAX_CHECK_STATES`` states, and the component
+    stationary distributions must recombine to the mixture's: sum_k w_k pi_k
+    = pi entrywise within 1e-12.
     """
 
     chain: FiniteChain
@@ -81,6 +83,7 @@ class FiniteMixture:
     weights: np.ndarray
 
     def __post_init__(self):
+        _check_size(self.chain)
         comps = tuple(self.components)
         w = np.asarray(self.weights, dtype=float)
         if not (w.shape == (len(comps),) and np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-12):
@@ -98,6 +101,11 @@ class FiniteMixture:
     @property
     def w_star(self) -> float:
         return float(self.weights.min())
+
+    @cached_property
+    def c_star(self) -> float:
+        """C*: the largest exact component Poincare constant, computed once."""
+        return max(poincare_constant(c) for c in self.components)
 
 
 @dataclass(frozen=True)
@@ -191,11 +199,6 @@ def _report(name, slack, n_trials, witness, tol=INEQ_TOL, details=None) -> Check
     return CheckReport(name, passed, worst, n_trials, found, details or {})
 
 
-def _c_star(mix: FiniteMixture) -> float:
-    """C*: the largest exact component Poincare constant."""
-    return max(poincare_constant(c) for c in mix.components)
-
-
 def dirichlet_form(chain: FiniteChain, f):
     """<f, (I - P) f>_pi, exactly: a float for one function, an array for
     a stack of row functions."""
@@ -220,7 +223,6 @@ def check_generator_decomposition(
     Holds for Glauber and Metropolis constructions built from a common
     proposal; equality for a single component.
     """
-    _check_size(mix.chain)
     F = _random_fs(rng, trials, mix.n_states, "signed")
     parts = sum(w * dirichlet_form(c, F) for w, c in zip(mix.weights, mix.components))
     slack = dirichlet_form(mix.chain, F) - parts
@@ -281,9 +283,8 @@ def variance_decay_check(
     t -> Var_pi(P_t f) is asserted through second differences on
     ``convexity_grid`` (default: 50 points on [0, max T]).
     """
-    _check_size(mix.chain)
     pi = mix.chain.pi
-    c_star = _c_star(mix)
+    c_star = mix.c_star
     t_grid = [float(t) for t in t_grid]
     if convexity_grid is None:
         convexity_grid = np.linspace(0.0, max(t_grid), 50)
@@ -322,7 +323,6 @@ def inter_intra_decomposition(
     identity within 1e-12, the intra bound C* gamma/(2t) mu2(f^2), and the
     inter bound (sum_i 1/w_i) mu2(f)^2 (nonnegative f).
     """
-    _check_size(mix.chain)
     pi = mix.chain.pi
     next_pmf = np.asarray(next_pmf, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -342,7 +342,7 @@ def inter_intra_decomposition(
     result = {"intra": intra, "inter": inter, "total": total}
     if t > 0 and np.all(f >= 0):
         gamma = float(gbar.max())
-        c_star = _c_star(mix)
+        c_star = mix.c_star
         mu2_f2 = float(next_pmf @ f ** 2)
         mu2_f = float(next_pmf @ f)
         intra_bound = c_star * gamma / (2.0 * t) * mu2_f2
@@ -360,25 +360,21 @@ def single_step_check(
     next_pmf,
     trials: int,
     rng: np.random.Generator,
-    t: Optional[float] = None,
-    lam_target: Optional[float] = None,
+    *,
+    lam_target: float,
 ) -> CheckReport:
     """||P^t(g f)||^2_{L2(mu1)} <= lam ||f||^2_{L2(mu2)} + beta mu2(f)^2.
 
     lam and beta come from the closed-form single-step constants with the
-    exact component Poincare constants and the exact ratio bound gamma;
-    ``lam_target`` solves for the t that makes lam equal it.  Nonnegative f.
+    exact component Poincare constants and the exact ratio bound gamma, at
+    the t = C* gamma / (2 lam_target) that makes lam equal it.  Nonnegative f.
     """
-    _check_size(mix.chain)
     pi = mix.chain.pi
     next_pmf = np.asarray(next_pmf, dtype=float)
     gbar = next_pmf / pi
     gamma = float(gbar.max())
-    c_star = _c_star(mix)
-    if t is None:
-        if lam_target is None:
-            raise ValueError("need either t or lam_target")
-        t = c_star * gamma / (2.0 * lam_target)
+    c_star = mix.c_star
+    t = c_star * gamma / (2.0 * lam_target)
     constants = bounds.single_step_constants(c_star, gamma, t, mix.weights)
     S = semigroup(mix.chain, t)
     F = _random_fs(rng, trials, mix.n_states, "nonnegative")
@@ -397,9 +393,8 @@ def hypercontractivity_check(
     trials: int,
     rng: np.random.Generator,
     c_star: Optional[float] = None,
-    tol: float = 1e-9,
 ) -> CheckReport:
-    """t -> ||P_t f||_{q(t)} / (w*)^{1/q(t)} is non-increasing for f > 0.
+    """t -> ||P_t f||_{q(t)} / (w*)^{1/q(t)} is non-increasing for f > 0, within 1e-9.
 
     q(t) = 1 + (p-1) e^{2t/C*}.  ``c_star`` defaults to the largest
     ``lsi_constant_estimate`` over the components, an estimate rather than a
@@ -407,7 +402,6 @@ def hypercontractivity_check(
     claim, one below it checks a stronger one.  Norms are evaluated in log
     space since q(t) grows exponentially.
     """
-    _check_size(mix.chain)
     if c_star is None:
         c_star = max(
             lsi_constant_estimate(c, restarts=6, rng=rng) for c in mix.components
@@ -427,7 +421,7 @@ def hypercontractivity_check(
     drops = curve[:, :-1] - curve[:, 1:]  # >= 0 when non-increasing
     return _report(
         "hypercontractivity", drops, trials, lambda i, j: {"f": F[i], "t": t_grid[j + 1]},
-        tol=tol, details={"c_star": c_star, "p": p, "q_max": qs[-1]},
+        tol=1e-9, details={"c_star": c_star, "p": p, "q_max": qs[-1]},
     )
 
 
@@ -438,7 +432,6 @@ def entropy_decomposition_check(
 
     An exact identity; asserted within 1e-12 for strictly positive f.
     """
-    _check_size(mix.chain)
     F = _random_fs(rng, trials, mix.n_states, "positive")
     G = F ** 2
     within = sum(w * _ent(c.pi, G) for w, c in zip(mix.weights, mix.components))
@@ -459,7 +452,6 @@ def markov_contraction_check(
     ||d(pi_i P_t)/d pi - 1||_sup <= ||d pi_i / d pi - 1||_sup for every
     component i and every t in the grid.
     """
-    _check_size(mix.chain)
     pi = mix.chain.pi
     t_grid = list(t_grid)
     comp_pis = np.stack([c.pi for c in mix.components])
@@ -494,13 +486,13 @@ def lsi_constant_estimate(
     restarts: int = 8,
     rng: Optional[np.random.Generator] = None,
     max_iter: int = 2000,
-    rel_tol: float = 1e-10,
 ) -> float:
     """Upper estimate of the log-Sobolev constant sup_f Ent(f^2)/E(f,f).
 
-    Multi-start projected gradient ascent on the L2(pi) sphere; the returned
-    value is the best ratio found inflated by a safety factor 2: a margin
-    against an ascent that stops below the supremum, not a proven bound.
+    Multi-start projected gradient ascent on the L2(pi) sphere, each start
+    run until its ratio moves by at most 1e-10 relative; the returned value is
+    the best ratio found inflated by a safety factor 2: a margin against an
+    ascent that stops below the supremum, not a proven bound.
     Raises ConvergenceError with the best iterate when no start converges.
     """
     if not chain.reversible:
@@ -540,7 +532,7 @@ def lsi_constant_estimate(
             value, grad = out
             if value > best_value:
                 best_value, best_f = value, f.copy()
-            if abs(value - prev) <= rel_tol * max(1.0, abs(value)):
+            if abs(value - prev) <= 1e-10 * max(1.0, abs(value)):
                 converged = True
                 break
             prev = value
@@ -619,9 +611,8 @@ def poissonized_fidelity_check(
     t: float,
     n_replicates: int,
     rng: np.random.Generator,
-    start: int = 0,
 ) -> CheckReport:
-    """Empirical law of the Poissonized jump chain vs the exact semigroup row.
+    """Empirical law of the Poissonized jump chain from state 0 vs its semigroup row.
 
     Passes when the total-variation distance is at most
     0.01·√(100 000 / n_replicates): 0.01 at 100 000 replicates, and wider
@@ -630,11 +621,11 @@ def poissonized_fidelity_check(
     """
     _check_size(chain)
     states = _kernels.poissonized_evolve(
-        chain, np.full(n_replicates, start, dtype=np.int64), t, rng
+        chain, np.zeros(n_replicates, dtype=np.int64), t, rng
     )
     counts = np.bincount(states, minlength=chain.n_states)
     empirical = counts / n_replicates
-    exact = semigroup(chain, t)[start]
+    exact = semigroup(chain, t)[0]
     gap = np.abs(empirical - exact)
     tv = 0.5 * float(np.sum(gap))
     tv_tol = 0.01 * math.sqrt(100_000 / n_replicates)
@@ -643,19 +634,20 @@ def poissonized_fidelity_check(
         "poissonized_semigroup", [tv_tol - tv], n_replicates,
         lambda _: {"state": worst, "empirical": empirical[worst], "exact": exact[worst]},
         tol=0.0,
-        details={"tv": tv, "tv_tol": tv_tol, "t": t, "start": start},
+        details={"tv": tv, "tv_tol": tv_tol, "t": t, "start": 0},
     )
 
 
-def semigroup_properties_check(chain: FiniteChain, t: float = 1.3, s: float = 0.7) -> CheckReport:
-    """Identity at t=0, stochastic rows, the semigroup law, and the ergodic limit."""
+def semigroup_properties_check(chain: FiniteChain) -> CheckReport:
+    """Identity at t=0, stochastic rows at t=1.3, the semigroup law
+    P_1.3 P_0.7 = P_2, and the ergodic limit at t=100."""
     _check_size(chain)
     size = chain.n_states
-    at_t = semigroup(chain, t)
+    at_t = semigroup(chain, 1.3)
     errs = {
         "identity": float(np.max(np.abs(semigroup(chain, 0.0) - np.eye(size)))),
         "rows": float(np.max(np.abs(at_t.sum(axis=1) - 1.0))),
-        "law": float(np.max(np.abs(at_t @ semigroup(chain, s) - semigroup(chain, t + s)))),
+        "law": float(np.max(np.abs(at_t @ semigroup(chain, 0.7) - semigroup(chain, 2.0)))),
         "ergodic": float(np.max(np.abs(semigroup(chain, 100.0) - chain.pi[None, :]))),
     }
     tols = {"identity": 1e-12, "rows": 1e-10, "law": 1e-10, "ergodic": 1e-8}

@@ -149,16 +149,14 @@ def tempered_weight_lower_bound(
 ) -> float:
     """Lower bound on every normalized mixture weight across tempered levels.
 
-    With equal covariances this is (min_k alpha_k)^2.  Otherwise the bound
-    picks up the worst ratio of the component power normalizers over the
-    schedule, which is why ``betas`` is required in that case.
+    When the components share one covariance (``TargetMixture``'s test) this
+    is (min_k alpha_k)^2.  Otherwise the bound picks up the worst ratio of the
+    component power normalizers over the schedule, which is why ``betas`` is
+    required in that case.
     """
     gauss = target.components
     alpha_min = target.w_star
-    log_dets = np.array([g.log_det_cov for g in gauss])
-    if np.max(np.abs(log_dets - log_dets[0])) < 1e-12 and all(
-        np.allclose(g.cov, gauss[0].cov, atol=1e-12) for g in gauss
-    ):
+    if target._shared is not None:
         return float(alpha_min ** 2)
     if betas is None:
         raise ValueError("unequal covariances: a beta schedule is required")

@@ -45,7 +45,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import DegenerateWeightsError, Ladder, Level, ParticleEnsemble, effective_sample_size
+from .core import (DegenerateWeightsError, Ladder, Level, ParticleEnsemble, _cumulative,
+                   effective_sample_size)
 from .kernels import mh_evolve, poissonized_evolve, ula_evolve
 from .sequences import init_sampler as sample_initial
 from .sequences import level_grad_log_density, level_log_density
@@ -149,14 +150,11 @@ def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
         w, rng = w[None], (rng,)
     if not np.all(np.isfinite(w)) or np.any(w < 0):
         raise DegenerateWeightsError("degenerate weights: negative or non-finite")
-    total = w.sum(axis=1, keepdims=True)
-    if np.any(total <= 0):
+    if not np.all(w.any(axis=1)):
         raise DegenerateWeightsError("degenerate weights: all zero")
-    cum = np.cumsum(w, axis=1) / total
     idx = np.empty((w.shape[0], n_draws), dtype=np.int64)
-    for row, c, gen in zip(idx, cum, rng):
+    for row, c, gen in zip(idx, _cumulative(w), rng):
         row[:] = np.searchsorted(c, gen.random(n_draws), side="right")
-    np.minimum(idx, w.shape[1] - 1, out=idx)
     idx += np.arange(0, w.size, w.shape[1])[:, None]
     return idx if rows else idx[0]
 

@@ -1424,6 +1424,69 @@ class TestCommandLineInputs:
         assert not out.exists()
 
 
+MARK = 7.77e77  # a placeholder written as 1e999, which json.dumps cannot write
+
+
+def with_literal(doc, literal="1e999") -> str:
+    """``doc`` as JSON text, with every ``MARK`` replaced by ``literal``."""
+    return json.dumps(doc).replace(json.dumps(MARK), literal)
+
+
+class TestNumbersBeyondTheFloatRange:
+    """json.load reads 1e999 as inf; every input refuses it as not JSON."""
+
+    def assert_refused(self, tmp_path, capsys, doc, command, what="config", literal="1e999"):
+        path = tmp_path / "c.json"
+        path.write_text(with_literal(doc, literal))
+        out = tmp_path / "o"
+        assert main(["--config", str(path), "--out", str(out), "--threads", "1", command]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {what} is not valid JSON: {literal} is beyond the float range\n")
+        assert what != "config" or not out.exists()  # a config is read before --out is made
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    def test_bounds_feasibility_cap(self, tmp_path, capsys, literal):
+        doc = {"schema_version": 1, "bounds": bounds_section(feasibility_cap=MARK)}
+        self.assert_refused(tmp_path, capsys, doc, "bounds", literal=literal)
+
+    @pytest.mark.parametrize("changes", [
+        {"estimand": {"name": "indicator_halfspace", "coordinate": 0, "threshold": MARK}},
+        {"estimand": {"name": "constant", "value": MARK}},
+        {"exact_value": MARK},
+        {"target": {"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                    "means": [[-3.0, MARK], [3.0, 3.0]]}},
+    ], ids=["threshold", "value", "exact_value", "means"])
+    def test_run(self, tmp_path, capsys, changes):
+        doc = {"schema_version": 1, "experiment": base_experiment(replicates=1, **changes)}
+        self.assert_refused(tmp_path, capsys, doc, "run")
+
+    def test_sweep_over_n_particles(self, tmp_path, capsys):
+        doc = {"schema_version": 1, "experiment": base_experiment(exact_value=0.5),
+               "sweep": {"parameter": "n_particles", "values": [MARK], "replicates": 2}}
+        self.assert_refused(tmp_path, capsys, doc, "sweep")
+
+    def test_ladder_file(self, tmp_path, capsys):
+        doc = json.loads(Path(finite_ladder_file(tmp_path)[0]).read_text())
+        doc["levels"][1]["P"][0][1] = MARK
+        (tmp_path / "big_ladder.json").write_text(with_literal(doc))
+        exp = finite_experiment(tmp_path, replicates=1)
+        exp["target"]["path"] = str(tmp_path / "big_ladder.json")
+        self.assert_refused(tmp_path, capsys, {"schema_version": 1, "experiment": exp}, "run",
+                            what="finite ladder file")
+
+    def test_chain_file(self, tmp_path, capsys):
+        chain = tmp_path / "chain.json"
+        chain.write_text(with_literal({"P": [[MARK, 1.0], [0.5, 0.5]]}))
+        doc = {"schema_version": 1,
+               "verify": {"suites": ["delta_recursion"], "chain_file": str(chain)}}
+        self.assert_refused(tmp_path, capsys, doc, "verify", what="chain file")
+
+    def test_literal_below_the_float_range_reads_as_zero(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(with_literal({"x": [MARK, 0.5]}, "-1e-999"))
+        assert cli._read_json(str(path), "config") == {"x": [0.0, 0.5]}
+
+
 class TestLadderFile:
     def run_with_ladder(self, tmp_path, path):
         exp = finite_experiment(tmp_path, target={"kind": "finite_ladder_file", "path": path})

@@ -8,17 +8,30 @@ ladder kinds with betas down to 1e-5, both Euclidean kernels, explicit times
 up to 0.05 or ``from_theorem`` times capped at 200 kernel steps, at most 16
 particles, ``bounds`` sections with and without a ``convolution`` part, and
 sweeps of two replicates over two values of ``n_particles`` or ``time_budget``.
+
+Finite ladders have a generator and a seed stream of their own, so the
+Euclidean configs stay as drawn: 2 to 4 levels over {0,1}^d with d <= 3,
+pmfs with some zero entries, chains that are the independent sampler (every
+row the pmf) or, where the pmf is positive, Glauber dynamics, explicit times
+up to 2, at most 16 particles and 2 to 4 replicates, through ``run`` and
+``sweep``.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smcmix.cli import main
+from smcmix.kernels import glauber_transition_matrix
 from test_cli import assert_conforms, overflowing_convolution_experiment, read_output, write_json
 
 SEED = 20241019
 N_CONFIGS = 100
 DIMS = (1, 2, 3, 8, 20, 60, 160)
+FINITE_SEED = 20261020
+N_FINITE_CONFIGS = 30
 
 
 def _betas(rng, tempering: bool) -> list:
@@ -108,6 +121,37 @@ def random_sweep(rng, exp: dict) -> dict:
             "sweep": {**sweep, "replicates": 2}}
 
 
+def _finite_level(rng, d: int, first: bool) -> dict:
+    """A pmf over {0,1}^d with about a third of its entries zero (never all),
+    and its chain: none (level 1 only, half the time), Glauber dynamics
+    where the pmf is positive (half the time), else the independent sampler."""
+    size = 2 ** d
+    pmf = rng.dirichlet(np.ones(size))
+    zeros = rng.random(size) < 0.3
+    zeros[rng.integers(size)] = False
+    pmf[zeros] = 0.0
+    pmf /= pmf.sum()
+    if first and rng.random() < 0.5:
+        return {"pmf": pmf.tolist(), "P": None}
+    if pmf.min() > 0 and rng.random() < 0.5:
+        P = glauber_transition_matrix(pmf, d).P
+    else:
+        P = np.tile(pmf, (size, 1))
+    return {"pmf": pmf.tolist(), "P": P.tolist()}
+
+
+def random_finite_experiment(rng, ladder_path: str) -> dict:
+    """A finite-ladder experiment whose ladder file it writes to ``ladder_path``."""
+    d = int(rng.integers(1, 4))
+    levels = [_finite_level(rng, d, k == 0) for k in range(int(rng.integers(2, 5)))]
+    Path(ladder_path).write_text(json.dumps({"kind": "finite_ladder", "levels": levels}))
+    return {"target": {"kind": "finite_ladder_file", "path": ladder_path},
+            "ladder": {"kind": "from_file"}, "n_particles": int(rng.integers(1, 17)),
+            "estimand": _estimand(rng, 2 ** d, 1), "replicates": int(rng.integers(2, 5)),
+            "master_seed": int(rng.integers(0, 2 ** 32)),
+            "time_policy": {"mode": "explicit", "t": float(rng.uniform(0.0, 2.0))}}
+
+
 def run_commands(tmp_path, cfg: dict, commands=("run", "bounds")):
     """Run each command on ``cfg``; every exit is 0, 2 or 3, and an exit 0
     leaves a ``<command>.json`` that conforms to its schema."""
@@ -127,6 +171,14 @@ def test_random_config_exits_cleanly(tmp_path, index):
     exp = random_experiment(rng)
     run_commands(tmp_path, {"schema_version": 1, "experiment": exp,
                             "bounds": random_bounds(rng, exp)})
+    run_commands(tmp_path, random_sweep(rng, exp), ("sweep",))
+
+
+@pytest.mark.parametrize("index", range(N_FINITE_CONFIGS))
+def test_random_finite_config_exits_cleanly(tmp_path, index):
+    rng = np.random.default_rng([FINITE_SEED, index])
+    exp = random_finite_experiment(rng, str(tmp_path / "ladder.json"))
+    run_commands(tmp_path, {"schema_version": 1, "experiment": exp}, ("run",))
     run_commands(tmp_path, random_sweep(rng, exp), ("sweep",))
 
 

@@ -493,3 +493,32 @@ class TestSuite:
         doc = report.to_dict()
         assert doc["all_passed"] is True
         assert doc["checks"][0]["name"] == "delta_recursion"
+
+
+class TestFixtureConstants:
+    def test_mixture_over_too_many_states_is_refused_when_built(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CHECK_STATES", 4)
+        with pytest.raises(ValueError, match="oracle checks cap the state space at 4"):
+            oracle.standard_glauber_mixture(3)
+        assert oracle.standard_glauber_mixture(2).n_states == 4
+
+    def test_chain_checks_keep_the_cap(self, monkeypatch):
+        chain = complete_graph_chain(8)
+        monkeypatch.setattr(oracle, "MAX_CHECK_STATES", 4)
+        with pytest.raises(ValueError, match="cap the state space"):
+            oracle.semigroup_properties_check(chain)
+        with pytest.raises(ValueError, match="cap the state space"):
+            oracle.poissonized_fidelity_check(chain, 1.0, 10, np.random.default_rng(0))
+
+    def test_c_star_is_computed_once_per_fixture(self, monkeypatch):
+        calls = []
+
+        def counting(chain):
+            calls.append(chain)
+            return poincare_constant(chain)
+
+        monkeypatch.setattr(oracle, "poincare_constant", counting)
+        report = oracle.run_verification_suite(
+            selectors=["variance_decay", "single_step"], seed=0, trials_scale=0.05)
+        assert [c.name for c in report.checks] == ["variance_decay", "single_step"]
+        assert len(calls) == 2  # one per component of the shared fixture

@@ -244,6 +244,14 @@ class TestTemperedConstants:
             for w in component_masses(beta):
                 assert bound <= w + 1e-9
 
+    def test_weight_bound_needs_betas_for_covariances_1e13_apart(self):
+        # the closed form alpha^2 holds only for one shared covariance
+        covs = [np.eye(2), np.eye(2) + 1e-13 * np.eye(2)]
+        target = TargetMixture.gaussian([0.5, 0.5], [[-2.0, 0.0], [2.0, 0.0]], covs)
+        with pytest.raises(ValueError, match="a beta schedule is required"):
+            tempered_weight_lower_bound(target)
+        assert tempered_weight_lower_bound(target, betas=[0.5, 1.0]) < 0.25
+
     def test_lsi_convolution_bound(self):
         assert lsi_convolution_bound(1.0, 1e-12) == pytest.approx(1.0)
         assert lsi_convolution_bound(1.0, 2.0) == 3.0

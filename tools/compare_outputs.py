@@ -2,12 +2,14 @@
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Cases: ``run`` and ``bounds`` on the 100 pinned configs of
-``tests/test_fuzz.py``, ``sweep`` on their sweeps, a README-style tempering
-``run`` with and without a ``time_policy`` (the latter also with
-``conservative_gamma``), convolution, Metropolis and finite-ladder ``run``,
-``bounds`` with explicit ``delta`` and ``p``, and ``verify`` with
-``--seed 0``, without it, and with ``trials_scale`` 0.3 and a chain file.
+Cases (372): ``run`` and ``bounds`` on the 100 pinned configs of
+``tests/test_fuzz.py``, ``sweep`` on their sweeps, ``run`` and ``sweep`` on
+its 30 pinned finite-ladder configs, a README-style tempering ``run`` with
+and without a ``time_policy`` (the latter also with ``conservative_gamma``),
+convolution, Metropolis and finite-ladder ``run``, a finite-ladder ``run``
+with a zero-probability state and chains with zero entries, ``bounds`` with
+explicit ``delta`` and ``p``, and ``verify`` with ``--seed 0``, ``--seed 3``,
+without a seed, and with ``trials_scale`` 0.3 and a chain file.
 Each side runs them through ``smcmix.cli.main`` in its own process with
 ``PYTHONPATH=<side>``.  Compared per case: the exit code (or uncaught
 exception), stdout, stderr with each warning's ``file:line`` masked, and every
@@ -34,8 +36,10 @@ WARNING_AT = re.compile(r"^\S+\.py:\d+: ", re.MULTILINE)
 def make_cases(workdir: str) -> list:
     """Write every case's config under ``workdir``; ``[name, argv]`` per case."""
     import numpy as np
+    from smcmix.kernels import glauber_transition_matrix
     from test_cli import finite_ladder_file
-    from test_fuzz import N_CONFIGS, SEED, random_bounds, random_experiment, random_sweep
+    from test_fuzz import (FINITE_SEED, N_CONFIGS, N_FINITE_CONFIGS, SEED, random_bounds,
+                           random_experiment, random_finite_experiment, random_sweep)
 
     cases = []
 
@@ -52,6 +56,11 @@ def make_cases(workdir: str) -> list:
         add(f"fuzz{i}", {"schema_version": 1, "experiment": exp,
                          "bounds": random_bounds(rng, exp)}, "run", "bounds")
         add(f"sweep{i}", random_sweep(rng, exp), "sweep")
+    for i in range(N_FINITE_CONFIGS):
+        rng = np.random.default_rng([FINITE_SEED, i])
+        exp = random_finite_experiment(rng, os.path.join(workdir, f"finite_ladder{i}.json"))
+        add(f"finite_fuzz{i}", {"schema_version": 1, "experiment": exp}, "run")
+        add(f"finite_sweep{i}", random_sweep(rng, exp), "sweep")
 
     def readme(**changes):  # the README config at N = 512, 4 replicates; None drops a key
         exp = {"target": {"kind": "gaussian_mixture", "weights": [0.3, 0.7],
@@ -75,6 +84,18 @@ def make_cases(workdir: str) -> list:
                          target={"kind": "finite_ladder_file",
                                  "path": finite_ladder_file(Path(workdir))[0]},
                          estimand={"name": "mode_indicator", "mode_index": 0}), "run")
+    # state 1 has probability zero at level 2, whose independent-sampler chain
+    # and level 3's Glauber chain have zero entries
+    pmf2 = np.array([0.4, 0.0, 0.3, 0.3])
+    pmf3 = np.array([0.1, 0.2, 0.3, 0.4])
+    zeros = os.path.join(workdir, "zeros_ladder.json")
+    Path(zeros).write_text(json.dumps({"kind": "finite_ladder", "levels": [
+        {"pmf": [0.25, 0.25, 0.25, 0.25], "P": None},
+        {"pmf": pmf2.tolist(), "P": np.tile(pmf2, (4, 1)).tolist()},
+        {"pmf": pmf3.tolist(), "P": glauber_transition_matrix(pmf3, 2).P.tolist()}]}))
+    add("finite_zeros", readme(replicates=50, kernel=None, ladder={"kind": "from_file"},
+                               target={"kind": "finite_ladder_file", "path": zeros},
+                               estimand={"name": "mode_indicator", "mode_index": 1}), "run")
     add("moments", {"schema_version": 1, "bounds": {
         "mode": "high_probability", "epsilon": 0.2, "f_sup_bound": 1.0, "delta": 0.05, "p": 8,
         "n": 5, "M": 2, "w_star": 0.3, "gamma": 1.0, "c_star": [1.0, 2.0, 1.5, 1.0, 3.0]}},
@@ -84,6 +105,7 @@ def make_cases(workdir: str) -> list:
     add("scaled", {"schema_version": 1, "verify": {"trials_scale": 0.3, "chain_file": chain}},
         "verify")
     return cases + [["verify", ["--out", "verify", "--seed", "0", "verify"]],
+                    ["verify_seed3", ["--out", "verify_seed3", "--seed", "3", "verify"]],
                     ["verify_default_seed", ["--out", "verify_default_seed", "verify"]]]
 
 
