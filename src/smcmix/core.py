@@ -356,9 +356,49 @@ class FiniteChain:
 
 def _cumulative(p: np.ndarray) -> np.ndarray:
     """Cumulative sums of ``p`` along the last axis over their last entry, as in
-    ``Generator.choice``: a row ends at exactly 1, and a zero entry adds no step."""
-    cum = np.cumsum(p, axis=-1)
-    return cum / cum[..., -1:]
+    ``Generator.choice``: a row ends at exactly 1, and a zero entry adds no step.
+    A row of finite entries whose sum overflows is first divided by its
+    maximum; every other row keeps the bits of the plain quotient."""
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(p, axis=-1)
+    over = ~np.isfinite(cum[..., -1])
+    if over.any():
+        big = p[over]
+        cum[over] = np.cumsum(big / big.max(axis=-1, keepdims=True), axis=-1)
+    cum /= cum[..., -1:]
+    return cum
+
+
+def _search_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The inverse-CDF draws of the (B, n) uniforms ``u`` from the rows of the
+    (B, N) table ``cum``, as indices into ``cum.ravel()``: entry [b, j] is
+    b·N plus the number of entries <= u[b, j] in row b, bitwise
+    ``np.searchsorted(cum[b], u[b], side="right") + b * N``.
+
+    The rows must be non-decreasing and end at exactly 1, and every u lie in
+    [0, 1), as ``_cumulative`` rows and ``Generator.random`` uniforms do; the
+    count is then below N.  A branch-free binary search over the whole block:
+    each of its ceil(log2 N) passes is a gather, a compare and an add.  Every
+    draw's outcome lies in the window ``at .. at + span - 1`` of its row, and
+    each pass narrows every window to width ``span - span // 2`` whichever way
+    its compare goes (from an odd width, the lower half keeps one entry more
+    than it needs), so all draws share one width and no probe passes its
+    row's last entry: no clamp or padding is needed."""
+    width = cum.shape[-1]
+    table = cum.ravel()
+    at = np.repeat(np.arange(0, table.size, width), u.shape[-1]).reshape(u.shape)
+    probe = np.empty_like(at)
+    found = np.empty(u.shape)
+    span = width
+    while span > 1:
+        half = span // 2
+        np.add(at, half - 1, out=probe)
+        np.take(table, probe, out=found, mode="clip")  # in range; "clip" skips a buffered copy
+        np.less_equal(found, u, out=probe, casting="unsafe")
+        probe *= half
+        at += probe
+        span -= half
+    return at
 
 
 def _stationary_distribution(P: np.ndarray) -> np.ndarray:

@@ -15,9 +15,12 @@ stream's ``bit_generator.seed_seq`` is not a ``SeedSequence`` and cannot
 way (``replicate_seed``, ``replicate_seeds``).
 
 One driver runs a block of B replicates as a (B, N) array: the ratio, the
-estimand, the Langevin gradient and the finite kernel's table lookup see the
-whole block at once, while every replicate draws only from its own streams
-into its own row, so each result is bitwise that of a lone ``run_smc``.
+estimand, the Langevin gradient, the finite kernel's table lookup and the
+resampling search (``multinomial_resample``: one branch-free binary search
+over the block's cumulative weights, bitwise what ``np.searchsorted`` gives
+each row) see the whole block at once, while every replicate draws only from
+its own streams into its own row, so each result is bitwise that of a lone
+``run_smc``.
 Replicates run in blocks of up to 2^16 particle cells: a particle has S
 cells on a ladder over S finite states (level 1 has a pmf; 2^14 particles on
 four states) and M·d cells on a ladder whose levels carry a mixture of M
@@ -30,9 +33,10 @@ the block is the product of a lone run, and the components are summed in a
 fixed order, so a row's values do not depend on the block it shares.
 
 Run results are invariant to the storage order of the particle ensemble:
-particles carry lane ids and the driver canonicalizes their order on entry,
-so permuting an injected initial ensemble together with its lane ids (and
-its importance weights) reproduces the run exactly.
+particles carry lane ids and the driver sorts an injected initial ensemble by
+them on entry (``sample_initial`` returns its lanes in order), so permuting
+it together with its lane ids (and its importance weights) reproduces the run
+exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (DegenerateWeightsError, Ladder, Level, ParticleEnsemble, _cumulative,
-                   effective_sample_size)
+                   _search_rows, effective_sample_size)
 from .kernels import mh_evolve, poissonized_evolve, ula_evolve
 from .sequences import init_sampler as sample_initial
 from .sequences import level_grad_log_density, level_log_density
@@ -126,12 +130,6 @@ class SmcRunResult:
         }
 
 
-def _mean_exact(values: np.ndarray) -> float:
-    """Shift-and-fsum mean: exact for constant inputs, stable in general."""
-    base = float(values[0])
-    return base + math.fsum((values - base).tolist()) / values.shape[0]
-
-
 def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
     """``n_draws`` i.i.d. categorical draws proportional to ``weights``.
 
@@ -139,7 +137,9 @@ def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
     rows with a sequence of B generators: row b draws its uniforms from
     ``rng[b]`` and gets the draws a vector call on that row would give.  The
     result indexes the flattened weights, shape ``weights.shape[:-1] +
-    (n_draws,)``.  Self-normalizes each row; raises DegenerateWeightsError
+    (n_draws,)``.  Self-normalizes each row by ``_cumulative`` (a row whose
+    sum overflows is first divided by its largest weight) and searches the
+    whole block at once (``_search_rows``); raises DegenerateWeightsError
     when a row's weights are all zero, negative, or non-finite.
     """
     w = np.asarray(weights, dtype=float)
@@ -152,10 +152,10 @@ def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
         raise DegenerateWeightsError("degenerate weights: negative or non-finite")
     if not np.all(w.any(axis=1)):
         raise DegenerateWeightsError("degenerate weights: all zero")
-    idx = np.empty((w.shape[0], n_draws), dtype=np.int64)
-    for row, c, gen in zip(idx, _cumulative(w), rng):
-        row[:] = np.searchsorted(c, gen.random(n_draws), side="right")
-    idx += np.arange(0, w.size, w.shape[1])[:, None]
+    u = np.empty((w.shape[0], n_draws))
+    for row, gen in zip(u, rng):
+        row[:] = gen.random(n_draws)
+    idx = _search_rows(_cumulative(w), u)
     return idx if rows else idx[0]
 
 
@@ -351,19 +351,22 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
     B = len(seeds)
     streams = _streams(seeds, n)
 
-    if initial_ensemble is None:
+    if initial_ensemble is None:  # sample_initial returns its lanes in order
         ensembles = [sample_initial(ladder, N, rngs[0]) for rngs in streams]
     else:
         if initial_ensemble.n_particles != N:
             raise ValueError("initial ensemble size does not match the config")
         ensembles = [initial_ensemble]
-    orders = [np.argsort(e.lane_ids, kind="stable") for e in ensembles]
-    particles = np.stack([np.asarray(e.particles)[o] for e, o in zip(ensembles, orders)])
+    particles = np.stack([e.particles for e in ensembles])
     log_w = None
     if ensembles[0].log_weights is not None:
-        log_w = np.stack([e.log_weights[o] for e, o in zip(ensembles, orders)])
+        log_w = np.stack([e.log_weights for e in ensembles])
+    if initial_ensemble is not None:  # canonical storage order: by lane id
+        order = np.argsort(initial_ensemble.lane_ids, kind="stable")
+        particles = particles[:, order]
+        log_w = None if log_w is None else log_w[:, order]
     init_rates = [float(e.init_acceptance_rate) for e in ensembles]
-    del ensembles, orders  # the block holds the particles now
+    del ensembles  # the block holds the particles now
     state_shape = particles.shape[2:]
 
     ess_log, wsum_log, wall_log = [], [], []
@@ -400,12 +403,15 @@ def _run_block(config: SmcConfig, seeds, initial_ensemble=None) -> list:
     values = values.reshape(B, N)
     ess_rows, wsum_rows = _by_row(ess_log, B), _by_row(wsum_log, B)
     nbar_rows = _by_row(nbar_log, B) if normalized_ok else [None] * B
+    if log_w is None:  # shift-and-fsum means: exact for a constant row, stable in general
+        bases = values[:, 0].tolist()
+        shifted = values - values[:, :1]
+        etas = [base + math.fsum(row.tolist()) / N for base, row in zip(bases, shifted)]
+    else:
+        etas = [float(np.average(v, weights=np.exp(lw - np.max(lw))))
+                for v, lw in zip(values, log_w)]
     results = []
-    for b, seed in enumerate(seeds):
-        if log_w is None:
-            eta = _mean_exact(values[b])
-        else:
-            eta = float(np.average(values[b], weights=np.exp(log_w[b] - np.max(log_w[b]))))
+    for b, (seed, eta) in enumerate(zip(seeds, etas)):
         results.append(SmcRunResult(
             eta_estimate=eta,
             nu_estimate=math.prod(nbar_rows[b]) * eta if normalized_ok else None,

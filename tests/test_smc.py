@@ -177,6 +177,16 @@ class TestExchangeability:
             a.final_ensemble.particles, b.final_ensemble.particles
         )
 
+    @pytest.mark.parametrize("kind", ["finite", "one_component", "tempering", "convolution"])
+    def test_sampled_ensembles_are_in_lane_order(self, kind, bimodal_target):
+        # the driver sorts by lane id only an injected ensemble
+        if kind == "finite":
+            ladder = three_bit_ladder(2)
+        else:
+            ladder = euclidean_config(kind, bimodal_target).ladder
+        ens = sequences.init_sampler(ladder, 16, np.random.default_rng(0))
+        np.testing.assert_array_equal(ens.lane_ids, np.arange(16))
+
     def test_single_level_permutation(self, finite_ladder, rng):
         ladder, pmf1, _ = finite_ladder
         single = sequences.build_finite_ladder([pmf1], [None])

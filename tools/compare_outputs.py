@@ -2,11 +2,13 @@
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Cases (372): ``run`` and ``bounds`` on the 100 pinned configs of
+Cases (374): ``run`` and ``bounds`` on the 100 pinned configs of
 ``tests/test_fuzz.py``, ``sweep`` on their sweeps, ``run`` and ``sweep`` on
 its 30 pinned finite-ladder configs, a README-style tempering ``run`` with
 and without a ``time_policy`` (the latter also with ``conservative_gamma``),
-convolution, Metropolis and finite-ladder ``run``, a finite-ladder ``run``
+convolution, Metropolis and finite-ladder ``run``, a finite-ladder ``run`` at
+N = 513 with 70 replicates (blocks of 31, 31 and 8) and a README-style
+tempering ``run`` at N = 1 000 with 5 replicates, a finite-ladder ``run``
 with a zero-probability state and chains with zero entries, ``bounds`` with
 explicit ``delta`` and ``p``, and ``verify`` with ``--seed 0``, ``--seed 3``,
 without a seed, and with ``trials_scale`` 0.3 and a chain file.
@@ -80,10 +82,16 @@ def make_cases(workdir: str) -> list:
         "kind": "convolution", "n_levels": 10, "beta_min": 0.05, "sigma": 3.0}), "run")
     add("metropolis", readme(kernel={"kind": "metropolis_hastings", "proposal_scale": 1.0},
                              time_policy={"mode": "explicit", "t": 3.0}), "run")
-    add("finite", readme(replicates=50, kernel=None, ladder={"kind": "from_file"},
-                         target={"kind": "finite_ladder_file",
-                                 "path": finite_ladder_file(Path(workdir))[0]},
-                         estimand={"name": "mode_indicator", "mode_index": 0}), "run")
+    finite = {"kernel": None, "ladder": {"kind": "from_file"},
+              "target": {"kind": "finite_ladder_file",
+                         "path": finite_ladder_file(Path(workdir))[0]},
+              "estimand": {"name": "mode_indicator", "mode_index": 0}}
+    add("finite", readme(replicates=50, **finite), "run")
+    # blocked runs whose rows are searched at widths that are not powers of two:
+    # 2^16 cells hold 31 replicates of 513 particles on four states (blocks of
+    # 31, 31 and 8 rows), and 16 of 1 000 on the two-mode target (one block of 5)
+    add("finite_wide", readme(n_particles=513, replicates=70, **finite), "run")
+    add("tempering_wide", readme(n_particles=1000, replicates=5), "run")
     # state 1 has probability zero at level 2, whose independent-sampler chain
     # and level 3's Glauber chain have zero entries
     pmf2 = np.array([0.4, 0.0, 0.3, 0.3])
