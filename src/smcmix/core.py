@@ -369,6 +369,14 @@ def _cumulative(p: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _check_generators(rngs, n_rows: int):
+    """Refuse a (B, ...) block that does not come with one generator a row:
+    ``zip`` would stop at the shorter and leave the other rows undrawn."""
+    if len(rngs) != n_rows:
+        raise ValueError(f"a block of {n_rows} rows needs {n_rows} generators, "
+                         f"got {len(rngs)}")
+
+
 def _search_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The inverse-CDF draws of the (B, n) uniforms ``u`` from the rows of the
     (B, N) table ``cum``, as indices into ``cum.ravel()``: entry [b, j] is

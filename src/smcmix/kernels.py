@@ -22,11 +22,13 @@ package.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_FINITE_STATES, FiniteChain, _cumulative
+from .core import MAX_FINITE_STATES, FiniteChain, _check_generators, _cumulative
 
 __all__ = [
     "KernelSpec",
@@ -85,13 +87,14 @@ def ula_evolve(grad_log_density, x, t: float, h: float, rng):
     ``(N, d)`` with one generator ``rng``, or a block ``(B, N, d)`` with a
     sequence of B generators: the gradient sees the whole block, and row b
     draws its noise from ``rng[b]`` into its own (N, d) slice, so it ends
-    where an ``(N, d)`` call on that row would.  With ``t=0`` the input is
-    returned unchanged.
+    where an ``(N, d)`` call on that row would (another count of generators
+    is a ValueError).  With ``t=0`` the input is returned unchanged.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
     state = np.array(x, dtype=float, order="C")
     rngs = rng if state.ndim == 3 else (rng,)
+    _check_generators(rngs, len(state) if state.ndim == 3 else 1)
     n_steps = int(np.ceil(t / h))
     root = np.sqrt(2.0 * h)
     noise = np.empty_like(state)
@@ -127,26 +130,65 @@ def mh_step(log_density, x, proposal_scale: float, rng: np.random.Generator):
     return np.where(accept[:, None], proposal, state)
 
 
-def _poisson_jumps(state: np.ndarray, t: float, rngs, step) -> np.ndarray:
+# the most uniforms the finite kernel draws ahead: as many doubles as the
+# driver's block has particle cells (``smc._BLOCK_CELLS``), half a megabyte
+_UNIFORM_WINDOW = 2 ** 16
+
+
+def _jump_uniforms(remaining: np.ndarray, rngs):
+    """Yield the uniforms of each jump in turn: at jump j, ``remaining[b, j]``
+    of them from ``rngs[b]`` for every row b, stacked in row order.
+
+    Row b draws the uniforms of a window of jumps in one ``random`` call: the
+    doubles one call a jump would give, since a stream continues across
+    calls.  A window holds as many jumps as fit in ``_UNIFORM_WINDOW``
+    doubles over all rows, and at least one, so what is drawn ahead does not
+    grow with t.  A jump's uniforms are a slice of its row's draws for one
+    row, and its rows' slices joined for a block."""
+    n_jumps = remaining.shape[1]
+    ends = np.cumsum(remaining.sum(axis=0)).tolist()  # uniforms drawn by the end of each jump
+    first = 0
+    while first < n_jumps:
+        drawn = ends[first - 1] if first else 0
+        last = max(first + 1, bisect.bisect_right(ends, drawn + _UNIFORM_WINDOW))
+        window = remaining[:, first:last]
+        rows = [rng.random(n) for rng, n in zip(rngs, window.sum(axis=1).tolist())]
+        # starts[k][b]: where the window's jump k begins in row b's draws
+        starts = (np.cumsum(window, axis=1) - window).T.tolist()
+        for start, count in zip(starts, window.T.tolist()):
+            parts = [row[at:at + n] for row, at, n in zip(rows, start, count)]
+            yield parts[0] if len(parts) == 1 else np.concatenate(parts)
+        del rows, parts  # before the next window is drawn
+        first = last
+
+
+def _poisson_jumps(state: np.ndarray, t: float, rngs, step, uniforms: bool = True) -> np.ndarray:
     """Apply K ~ Poisson(t) jumps to each particle of the C-contiguous
     (B, N, ...) block ``state``, in place.  Row b draws its N jump counts
-    from ``rngs[b]``; at every jump ``step(states, rngs, counts)`` moves the
-    still-active particles of all rows, stacked in row order, ``counts[b]``
-    of them from row b, whose randomness it draws from ``rngs[b]``."""
+    from ``rngs[b]``; at every jump ``step(states, u)`` moves the
+    still-active particles of all rows, stacked in row order, given their
+    uniforms ``u`` (``_jump_uniforms``): row b's next ones from ``rngs[b]``.
+    With ``uniforms=False`` nothing is drawn ahead and ``u`` is None, for a
+    step that draws its own randomness."""
     if t < 0:
         raise ValueError("time must be nonnegative")
-    jumps = np.empty(state.shape[:2], dtype=np.int64)
+    n_rows, n = state.shape[:2]
+    _check_generators(rngs, n_rows)
+    jumps = np.empty((n_rows, n), dtype=np.int64)
     for row, rng in zip(jumps, rngs):
-        row[:] = rng.poisson(t, size=state.shape[1])
+        row[:] = rng.poisson(t, size=n)
     n_jumps = int(jumps.max(initial=0))
     # remaining[b, j]: how many particles of row b jump more than j times
-    hist = [np.bincount(row, minlength=n_jumps + 1) for row in jumps]
-    remaining = state.shape[1] - np.cumsum(hist, axis=1)
+    width = n_jumps + 1
+    hist = np.bincount((jumps + width * np.arange(n_rows)[:, None]).ravel(),
+                       minlength=n_rows * width)
+    remaining = n - np.cumsum(hist.reshape(n_rows, width), axis=1)[:, :n_jumps]
     flat = state.reshape(-1, *state.shape[2:])  # a view: ``state`` is contiguous
     counts = jumps.ravel()
     idx = np.flatnonzero(counts)  # the particles that jump again, row-major
-    for j in range(n_jumps):
-        flat[idx] = step(flat[idx], rngs, remaining[:, j])
+    draws = _jump_uniforms(remaining, rngs) if uniforms else itertools.repeat(None)
+    for j, u in zip(range(n_jumps), draws):
+        flat[idx] = step(flat[idx], u)
         idx = idx[counts[idx] > j + 1]
     return state
 
@@ -156,7 +198,7 @@ def mh_evolve(log_density, x, t: float, proposal_scale: float, rng: np.random.Ge
     K ~ Poisson(t) steps per particle."""
     state = _poisson_jumps(
         np.array(x, dtype=float, order="C")[None], t, (rng,),
-        lambda states, rngs, counts: mh_step(log_density, states, proposal_scale, rngs[0]),
+        lambda states, _: mh_step(log_density, states, proposal_scale, rng), uniforms=False,
     )
     return state[0]
 
@@ -209,15 +251,12 @@ def mh_transition_matrix(pmf) -> FiniteChain:
 
 
 def _chain_step(chain: FiniteChain):
-    """One jump of ``chain`` for stacked rows of states: each row's uniforms
-    come from its own generator, the lookup runs once for all rows.  The next
-    state counts the entries <= the uniform of the state's ``_cumulative`` row
+    """One jump of ``chain`` for states ``states`` given a uniform ``u`` each:
+    the next state counts the entries <= u of the state's ``_cumulative`` row
     but its last (1), one column at a time, so no (n, S) array is built."""
     columns = np.ascontiguousarray(_cumulative(chain.P)[:, :-1].T)
 
-    def step(states, rngs, counts):
-        parts = [rng.random(c) for rng, c in zip(rngs, counts.tolist())]
-        u = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    def step(states, u):
         nxt = np.zeros(states.shape, dtype=np.int64)
         for col in columns:
             nxt += col[states] <= u
@@ -231,7 +270,8 @@ def poissonized_evolve(chain: FiniteChain, x, t: float, rng):
 
     ``x`` is a state index or an (N,) array of indices with one generator
     ``rng``, or a (B, N) block with a sequence of B generators, row b drawing
-    from ``rng[b]`` only; each particle draws its own jump count.
+    from ``rng[b]`` only (another count of generators is a ValueError); each
+    particle draws its own jump count.
     """
     x = np.asarray(x, dtype=np.int64)
     if x.ndim == 2:

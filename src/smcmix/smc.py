@@ -49,8 +49,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (DegenerateWeightsError, Ladder, Level, ParticleEnsemble, _cumulative,
-                   _search_rows, effective_sample_size)
+from .core import (DegenerateWeightsError, Ladder, Level, ParticleEnsemble, _check_generators,
+                   _cumulative, _search_rows, effective_sample_size)
 from .kernels import mh_evolve, poissonized_evolve, ula_evolve
 from .sequences import init_sampler as sample_initial
 from .sequences import level_grad_log_density, level_log_density
@@ -140,7 +140,8 @@ def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
     (n_draws,)``.  Self-normalizes each row by ``_cumulative`` (a row whose
     sum overflows is first divided by its largest weight) and searches the
     whole block at once (``_search_rows``); raises DegenerateWeightsError
-    when a row's weights are all zero, negative, or non-finite.
+    when a row's weights are all zero, negative, or non-finite, and
+    ValueError when a block does not come with one generator a row.
     """
     w = np.asarray(weights, dtype=float)
     rows = w.ndim == 2
@@ -152,6 +153,7 @@ def multinomial_resample(weights, n_draws: int, rng) -> np.ndarray:
         raise DegenerateWeightsError("degenerate weights: negative or non-finite")
     if not np.all(w.any(axis=1)):
         raise DegenerateWeightsError("degenerate weights: all zero")
+    _check_generators(rng, len(w))
     u = np.empty((w.shape[0], n_draws))
     for row, gen in zip(u, rng):
         row[:] = gen.random(n_draws)

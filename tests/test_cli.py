@@ -9,6 +9,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -16,6 +17,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from smcmix import cli, oracle, smc
 from smcmix.cli import main
@@ -1043,6 +1046,59 @@ def test_failed_json_dump_leaves_existing_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
 
+def json_documents(finite=True):
+    """Nested documents like the commands': dicts, lists of numbers, lists of
+    records of one key set and of lists of one length, with None, bools,
+    ints to 2^64 - 1, floats at their edges and strings with quotes, escapes
+    and non-ASCII; with ``finite=False`` floats may be NaN or infinite."""
+    floats = st.floats(allow_nan=not finite, allow_infinity=not finite) | st.sampled_from(
+        [-0.0, 5e-324, 1e16, 1.5e-7, 2.0 ** 64])
+    scalars = (st.none() | st.booleans() | st.integers(-2 ** 64 + 1, 2 ** 64 - 1) | floats
+               | st.text() | st.sampled_from(['say "hi"', "a\\b", "\u00e9t\u00e9", "\U0001f600"]))
+
+    def nested(children):
+        records = st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True).flatmap(
+            lambda keys: st.lists(st.fixed_dictionaries({k: children for k in keys}), max_size=4))
+        rows = st.integers(1, 3).flatmap(
+            lambda n: st.lists(st.lists(children, min_size=n, max_size=n), max_size=4))
+        return (st.lists(children, max_size=5) | st.lists(children, max_size=3).map(tuple)
+                | st.dictionaries(st.text(max_size=6), children, max_size=5) | records | rows)
+
+    return st.recursive(scalars, nested, max_leaves=40)
+
+
+def json_outcome(encode, doc):
+    try:
+        return encode(doc)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def json_dumps(doc):
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+
+
+@given(json_documents())
+@example([{"a": 1.0, "b": [1, 2]}, {"b": [3], "a": 2.0}, {"c": None}])  # key sets differ
+@settings(max_examples=200, deadline=None)
+def test_json_text_is_json_dumps(doc):
+    assert cli._json_text(doc) == json_dumps(doc)
+
+
+@given(json_documents(finite=False))
+@settings(max_examples=200, deadline=None)
+def test_json_text_raises_as_json_dumps(doc):
+    # the same text, or the same ValueError naming the same first NaN or infinity
+    assert json_outcome(cli._json_text, doc) == json_outcome(json_dumps, doc)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_text_refuses_non_finite_floats(bad):
+    for doc in ({"a": bad}, [1.0, bad], [{"x": [0.5, bad]}, {"x": [0.25, 1.0]}]):
+        with pytest.raises(ValueError, match=f"not JSON compliant: {bad!r}$"):
+            cli._json_text(doc)
+
+
 class TestVerify:
     def test_selector_runs_only_decomposition(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1366,6 +1422,26 @@ def test_failed_csv_write_leaves_existing_file(tmp_path):
         cli._write_csv(str(path), rows())
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["levels.csv"]
+
+
+csv_numbers = st.integers(-2 ** 64 + 1, 2 ** 64 - 1) | st.floats()
+csv_texts = st.sampled_from(["replicate", "wall_time", "0.000149", "", "None", 'a "b"', "x,y",
+                             "line\r\nend", "cr\r", "\u00e9"]) | st.text()
+
+
+# any rows, and rows of two or more fields without None, which the encoder
+# joins in one pass unless a field needs quoting
+@given(st.lists(st.lists(st.none() | csv_numbers | csv_texts, max_size=6), max_size=6)
+       | st.lists(st.lists(csv_numbers | csv_texts, min_size=2, max_size=6), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_writes_what_csv_writer_writes(rows):
+    rows = [["replicate", "level", "ess"], *rows, [0, 2, 477.5799769599977]]
+    with tempfile.TemporaryDirectory() as work:
+        ours, theirs = os.path.join(work, "ours.csv"), os.path.join(work, "theirs.csv")
+        cli._write_csv(ours, iter(rows))
+        with open(theirs, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert Path(ours).read_bytes() == Path(theirs).read_bytes()
 
 
 class TestCommandLineInputs:

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from smcmix import kernels
 from smcmix.core import FiniteChain
 from smcmix.kernels import (
     KernelSpec,
@@ -28,6 +31,27 @@ def normal_log_density(x):
 
 def normal_grad(x):
     return -np.asarray(x, dtype=float)
+
+
+def masked_jumps(state, t, rngs, step):
+    """The jump loop written out: row b draws its jump counts, then at every
+    jump the uniforms of its still-active particles, ``remaining[b, j]`` of
+    them, from ``rngs[b]``; the active particles move by a boolean mask."""
+    jumps = np.empty(state.shape[:2], dtype=np.int64)
+    for row, rng in zip(jumps, rngs):
+        row[:] = rng.poisson(t, size=state.shape[1])
+    n_jumps = int(jumps.max(initial=0))
+    remaining = np.array([[np.sum(row > j) for j in range(n_jumps)] for row in jumps])
+    for j in range(n_jumps):
+        u = np.concatenate([rng.random(remaining[b, j]) for b, rng in enumerate(rngs)])
+        active = jumps > j
+        state[active] = step(state[active], u)
+    return state
+
+
+def random_chain(n_states: int, seed: int) -> FiniteChain:
+    P = np.random.default_rng(seed).random((n_states, n_states))
+    return FiniteChain(P=P / P.sum(axis=1, keepdims=True))
 
 
 def discrete_stationary_variance(h: float) -> float:
@@ -227,37 +251,76 @@ class TestPoissonized:
         P = gen.random((n_states, n_states)) ** 4
         chain = FiniteChain(P=P / P.sum(axis=1, keepdims=True))
         states = gen.integers(0, n_states, size=1000)
-        nxt = _chain_step(chain)(states, (np.random.default_rng(1),), np.array([1000]))
         u = np.random.default_rng(1).random(1000)
+        nxt = _chain_step(chain)(states, u)
         table = (np.cumsum(chain.P, axis=1)[states] < u[:, None]).sum(axis=1)
         np.testing.assert_array_equal(nxt, np.minimum(table, n_states - 1))
         assert nxt.dtype == np.int64
 
     def test_jumps_equal_the_masked_loop(self):
-        """The index-shrinking jump loop against the boolean-mask loop it
-        replaced, restated here: same particles, same uniforms, same states."""
-        P = np.random.default_rng(0).random((5, 5))
-        chain = FiniteChain(P=P / P.sum(axis=1, keepdims=True))
+        """The jump loop against the loop it replaced, restated here: same
+        particles, same uniforms, same states, every stream left at the same
+        place."""
+        chain = random_chain(5, 0)
         start = np.random.default_rng(1).integers(0, 5, size=(3, 40))
-
-        def masked(state, t, rngs, step):
-            jumps = np.empty(state.shape[:2], dtype=np.int64)
-            for row, rng in zip(jumps, rngs):
-                row[:] = rng.poisson(t, size=state.shape[1])
-            n_jumps = int(jumps.max(initial=0))
-            hist = [np.bincount(row, minlength=n_jumps + 1) for row in jumps]
-            remaining = state.shape[1] - np.cumsum(hist, axis=1)
-            for j in range(n_jumps):
-                active = jumps > j
-                state[active] = step(state[active], rngs, remaining[:, j])
-            return state
-
         for seed, t in enumerate((0.0, 0.7, 4.0)):
             streams = [[np.random.default_rng([seed, b]) for b in range(3)] for _ in range(2)]
-            ref = masked(start.copy(), t, streams[0], _chain_step(chain))
+            ref = masked_jumps(start.copy(), t, streams[0], _chain_step(chain))
             out = _poisson_jumps(start.copy(), t, streams[1], _chain_step(chain))
             np.testing.assert_array_equal(out, ref)
             assert [r.random() for r in streams[0]] == [r.random() for r in streams[1]]
+
+    # B * N * t above 2^16 needs more than one window of uniforms; at
+    # N = 2 and t = 0.1 most rows draw no jump
+    @given(st.integers(1, 6), st.integers(1, 700),
+           st.sampled_from([0.0, 0.01, 0.1, 0.9, 3.0, 25.0]), st.integers(0, 2 ** 32 - 1))
+    @example(1, 3000, 30.0, 0)
+    @example(5, 600, 25.0, 1)
+    @example(6, 2, 0.1, 1)
+    @settings(max_examples=40, deadline=None)
+    def test_jumps_equal_the_masked_loop_at_any_size(self, n_rows, n, t, seed):
+        chain = random_chain(4, seed)
+        start = np.random.default_rng(seed).integers(0, 4, size=(n_rows, n))
+        streams = [[np.random.default_rng([seed, b]) for b in range(n_rows)] for _ in range(2)]
+        ref = masked_jumps(start.copy(), t, streams[0], _chain_step(chain))
+        out = _poisson_jumps(start.copy(), t, streams[1], _chain_step(chain))
+        np.testing.assert_array_equal(out, ref)
+        assert [r.random() for r in streams[0]] == [r.random() for r in streams[1]]
+
+    def test_window_examples_reach_their_cases(self):
+        # the pinned examples above do draw over several windows, and rows
+        # without a jump between rows with one
+        for n_rows, n, t, seed in ((1, 3000, 30.0, 0), (5, 600, 25.0, 1)):
+            gens = [np.random.default_rng([seed, b]) for b in range(n_rows)]
+            total = sum(g.poisson(t, size=n).sum() for g in gens)
+            assert total > kernels._UNIFORM_WINDOW
+        gens = [np.random.default_rng([1, b]) for b in range(6)]
+        jumps = [g.poisson(0.1, size=2).sum() for g in gens]
+        assert jumps[0] > 0 and jumps[-1] > 0 and 0 in jumps[1:-1]
+
+    def test_mh_evolve_equals_the_per_jump_loop(self):
+        # Metropolis draws its own normals and uniforms jump by jump
+        x = np.random.default_rng(3).normal(size=(60, 2))
+        rng = np.random.default_rng(5)
+        jumps = rng.poisson(2.5, size=60)
+        ref = x.copy()
+        for j in range(jumps.max()):
+            active = jumps > j
+            ref[active] = mh_step(normal_log_density, ref[active], 0.8, rng)
+        stream = np.random.default_rng(5)
+        out = mh_evolve(normal_log_density, x, t=2.5, proposal_scale=0.8, rng=stream)
+        np.testing.assert_array_equal(out, ref)
+        assert rng.random() == stream.random()
+
+    @pytest.mark.parametrize("n_rngs", [1, 2, 4])
+    def test_block_needs_a_generator_per_row(self, n_rngs):
+        chain = random_chain(4, 0)
+        gens = [np.random.default_rng(b) for b in range(n_rngs)]
+        message = f"a block of 3 rows needs 3 generators, got {n_rngs}"
+        with pytest.raises(ValueError, match=message):
+            poissonized_evolve(chain, np.zeros((3, 5), dtype=np.int64), 1.0, gens)
+        with pytest.raises(ValueError, match=message):
+            ula_evolve(normal_grad, np.zeros((3, 5, 2)), t=0.2, h=0.1, rng=gens)
 
     def test_single_state_input(self, rng):
         chain = glauber_transition_matrix(np.ones(4) / 4, 2)

@@ -2,13 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from smcmix import sequences, smc
+from smcmix import kernels, sequences, smc
 from smcmix.core import (
     DegenerateWeightsError,
     FiniteChain,
@@ -62,6 +63,12 @@ class TestMultinomialResample:
     def test_degenerate_weights_rejected(self, weights, rng):
         with pytest.raises(DegenerateWeightsError, match="degenerate weights"):
             multinomial_resample(weights, 3, rng)
+
+    @pytest.mark.parametrize("n_rngs", [1, 2, 4])
+    def test_block_needs_a_generator_per_row(self, n_rngs):
+        gens = [np.random.default_rng(b) for b in range(n_rngs)]
+        with pytest.raises(ValueError, match=f"a block of 3 rows needs 3 generators, got {n_rngs}"):
+            multinomial_resample(np.ones((3, 4)), 5, gens)
 
 
 class TestDeterminism:
@@ -372,6 +379,33 @@ class TestBlocks:
         for b in range(5):
             alone = multinomial_resample(w[b], 40, np.random.default_rng(b))
             np.testing.assert_array_equal(rows[b], alone + 33 * b)
+
+    def test_kernel_memory_does_not_grow_with_time(self, monkeypatch):
+        """At t = 100 a block's jump uniforms would take 100 arrays of the
+        block's size at once; drawn a window at a time, what the kernel holds
+        above what it is handed stays under one window of uniforms plus ten
+        block-sized arrays (its jump counts, index and state copies, one
+        jump's uniforms: about eight at numpy 2.4)."""
+        ladder, _, _ = two_level_finite_ladder(time_budget=100.0)
+        config = finite_config(ladder, n_particles=512)
+        block_bytes = 8 * smc._block_size(config) * config.n_particles  # 32 x 512 int64
+        apply, peaks = smc.apply_kernel, []
+
+        def traced(level, particles, rngs):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            out = apply(level, particles, rngs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
+            return out
+
+        monkeypatch.setattr(smc, "apply_kernel", traced)
+        tracemalloc.start()
+        try:
+            run_replicates(config, 32)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1  # one block, one smoothed level
+        assert 8 * kernels._UNIFORM_WINDOW < peaks[0] < 8 * kernels._UNIFORM_WINDOW + 10 * block_bytes
 
     def test_row_ess_matches_vector_calls(self):
         # the reference squares a numpy float64 scalar sum, as the 1-D ESS did

@@ -2,16 +2,19 @@
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Cases (374): ``run`` and ``bounds`` on the 100 pinned configs of
+Cases (376): ``run`` and ``bounds`` on the 100 pinned configs of
 ``tests/test_fuzz.py``, ``sweep`` on their sweeps, ``run`` and ``sweep`` on
 its 30 pinned finite-ladder configs, a README-style tempering ``run`` with
 and without a ``time_policy`` (the latter also with ``conservative_gamma``),
 convolution, Metropolis and finite-ladder ``run``, a finite-ladder ``run`` at
-N = 513 with 70 replicates (blocks of 31, 31 and 8) and a README-style
-tempering ``run`` at N = 1 000 with 5 replicates, a finite-ladder ``run``
-with a zero-probability state and chains with zero entries, ``bounds`` with
-explicit ``delta`` and ``p``, and ``verify`` with ``--seed 0``, ``--seed 3``,
-without a seed, and with ``trials_scale`` 0.3 and a chain file.
+N = 513 with 70 replicates (blocks of 31, 31 and 8), at t = 1 and at t = 8
+(whose jump uniforms span more than one of the kernel's windows), a
+README-style tempering ``run`` at N = 1 000 with 5 replicates, a one-level
+finite-ladder ``run`` (empty per-level lists, a header-only ``levels.csv``),
+a finite-ladder ``run`` with a zero-probability state and chains with zero
+entries, ``bounds`` with explicit ``delta`` and ``p``, and ``verify`` with
+``--seed 0``, ``--seed 3``, without a seed, and with ``trials_scale`` 0.3 and
+a chain file.
 Each side runs them through ``smcmix.cli.main`` in its own process with
 ``PYTHONPATH=<side>``.  Compared per case: the exit code (or uncaught
 exception), stdout, stderr with each warning's ``file:line`` masked, and every
@@ -92,6 +95,16 @@ def make_cases(workdir: str) -> list:
     # 31, 31 and 8 rows), and 16 of 1 000 on the two-mode target (one block of 5)
     add("finite_wide", readme(n_particles=513, replicates=70, **finite), "run")
     add("tempering_wide", readme(n_particles=1000, replicates=5), "run")
+    # at t = 8 a block of 31 x 513 particles draws about 127 000 jump
+    # uniforms, more than one window of the kernel's 2^16
+    add("finite_wide_long", readme(n_particles=513, replicates=70,
+                                   time_policy={"mode": "explicit", "t": 8.0}, **finite), "run")
+    # one level: run.json's per-level lists are empty and levels.csv is its header
+    one_level = os.path.join(workdir, "one_level_ladder.json")
+    Path(one_level).write_text(json.dumps({"kind": "finite_ladder", "levels": [
+        {"pmf": [0.1, 0.2, 0.3, 0.4], "P": None}]}))
+    add("finite_one_level", readme(replicates=5, **{
+        **finite, "target": {"kind": "finite_ladder_file", "path": one_level}}), "run")
     # state 1 has probability zero at level 2, whose independent-sampler chain
     # and level 3's Glauber chain have zero entries
     pmf2 = np.array([0.4, 0.0, 0.3, 0.3])
