@@ -20,6 +20,7 @@ suite checks (with jsonschema) rather than each command at run time.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import operator
@@ -785,31 +786,36 @@ def _write_file(path: str, write):
         raise
 
 
-# the number texts of ``json`` and ``csv``: float.__repr__ is the shortest
-# text that reads back to the same double
+# the number texts of ``json``: float.__repr__ is the shortest text that
+# reads back to the same double
 _float_text = float.__repr__
 _int_text = int.__repr__
 
 
 def _json_text(doc) -> str:
     """``doc`` as the commands print and write it: byte for byte
-    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``, whose
-    ``indent`` runs the standard library's pure-Python encoder, and the same
-    ValueError on a NaN or infinity and TypeError on an unserializable value.
-    A list is rendered a column at a time (``_json_column``)."""
-    return _json_value(doc, "\n")
+    ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``.  Its
+    ``indent`` runs the standard library's pure-Python encoder, so a list is
+    rendered here a column at a time (``_json_column``).  A document this
+    cannot render (a NaN or infinity, a key that is not a string, an
+    unserializable value) goes whole to ``json.dumps``, which returns its
+    text or raises its own error."""
+    try:
+        return _json_value(doc, "\n")
+    except (TypeError, ValueError):
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 @lru_cache(maxsize=256)
 def _json_keys(shape: tuple) -> tuple:
-    """The string keys ``shape`` of a dict in sorted order, each with its
-    encoded text and separator."""
+    """The keys ``shape`` of a dict in sorted order, each with its encoded
+    text and separator; TypeError unless every key is a string."""
     return tuple((key, _quote(key) + ": ") for key in sorted(shape))
 
 
 def _json_value(value, newline: str) -> str:
-    """``value`` as ``json.dumps`` renders it at the indent ``newline``, with
-    its checks in its order: the first error raised is the one it raises."""
+    """``value`` as ``json.dumps`` renders it at the indent ``newline``;
+    TypeError or ValueError where ``_json_text`` hands over to it."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -823,42 +829,33 @@ def _json_value(value, newline: str) -> str:
     if isinstance(value, float):
         if value - value == 0.0:
             return _float_text(value)
-        raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
+        raise ValueError(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        try:
-            texts = _json_column(value, inner)
-        except (TypeError, ValueError):  # raised again where json.dumps stops
-            texts = [_json_value(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+        return "[" + inner + ("," + inner).join(_json_column(value, inner)) + newline + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
-        if not all(isinstance(key, str) for key in value):  # json.dumps converts such keys
-            text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
-            return text.replace("\n", newline)  # a JSON string holds no raw newline
         return ("{" + inner + ("," + inner).join(
             [text + _json_value(value[key], inner) for key, text in _json_keys(tuple(value))])
             + newline + "}")
-    raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    raise TypeError(value)
 
 
 def _json_column(values, newline: str) -> list:
     """The texts of the entries of ``values`` at the indent ``newline``: a
     column of floats, ints or strings in one ``map``, a column of lists of
     one length or of dicts of one key set through the columns of their
-    entries, and any other entry by ``_json_value``.  Raises ValueError on a
-    NaN or infinity and TypeError on an unserializable value, though not
-    always at the entry ``json.dumps`` would name: the caller renders the
-    entries one by one again to raise that."""
+    entries, and any other entry by ``_json_value``, which raises as it
+    does."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float:
         texts = list(map(_float_text, values))
         if "n" in "".join(texts):  # "nan", "inf": a finite float's text has no n
-            raise ValueError("Out of range float values are not JSON compliant")
+            raise ValueError(values)
         return texts
     if kind is int:
         return list(map(_int_text, values))
@@ -873,7 +870,7 @@ def _json_column(values, newline: str) -> list:
     elif kind is dict:
         shapes = set(map(tuple, values))
         shape = shapes.pop() if len(shapes) == 1 else ()
-        if shape and all(type(key) is str for key in shape):
+        if shape:
             columns = [map(text.__add__, _json_column([v[key] for v in values], inner))
                        for key, text in _json_keys(shape)]
             return _json_rows("{%s}", columns, newline)
@@ -897,41 +894,13 @@ def _write_json(path: str, doc: dict):
 
 
 def _write_csv(path: str, rows):
-    """Write ``rows`` as ``csv.writer`` does (``_csv_text``)."""
-    text = _csv_text(rows)
+    """Write ``rows`` as ``csv.writer`` writes them."""
+    import csv  # here, so that ``bounds`` and ``verify`` start without it
+
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows(rows)
+    text = buffer.getvalue()
     _write_file(path, lambda fh: fh.write(text))
-
-
-def _csv_text(rows) -> str:
-    """``rows`` byte for byte as ``csv.writer(fh).writerows(rows)`` writes
-    them: fields as ``str`` gives them (so a float by ``float.__repr__``) and
-    None as an empty field, joined by commas, each row ended by CRLF; a field
-    holding a comma, quote, CR or LF is quoted with its quotes doubled, and a
-    row of one empty field is written ``""``.  Rows of plain fields are
-    joined in one pass, checked whole: every comma a separator, every CR and
-    LF a row end, no quote, no ``None``."""
-    rows = list(rows)
-    text = "\r\n".join(map(",".join, map(partial(map, str), rows)))
-    lengths = list(map(len, rows))
-    if (min(lengths, default=2) > 1 and text.count(",") == sum(lengths) - len(rows)
-            and text.count("\r") == text.count("\n") == len(rows) - 1
-            and '"' not in text and "None" not in text):
-        return text + "\r\n" if rows else ""
-    return "".join([_csv_row(row) + "\r\n" for row in rows])
-
-
-def _csv_row(row) -> str:
-    """One row as ``csv.writer`` writes it, without its CRLF."""
-    fields = [_csv_field(value) for value in row]
-    return '""' if fields == [""] else ",".join(fields)
-
-
-def _csv_field(value) -> str:
-    """One field as ``csv.writer`` writes it with minimal quoting."""
-    text = "" if value is None else value if isinstance(value, str) else str(value)
-    if any(mark in text for mark in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
 
 
 def _seed(text: str) -> int:

@@ -321,7 +321,8 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     ``pmfs`` are the per-level stationary pmfs (normalized, so ratios are the
     exact normalized ratios) and ``chains`` the per-level FiniteChains, each
     level's smoothing kernel; the level-1 chain may be None since no
-    smoothing happens there.
+    smoothing happens there.  A level with mass on a state that the level
+    before gives probability 0 is refused: its weights are undefined there.
     """
     pmfs = [np.asarray(p, dtype=float) / np.sum(p) for p in pmfs]
     if len(chains) != len(pmfs):
@@ -333,14 +334,19 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
             raise ValueError(f"level {k + 1} needs a chain (transition matrix P) to smooth with")
         if chain is not None and not np.max(np.abs(chain.pi - pmf)) <= 1e-10:
             raise ValueError(f"chain at level {k + 1} is not stationary for its pmf")
-        ratio = None
-        bound = None
+        ratio = bound = None
         if k > 0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = pmf / pmfs[k - 1]  # states outside supp(prev) are never sampled
+            prev = pmfs[k - 1]
+            outside = np.flatnonzero((pmf > 0) & (prev == 0))
+            if outside.size:
+                s = outside[0]
+                raise ValueError(f"level {k + 1} puts mass {pmf[s]:g} on state {s}, which level "
+                                 f"{k} gives probability 0: each level must be absolutely "
+                                 "continuous with respect to the one before it")
+            # a state outside supp(prev) is never sampled
+            ratios = np.divide(pmf, prev, out=np.zeros_like(pmf), where=prev > 0)
             ratio = partial(_table_ratio, ratios)
-            finite = ratios[np.isfinite(ratios)]
-            bound = float(finite.max()) if finite.size else 1.0
+            bound = float(ratios.max())
         levels.append(
             Level(
                 kernel=None,

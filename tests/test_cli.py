@@ -700,25 +700,48 @@ class TestRun:
         with pytest.raises(cli.ConfigError, match="not below 2\\^62"):
             cli._with_budgets(ladder, 2.0 ** 62)
 
-    def test_degenerate_run_exits_three(self, tmp_path):
-        doc = {
-            "kind": "finite_ladder",
-            "levels": [
-                {"pmf": [0.5, 0.5, 0.0, 0.0], "P": None},
-                {"pmf": [0.0, 0.0, 0.5, 0.5],
-                 "P": [[0.0, 0.0, 0.5, 0.5]] * 4},
-            ],
-        }
-        path = write_json(tmp_path / "bad.json", doc)
-        exp = base_experiment(
-            target={"kind": "finite_ladder_file", "path": path},
-            ladder={"kind": "from_file"},
-            estimand={"name": "constant", "value": 1.0},
-            replicates=1,
-        )
-        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
-        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1", "run"]) == 3
+    def test_degenerate_run_exits_three(self, tmp_path, capsys):
+        def run(levels, **overrides):
+            path = write_json(tmp_path / "ladder.json", {"kind": "finite_ladder", "levels": levels})
+            exp = base_experiment(
+                target={"kind": "finite_ladder_file", "path": path},
+                ladder={"kind": "from_file"},
+                estimand={"name": "constant", "value": 1.0},
+                replicates=1, **overrides,
+            )
+            cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+            return main(["--config", cfg, "--out", str(tmp_path / "o"), "--threads", "1", "run"])
 
+        # disjoint supports are refused as a config error, before any file
+        assert run([{"pmf": [0.5, 0.5, 0.0, 0.0], "P": None},
+                    {"pmf": [0.0, 0.0, 0.5, 0.5], "P": [[0.0, 0.0, 0.5, 0.5]] * 4}]) == 2
+        assert "level 2 puts mass 0.5 on state 2, which level 1 gives probability 0" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # a valid ladder whose one particle starts in state 1, which level 2
+        # gives probability 0
+        assert run([{"pmf": [0.5, 0.5], "P": None},
+                    {"pmf": [1.0, 0.0], "P": [[1.0, 0.0], [1.0, 0.0]]}],
+                   n_particles=1, master_seed=0) == 3
+        assert "degenerate weights at level 2" in capsys.readouterr().err
+
+    def test_level_outside_previous_support_exits_two(self, tmp_path, capsys):
+        # uniform after [0.5, 0.5, 0, 0]: the particles never reach state 2,
+        # so a run would report its mass 0.25 as 0
+        path = write_json(tmp_path / "ladder.json", {"kind": "finite_ladder", "levels": [
+            {"pmf": [0.5, 0.5, 0.0, 0.0], "P": None},
+            {"pmf": [0.25] * 4, "P": [[0.25] * 4] * 4}]})
+        exp = base_experiment(target={"kind": "finite_ladder_file", "path": path},
+                              ladder={"kind": "from_file"},
+                              estimand={"name": "mode_indicator", "mode_index": 2},
+                              time_policy={"mode": "explicit", "t": 0.0},
+                              n_particles=1000, replicates=4)
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp})
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "--threads", "1", "run"]) == 2
+        assert ("config error: level 2 puts mass 0.25 on state 2, which level 1 gives "
+                "probability 0") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diverging_langevin_exits_three(self, tmp_path, capsys):
         # ULA with step 5 on a two-level convolution ladder overflows the state
@@ -1070,8 +1093,8 @@ def json_documents(finite=True):
 def json_outcome(encode, doc):
     try:
         return encode(doc)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def json_dumps(doc):
@@ -1080,15 +1103,24 @@ def json_dumps(doc):
 
 @given(json_documents())
 @example([{"a": 1.0, "b": [1, 2]}, {"b": [3], "a": 2.0}, {"c": None}])  # key sets differ
+# keys that are not strings, which json.dumps converts
+@example({"level": {2: 0.5, 10: [1, 2]}})
+@example([{1: "a", 0: "b"}, {1: "c", 0: "d"}])
+@example({"x": {0.5: 1, 2.5: 2}})
+@example({"x": {True: 1, False: 2}})
+@example({"x": {None: [1.5]}})
 @settings(max_examples=200, deadline=None)
 def test_json_text_is_json_dumps(doc):
     assert cli._json_text(doc) == json_dumps(doc)
 
 
 @given(json_documents(finite=False))
+@example({"a": [1.0], "b": object()})  # unserializable
+@example([{"x": 0.5, "y": [1.0]}, {"x": 0.25, "y": [float("nan")]}])
 @settings(max_examples=200, deadline=None)
 def test_json_text_raises_as_json_dumps(doc):
-    # the same text, or the same ValueError naming the same first NaN or infinity
+    # the same text, or the same error: a ValueError naming the same first NaN
+    # or infinity, a TypeError naming an unserializable value
     assert json_outcome(cli._json_text, doc) == json_outcome(json_dumps, doc)
 
 
@@ -1307,6 +1339,22 @@ assert "smcmix.oracle" in sys.modules
         proc = run_python("-c", script, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert read_output(tmp_path / "v" / "verify.json")["all_passed"] is True
+
+    def test_only_run_loads_csv(self, tmp_path):
+        exp = base_experiment(n_particles=20, replicates=2)
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp,
+                                               "bounds": bounds_section()})
+        script = f"""
+import sys
+import smcmix.cli as cli
+assert cli.main(["--config", {cfg!r}, "--out", "b", "bounds"]) == 0
+assert cli.main(["--out", "v", "verify", "--suite", "decomposition"]) == 0
+assert "csv" not in sys.modules
+assert cli.main(["--config", {cfg!r}, "--out", "r", "--threads", "1", "run"]) == 0
+assert "csv" in sys.modules
+"""
+        proc = run_python("-c", script, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
 
     def test_numpy_submodules_load_only_when_used(self, tmp_path):
         # the sampler's seeding loads numpy.random (13 ms, 6 MB) on first use,

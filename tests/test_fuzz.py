@@ -9,12 +9,14 @@ up to 0.05 or ``from_theorem`` times capped at 200 kernel steps, at most 16
 particles, ``bounds`` sections with and without a ``convolution`` part, and
 sweeps of two replicates over two values of ``n_particles`` or ``time_budget``.
 
-Finite ladders have a generator and a seed stream of their own, so the
+Finite ladders have a generator and seed streams of their own, so the
 Euclidean configs stay as drawn: 2 to 4 levels over {0,1}^d with d <= 3,
 pmfs with some zero entries, chains that are the independent sampler (every
 row the pmf) or, where the pmf is positive, Glauber dynamics, explicit times
 up to 2, at most 16 particles and 2 to 4 replicates, through ``run`` and
-``sweep``.
+``sweep``.  In the first stream most ladders put mass where the level before
+gives none, which ``run`` refuses; in the second each level's support lies
+inside the previous level's, so every ladder runs.
 """
 
 import json
@@ -32,6 +34,8 @@ N_CONFIGS = 100
 DIMS = (1, 2, 3, 8, 20, 60, 160)
 FINITE_SEED = 20261020
 N_FINITE_CONFIGS = 30
+NESTED_SEED = 20261021
+N_NESTED_CONFIGS = 30
 
 
 def _betas(rng, tempering: bool) -> list:
@@ -121,14 +125,19 @@ def random_sweep(rng, exp: dict) -> dict:
             "sweep": {**sweep, "replicates": 2}}
 
 
-def _finite_level(rng, d: int, first: bool) -> dict:
+def _finite_level(rng, d: int, first: bool, support=None) -> dict:
     """A pmf over {0,1}^d with about a third of its entries zero (never all),
-    and its chain: none (level 1 only, half the time), Glauber dynamics
-    where the pmf is positive (half the time), else the independent sampler."""
+    and zero outside ``support`` where one is given, and its chain: none
+    (level 1 only, half the time), Glauber dynamics where the pmf is
+    positive (half the time), else the independent sampler."""
     size = 2 ** d
     pmf = rng.dirichlet(np.ones(size))
     zeros = rng.random(size) < 0.3
-    zeros[rng.integers(size)] = False
+    if support is None:
+        zeros[rng.integers(size)] = False
+    else:
+        zeros |= ~support
+        zeros[rng.choice(np.flatnonzero(support))] = False
     pmf[zeros] = 0.0
     pmf /= pmf.sum()
     if first and rng.random() < 0.5:
@@ -140,10 +149,16 @@ def _finite_level(rng, d: int, first: bool) -> dict:
     return {"pmf": pmf.tolist(), "P": P.tolist()}
 
 
-def random_finite_experiment(rng, ladder_path: str) -> dict:
-    """A finite-ladder experiment whose ladder file it writes to ``ladder_path``."""
+def random_finite_experiment(rng, ladder_path: str, nested: bool = False) -> dict:
+    """A finite-ladder experiment whose ladder file it writes to
+    ``ladder_path``; ``nested`` keeps each level's support inside the
+    previous level's."""
     d = int(rng.integers(1, 4))
-    levels = [_finite_level(rng, d, k == 0) for k in range(int(rng.integers(2, 5)))]
+    levels, support = [], None
+    for k in range(int(rng.integers(2, 5))):
+        levels.append(_finite_level(rng, d, k == 0, support))
+        if nested:
+            support = np.array(levels[-1]["pmf"]) > 0
     Path(ladder_path).write_text(json.dumps({"kind": "finite_ladder", "levels": levels}))
     return {"target": {"kind": "finite_ladder_file", "path": ladder_path},
             "ladder": {"kind": "from_file"}, "n_particles": int(rng.integers(1, 17)),
@@ -178,6 +193,14 @@ def test_random_config_exits_cleanly(tmp_path, index):
 def test_random_finite_config_exits_cleanly(tmp_path, index):
     rng = np.random.default_rng([FINITE_SEED, index])
     exp = random_finite_experiment(rng, str(tmp_path / "ladder.json"))
+    run_commands(tmp_path, {"schema_version": 1, "experiment": exp}, ("run",))
+    run_commands(tmp_path, random_sweep(rng, exp), ("sweep",))
+
+
+@pytest.mark.parametrize("index", range(N_NESTED_CONFIGS))
+def test_random_nested_finite_config_exits_cleanly(tmp_path, index):
+    rng = np.random.default_rng([NESTED_SEED, index])
+    exp = random_finite_experiment(rng, str(tmp_path / "ladder.json"), nested=True)
     run_commands(tmp_path, {"schema_version": 1, "experiment": exp}, ("run",))
     run_commands(tmp_path, random_sweep(rng, exp), ("sweep",))
 

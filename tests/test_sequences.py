@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from smcmix.core import TargetMixture, eval_mixture_logdensity, mixture_grad_logdensity
+from smcmix.core import (
+    FiniteChain,
+    TargetMixture,
+    eval_mixture_logdensity,
+    mixture_grad_logdensity,
+)
 from smcmix.gaussians import GaussianComponent, power_normalizer
 from smcmix.sequences import (
     TemperingSchedule,
@@ -405,6 +410,18 @@ class TestFiniteLadder:
         _, pmf1, pmf2 = finite_ladder
         with pytest.raises(ValueError, match="level 2 needs a chain"):
             build_finite_ladder([pmf1, pmf2], [None, None])
+
+    def test_ratio_table_is_zero_outside_previous_support(self):
+        # shrinking supports are absolutely continuous; the ratio bound is the
+        # table's largest entry
+        pmfs = [np.full(4, 0.25), np.array([0.5, 0.0, 0.25, 0.25]), np.array([0.8, 0, 0.2, 0])]
+        chains = [None] + [FiniteChain(P=np.tile(p, (4, 1)), pi=p) for p in pmfs[1:]]
+        ladder = build_finite_ladder(pmfs, chains)
+        states = np.arange(4)
+        np.testing.assert_array_equal(ladder.levels[1].ratio_to_prev(states), [2.0, 0, 1.0, 1.0])
+        np.testing.assert_array_equal(ladder.levels[2].ratio_to_prev(states), [1.6, 0, 0.8, 0])
+        assert [lv.ratio_bound for lv in ladder.levels[1:]] == [2.0, 1.6]
+        assert ladder.gamma_bound == 2.0
 
     def test_levels_smooth_by_their_chain(self, finite_ladder):
         # the chain is the kernel: a finite level carries no KernelSpec

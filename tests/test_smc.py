@@ -487,16 +487,20 @@ class TestEstimators:
         assert all(1.0 <= e <= 50.0 for e in result2.ess_per_level)
 
     def test_degenerate_weights_name_the_level(self):
-        pmf1 = np.array([0.5, 0.5, 0.0, 0.0])
-        pmf2 = np.array([0.0, 0.0, 0.5, 0.5])
-        chain2 = np.tile(pmf2, (4, 1))
         from smcmix.core import FiniteChain
 
-        ladder = sequences.build_finite_ladder(
-            [pmf1, pmf2], [None, FiniteChain(P=chain2, pi=pmf2)]
-        )
+        # disjoint supports are no ladder: level 2's weights are undefined
+        pmf2 = np.array([0.0, 0.0, 0.5, 0.5])
+        with pytest.raises(ValueError, match="level 2 puts mass 0.5 on state 2, which "
+                                             "level 1 gives probability 0"):
+            sequences.build_finite_ladder([[0.5, 0.5, 0.0, 0.0], pmf2],
+                                          [None, FiniteChain(P=np.tile(pmf2, (4, 1)), pi=pmf2)])
+        # a valid ladder whose one particle starts in state 1, which level 2
+        # gives probability 0: all its weights are zero
+        chain = FiniteChain(P=np.array([[1.0, 0.0], [1.0, 0.0]]), pi=np.array([1.0, 0.0]))
+        ladder = sequences.build_finite_ladder([[0.5, 0.5], [1.0, 0.0]], [None, chain])
         with pytest.raises(DegenerateWeightsError, match="level 2"):
-            run_smc(finite_config(ladder))
+            run_smc(finite_config(ladder, n_particles=1, seed=0))
 
     def test_one_dim_two_mode_recovers_tail_mass(self):
         target = TargetMixture.gaussian([0.25, 0.75], [[-2.0], [2.0]],

@@ -2,11 +2,11 @@
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Cases (376): ``run`` and ``bounds`` on the 100 pinned configs of
+Cases (436): ``run`` and ``bounds`` on the 100 pinned configs of
 ``tests/test_fuzz.py``, ``sweep`` on their sweeps, ``run`` and ``sweep`` on
-its 30 pinned finite-ladder configs, a README-style tempering ``run`` with
-and without a ``time_policy`` (the latter also with ``conservative_gamma``),
-convolution, Metropolis and finite-ladder ``run``, a finite-ladder ``run`` at
+its 30 pinned finite-ladder configs and on its 30 with nested supports, a
+README-style tempering ``run`` with and without a ``time_policy`` (the
+latter also with ``conservative_gamma``), convolution, Metropolis and finite-ladder ``run``, a finite-ladder ``run`` at
 N = 513 with 70 replicates (blocks of 31, 31 and 8), at t = 1 and at t = 8
 (whose jump uniforms span more than one of the kernel's windows), a
 README-style tempering ``run`` at N = 1 000 with 5 replicates, a one-level
@@ -43,8 +43,9 @@ def make_cases(workdir: str) -> list:
     import numpy as np
     from smcmix.kernels import glauber_transition_matrix
     from test_cli import finite_ladder_file
-    from test_fuzz import (FINITE_SEED, N_CONFIGS, N_FINITE_CONFIGS, SEED, random_bounds,
-                           random_experiment, random_finite_experiment, random_sweep)
+    from test_fuzz import (FINITE_SEED, N_CONFIGS, N_FINITE_CONFIGS, N_NESTED_CONFIGS,
+                           NESTED_SEED, SEED, random_bounds, random_experiment,
+                           random_finite_experiment, random_sweep)
 
     cases = []
 
@@ -66,6 +67,12 @@ def make_cases(workdir: str) -> list:
         exp = random_finite_experiment(rng, os.path.join(workdir, f"finite_ladder{i}.json"))
         add(f"finite_fuzz{i}", {"schema_version": 1, "experiment": exp}, "run")
         add(f"finite_sweep{i}", random_sweep(rng, exp), "sweep")
+    for i in range(N_NESTED_CONFIGS):
+        rng = np.random.default_rng([NESTED_SEED, i])
+        exp = random_finite_experiment(rng, os.path.join(workdir, f"nested_ladder{i}.json"),
+                                       nested=True)
+        add(f"nested_fuzz{i}", {"schema_version": 1, "experiment": exp}, "run")
+        add(f"nested_sweep{i}", random_sweep(rng, exp), "sweep")
 
     def readme(**changes):  # the README config at N = 512, 4 replicates; None drops a key
         exp = {"target": {"kind": "gaussian_mixture", "weights": [0.3, 0.7],
@@ -105,15 +112,16 @@ def make_cases(workdir: str) -> list:
         {"pmf": [0.1, 0.2, 0.3, 0.4], "P": None}]}))
     add("finite_one_level", readme(replicates=5, **{
         **finite, "target": {"kind": "finite_ladder_file", "path": one_level}}), "run")
-    # state 1 has probability zero at level 2, whose independent-sampler chain
-    # and level 3's Glauber chain have zero entries
-    pmf2 = np.array([0.4, 0.0, 0.3, 0.3])
-    pmf3 = np.array([0.1, 0.2, 0.3, 0.4])
+    # level 2's Glauber chain is zero between states two flips apart, and state
+    # 1 has probability zero at level 3, whose independent-sampler chain has
+    # zero entries
+    pmf2 = np.array([0.1, 0.2, 0.3, 0.4])
+    pmf3 = np.array([0.4, 0.0, 0.3, 0.3])
     zeros = os.path.join(workdir, "zeros_ladder.json")
     Path(zeros).write_text(json.dumps({"kind": "finite_ladder", "levels": [
         {"pmf": [0.25, 0.25, 0.25, 0.25], "P": None},
-        {"pmf": pmf2.tolist(), "P": np.tile(pmf2, (4, 1)).tolist()},
-        {"pmf": pmf3.tolist(), "P": glauber_transition_matrix(pmf3, 2).P.tolist()}]}))
+        {"pmf": pmf2.tolist(), "P": glauber_transition_matrix(pmf2, 2).P.tolist()},
+        {"pmf": pmf3.tolist(), "P": np.tile(pmf3, (4, 1)).tolist()}]}))
     add("finite_zeros", readme(replicates=50, kernel=None, ladder={"kind": "from_file"},
                                target={"kind": "finite_ladder_file", "path": zeros},
                                estimand={"name": "mode_indicator", "mode_index": 1}), "run")
