@@ -330,12 +330,7 @@ def _build_ladder(exp: dict):
             ladder = _load_finite_ladder(target_spec["path"])
         else:
             target = _build_target(target_spec)
-            section = exp.get("kernel")
-            # Langevin without a step size: the builders' per-level default_step_size
-            if section is None or (section["kind"] == "langevin" and "step_size" not in section):
-                kernel = None
-            else:
-                kernel = KernelSpec(**section)
+            kernel = KernelSpec(**exp["kernel"]) if "kernel" in exp else None
             schedule = _schedule(ladder_spec, target.dim)
             if ladder_spec["kind"] == "tempering":
                 ladder = sequences.build_power_tempering(
@@ -453,14 +448,15 @@ def _seeded_config(exp: dict, seed_override):
 
 
 def _run_chunk(config, seeds) -> list:
-    """The runs of ``config`` at ``seeds`` without their particles, so that a
-    worker process sends back a few hundred bytes, not the final ensembles."""
-    return [replace(r, final_ensemble=None) for r in smc.run_seeded(config, seeds)]
+    """Each run of ``config`` at ``seeds`` as its ``run.json`` entry and its
+    level wall times: what the commands write, so that a worker process
+    sends back a few hundred bytes, not the final ensembles."""
+    return [(r.to_dict(), r.level_wall_times) for r in smc.run_seeded(config, seeds)]
 
 
 def _run_replicates(config, n_rep: int, threads: int) -> list:
     """The ``n_rep`` runs of ``config`` at ``smc.replicate_seeds`` of its
-    master seed, in order, without their particles.
+    master seed, in order, each as ``_run_chunk`` gives it.
 
     With ``threads > 1`` the seeds are split into contiguous chunks, one per
     worker process, and each worker is sent the pickled ``config``.
@@ -483,17 +479,17 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     exp = cfg["experiment"]
     config, exact = _seeded_config(exp, seed_override)
     _make_out_dir(out_dir)
-    results = _run_replicates(config, exp["replicates"], threads)
-
-    stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
-    nus = [r.nu_estimate for r in results]
+    runs = _run_replicates(config, exp["replicates"], threads)
+    entries = [e for e, _ in runs]
+    stats = smc.summarize_etas([e["eta"] for e in entries], exact)
+    nus = [e["nu"] for e in entries]
     doc = {
         "schema_version": 1,
         "master_seed": config.master_seed,
         "n_particles": exp["n_particles"],
         "n_levels": config.ladder.n_levels,
         "estimand": exp["estimand"],
-        "replicates": [{"replicate": i, **r.to_dict()} for i, r in enumerate(results)],
+        "replicates": [{"replicate": i, **e} for i, e in enumerate(entries)],
         "summary": {
             "mean_eta": stats["mean_eta"],
             "var_eta": stats["variance"],
@@ -505,12 +501,12 @@ def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     _write_json(os.path.join(out_dir, "run.json"), doc)
     _write_csv(os.path.join(out_dir, "levels.csv"), [
         ["replicate", "level", "ess", "weight_sum", "wall_time"],
-        *([i, k + 2, ess, ws, f"{wt:.6f}"] for i, r in enumerate(results)
+        *([i, k + 2, ess, ws, f"{wt:.6f}"] for i, (e, wts) in enumerate(runs)
           for k, (ess, ws, wt) in enumerate(
-              zip(r.ess_per_level, r.weight_sums_per_level, r.level_wall_times)))])
+              zip(e["ess_per_level"], e["weight_sums_per_level"], wts)))])
     _write_csv(os.path.join(out_dir, "replicates.csv"), [
         ["replicate", "seed", "eta", "nu"],
-        *([i, r.master_seed, r.eta_estimate, r.nu_estimate] for i, r in enumerate(results))])
+        *([i, e["seed"], e["eta"], e["nu"]] for i, e in enumerate(entries))])
     print(f"wrote {out_dir}/run.json, levels.csv, replicates.csv")
     return 0
 
@@ -743,8 +739,8 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
     _make_out_dir(out_dir)
     points = []
     for value, config in zip(sweep["values"], configs):
-        results = _run_replicates(config, sweep["replicates"], threads)
-        stats = smc.summarize_etas([r.eta_estimate for r in results], exact)
+        runs = _run_replicates(config, sweep["replicates"], threads)
+        stats = smc.summarize_etas([e["eta"] for e, _ in runs], exact)
         points.append({"value": float(value), **stats})
     doc = {
         "schema_version": 1,

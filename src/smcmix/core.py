@@ -430,11 +430,11 @@ class Level:
     level (absent at level 1); ``normalized_ratio`` is available when the
     normalizers are known.  ``time_budget`` is the continuous smoothing time
     applied after resampling into this level, by Poissonized jumps of
-    ``chain`` when the level has one and by ``kernel`` otherwise.
-    ``init_proposal`` is the Gaussian a first level without an
-    ``exact_law`` is drawn from; the draws carry importance weights
-    density / proposal.  A ``pmf`` gets its cumulative distribution built
-    once, for the categorical level-1 draw.
+    ``chain`` when the level has one and by ``kernel`` (a Langevin one with
+    its step size set) otherwise.  ``init_proposal`` is the Gaussian a first
+    level without an ``exact_law`` is drawn from; the draws carry importance
+    weights density / proposal.  A ``pmf`` gets its cumulative distribution
+    built once, for the categorical level-1 draw.
 
     The ratio callables accept points with leading batch axes ``(..., d)``:
     the sampler hands a ladder whose levels carry a ``mixture`` its
@@ -457,6 +457,8 @@ class Level:
     def __post_init__(self):
         if not self.time_budget >= 0:
             raise ValueError("time budget must be nonnegative")
+        if self.kernel and self.kernel.kind == "langevin" and self.kernel.step_size is None:
+            raise ValueError("a Langevin level needs a step size (see kernels.default_step_size)")
         if self.pmf is not None:
             pmf = np.asarray(self.pmf, dtype=float)
             if not (np.all(pmf >= 0) and abs(pmf.sum() - 1.0) <= 1e-12):

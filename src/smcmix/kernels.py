@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -48,19 +49,20 @@ KERNEL_KINDS = ("langevin", "metropolis_hastings")
 class KernelSpec:
     """Which Euclidean smoothing kernel a level uses and its tuning knobs.
 
-    ``step_size`` is the Langevin discretization step h; ``proposal_scale``
-    the isotropic-Gaussian proposal std for Metropolis-Hastings.  The time
-    budget itself is carried by the Level.
+    ``step_size`` is the Langevin discretization step h; left None, the
+    ladder builders give each level its own ``default_step_size``.
+    ``proposal_scale`` is the isotropic-Gaussian proposal std for
+    Metropolis-Hastings.  The time budget itself is carried by the Level.
     """
 
     kind: str
-    step_size: float = 0.05
+    step_size: Optional[float] = None
     proposal_scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if not self.step_size > 0:
+        if self.step_size is not None and not self.step_size > 0:
             raise ValueError("step_size must be positive")
         if not self.proposal_scale > 0:
             raise ValueError("proposal_scale must be positive")

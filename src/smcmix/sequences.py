@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional, Sequence
 
@@ -168,8 +168,13 @@ def tempered_weight_lower_bound(
     return float(worst * alpha_min ** 2)
 
 
-def _hessian_bound(target: TargetMixture, beta: float) -> float:
-    return beta * max(1.0 / g.lambda_min for g in target.components)
+def _level_kernel(kernel: Optional[KernelSpec], hessian_bound: float) -> KernelSpec:
+    """A level's kernel: ``kernel`` as given, except that None and a Langevin
+    spec without a step take the step ``default_step_size(hessian_bound)``."""
+    kernel = kernel or KernelSpec(kind="langevin")
+    if kernel.kind == "langevin" and kernel.step_size is None:
+        return replace(kernel, step_size=kernels.default_step_size(hessian_bound))
+    return kernel
 
 
 def _tempering_init_proposal(target: TargetMixture, beta1: float) -> GaussianComponent:
@@ -217,9 +222,7 @@ def build_power_tempering(
     proposal = _tempering_init_proposal(target, betas[0]) if target.n_components > 1 else None
     levels = []
     for i, beta in enumerate(betas):
-        spec = kernel or KernelSpec(
-            kind="langevin", step_size=kernels.default_step_size(_hessian_bound(target, beta))
-        )
+        spec = _level_kernel(kernel, beta * max(1.0 / g.lambda_min for g in gauss))
         ratio = None
         normalized = None
         bound = None
@@ -284,12 +287,7 @@ def build_gaussian_convolution(
     levels = []
     for k, mix in enumerate(mixtures):
         noise = sigma2 / betas[k] if k < len(betas) else 0.0
-        spec = kernel or KernelSpec(
-            kind="langevin",
-            step_size=kernels.default_step_size(
-                max(1.0 / (g.lambda_min + noise) for g in gauss)
-            ),
-        )
+        spec = _level_kernel(kernel, max(1.0 / (g.lambda_min + noise) for g in gauss))
         ratio = None
         bound = None
         if k > 0:

@@ -99,10 +99,10 @@ class SmcRunResult:
     ``normalized_weight_sums_per_level`` times eta, when normalized ratios
     were available and level 1 was drawn unweighted, else None.
     ``init_acceptance_rate`` is the efficiency of the level-1 draw (see
-    ``sequences.init_sampler``); ``final_ensemble`` is None in a record sent
-    back without its particles.  ``to_dict`` is the one definition of a
-    replicate's ``run.json`` entry: the wall times are not reproducible and
-    appear only in ``levels.csv``.
+    ``sequences.init_sampler``); ``final_ensemble`` holds the last level's
+    particles.  ``to_dict`` is the one definition of a replicate's
+    ``run.json`` entry: the wall times are not reproducible and appear only
+    in ``levels.csv``.
     """
 
     eta_estimate: float
@@ -113,7 +113,7 @@ class SmcRunResult:
     init_acceptance_rate: float
     level_wall_times: tuple
     master_seed: int
-    final_ensemble: Optional[ParticleEnsemble] = None
+    final_ensemble: ParticleEnsemble
 
     def to_dict(self) -> dict:
         """This run's replicate entry of ``run.json``, without its index:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.write_sep("=", "acceptance criteria")
     for line in lines:
         terminalreporter.write_line(line)
+
+
+def _entries(path) -> dict | None:
+    """Each entry of the directory ``path`` and its modification time; None
+    when there is no such directory."""
+    if not os.path.isdir(path):
+        return None
+    return {e.name: e.stat().st_mtime_ns for e in os.scandir(path)}
+
+
+@pytest.fixture(autouse=True)
+def no_default_out_dir(request):
+    """Fail a test that writes into ``out/`` of the directory the suite runs
+    from, where a command without ``--out`` writes: the suite leaves the
+    checkout as it found it, and runs in a read-only one."""
+    out = request.config.invocation_params.dir / "out"
+    before = _entries(out)
+    yield
+    if _entries(out) != before:
+        pytest.fail(f"the test wrote into {out}: give its command an --out under tmp_path")
 
 
 @pytest.fixture

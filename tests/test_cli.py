@@ -410,6 +410,8 @@ class TestRun:
         assert main(["--config", cfg, "--out", str(threaded), "--threads", "2", "run"]) == 0
         for out in ("run.json", "replicates.csv"):
             assert (serial / out).read_bytes() == (threaded / out).read_bytes(), out
+        assert (levels_without_wall_time(serial / "levels.csv")
+                == levels_without_wall_time(threaded / "levels.csv"))
 
     def test_threads_default_to_the_usable_cpus(self, tmp_path, monkeypatch):
         seen = []
@@ -436,7 +438,7 @@ class TestRun:
         )
         config, _ = cli.build_smc_config(exp)
         (rep,) = cli._run_chunk(config, [smc.replicate_seed(11, 0)])
-        assert len(rep.ess_per_level) == 10
+        assert len(rep[0]["ess_per_level"]) == 10
         assert len(pickle.dumps(rep)) < 2048
 
     def test_every_config_kind_pickles_and_runs_alike(self, tmp_path):
@@ -991,7 +993,7 @@ class TestBounds:
              "bounds": bounds_section(gamma=4.0, w_star=0.09, M=2,
                                       feasibility_cap=1e4)},
         )
-        assert main(["--config", cfg, "bounds"]) == 0
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), "bounds"]) == 0
         captured = capsys.readouterr()
         doc = json.loads(captured.out.split("\n\n")[0])
         assert_conforms(doc, "bound_report.schema.json")

@@ -339,3 +339,7 @@ class TestKernelSpec:
     def test_positive_knobs_required(self):
         with pytest.raises(ValueError, match="step_size"):
             KernelSpec(kind="langevin", step_size=0.0)
+
+    def test_step_size_has_no_fixed_default(self):
+        # a ladder builder gives each level its own default_step_size
+        assert KernelSpec(kind="langevin").step_size is None

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from smcmix import smc
 from smcmix.core import (
     FiniteChain,
+    Level,
     TargetMixture,
     eval_mixture_logdensity,
     mixture_grad_logdensity,
 )
 from smcmix.gaussians import GaussianComponent, power_normalizer
+from smcmix.kernels import KernelSpec
 from smcmix.sequences import (
     TemperingSchedule,
     build_finite_ladder,
@@ -403,6 +406,54 @@ class TestInitSampler:
         ens = init_sampler(ladder, 4000, rng)
         reference = rng.normal(scale=math.sqrt(1.0 / 1e-3), size=4000)
         assert stats.ks_2samp(ens.particles[:, 0], reference).pvalue > 0.01
+
+
+def narrow_target():
+    """Two modes of covariance 0.01 I: the target's own level takes the step
+    0.0005, a hundredth of a fixed h = 0.05."""
+    return TargetMixture.gaussian([0.3, 0.7], [[-0.3, -0.3], [0.3, 0.3]],
+                                  [0.01 * np.eye(2)] * 2)
+
+
+def build_narrow(kind, kernel):
+    target = narrow_target()
+    if kind == "tempering":
+        return build_power_tempering(target, geometric_schedule(5, 0.2, 2), kernel=kernel)
+    return build_gaussian_convolution(target, geometric_schedule(4, 0.2, 2, sigma=1.0),
+                                      kernel=kernel)
+
+
+class TestLevelKernels:
+    @pytest.mark.parametrize("kind", ["tempering", "convolution"])
+    def test_langevin_without_step_takes_the_level_defaults(self, kind):
+        default = build_narrow(kind, None)
+        given = build_narrow(kind, KernelSpec(kind="langevin"))
+        assert [lv.kernel for lv in given.levels] == [lv.kernel for lv in default.levels]
+        assert given.levels[-1].kernel.step_size == pytest.approx(0.0005)  # 0.05 * 0.01
+
+    def test_stepless_langevin_tempering_run_finishes(self):
+        # a fixed h = 0.05 stops this run with degenerate weights at level 5
+        ladder = build_narrow("tempering", KernelSpec(kind="langevin"))
+        config = smc.SmcConfig(ladder=ladder, n_particles=64, master_seed=1,
+                               estimand=lambda x: (x[:, 0] > 0).astype(float))
+        result = smc.run_smc(config)
+        assert len(result.ess_per_level) == 4
+        assert 0 < result.eta_estimate < 1
+
+    @pytest.mark.parametrize("kind", ["tempering", "convolution"])
+    def test_explicit_langevin_step_holds_on_every_level(self, kind):
+        spec = KernelSpec(kind="langevin", step_size=0.02)
+        assert all(lv.kernel is spec for lv in build_narrow(kind, spec).levels)
+
+    @pytest.mark.parametrize("kind", ["tempering", "convolution"])
+    def test_metropolis_spec_passes_through(self, kind):
+        spec = KernelSpec(kind="metropolis_hastings", proposal_scale=0.3)
+        assert spec.step_size is None
+        assert all(lv.kernel is spec for lv in build_narrow(kind, spec).levels)
+
+    def test_level_refuses_langevin_without_step(self):
+        with pytest.raises(ValueError, match="Langevin level needs a step size"):
+            Level(kernel=KernelSpec(kind="langevin"), time_budget=1.0)
 
 
 class TestFiniteLadder:

@@ -2,19 +2,24 @@
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Cases (436): ``run`` and ``bounds`` on the 100 pinned configs of
+Cases (440): ``run`` and ``bounds`` on the 100 pinned configs of
 ``tests/test_fuzz.py``, ``sweep`` on their sweeps, ``run`` and ``sweep`` on
 its 30 pinned finite-ladder configs and on its 30 with nested supports, a
 README-style tempering ``run`` with and without a ``time_policy`` (the
-latter also with ``conservative_gamma``), convolution, Metropolis and finite-ladder ``run``, a finite-ladder ``run`` at
-N = 513 with 70 replicates (blocks of 31, 31 and 8), at t = 1 and at t = 8
-(whose jump uniforms span more than one of the kernel's windows), a
-README-style tempering ``run`` at N = 1 000 with 5 replicates, a one-level
+latter also with ``conservative_gamma``), convolution, Metropolis and
+finite-ladder ``run``, a finite-ladder ``run`` at N = 513 with 70 replicates
+(blocks of 31, 31 and 8), at t = 1 and at t = 8 (whose jump uniforms span
+more than one of the kernel's windows), a README-style tempering ``run`` at
+N = 1 000 with 5 replicates, with ``--threads 2`` the 70-replicate
+finite-ladder ``run``, a README-style tempering ``run`` with 40 replicates
+and a finite-ladder ``sweep``, a tempering ``run`` on covariances 0.01 I
+whose Langevin ``kernel`` section has no ``step_size``, a one-level
 finite-ladder ``run`` (empty per-level lists, a header-only ``levels.csv``),
 a finite-ladder ``run`` with a zero-probability state and chains with zero
 entries, ``bounds`` with explicit ``delta`` and ``p``, and ``verify`` with
 ``--seed 0``, ``--seed 3``, without a seed, and with ``trials_scale`` 0.3 and
-a chain file.
+a chain file.  The cases not named with ``--threads 2`` pass ``--threads 1``,
+those of ``verify`` no ``--threads``.
 Each side runs them through ``smcmix.cli.main`` in its own process with
 ``PYTHONPATH=<side>``.  Compared per case: the exit code (or uncaught
 exception), stdout, stderr with each warning's ``file:line`` masked, and every
@@ -49,12 +54,13 @@ def make_cases(workdir: str) -> list:
 
     cases = []
 
-    def add(name, cfg, *commands):
+    def add(name, cfg, *commands, threads=1):
         path = os.path.join(workdir, f"{name}.json")
         Path(path).write_text(json.dumps(cfg))
         for command in commands:
             out = f"{name}_{command}"
-            cases.append([out, ["--config", path, "--out", out, "--threads", "1", command]])
+            cases.append([out, ["--config", path, "--out", out, "--threads", str(threads),
+                                command]])
 
     for i in range(N_CONFIGS):
         rng = np.random.default_rng([SEED, i])
@@ -106,6 +112,18 @@ def make_cases(workdir: str) -> list:
     # uniforms, more than one window of the kernel's 2^16
     add("finite_wide_long", readme(n_particles=513, replicates=70,
                                    time_policy={"mode": "explicit", "t": 8.0}, **finite), "run")
+    # the worker pool: runs come back from two processes and are merged in order
+    add("finite_wide_pool", readme(n_particles=513, replicates=70, **finite), "run", threads=2)
+    add("tempering_pool", readme(replicates=40), "run", threads=2)
+    add("finite_pool", {**readme(replicates=20, **finite), "sweep": {
+        "parameter": "n_particles", "values": [50, 200], "replicates": 20}}, "sweep", threads=2)
+    # a Langevin kernel section without a step size takes each level's default step,
+    # 0.0025 down to 0.0005 on covariances 0.01 I
+    add("step_default", readme(
+        target={"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                "means": [[-0.3, -0.3], [0.3, 0.3]], "covariances": [0.01, 0.01]},
+        ladder={"kind": "tempering", "n_levels": 5, "beta_min": 0.2},
+        kernel={"kind": "langevin"}, n_particles=64, master_seed=1), "run")
     # one level: run.json's per-level lists are empty and levels.csv is its header
     one_level = os.path.join(workdir, "one_level_ladder.json")
     Path(one_level).write_text(json.dumps({"kind": "finite_ladder", "levels": [
