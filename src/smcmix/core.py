@@ -140,7 +140,7 @@ class TargetMixture:
         )
         shared = None
         if all(np.array_equal(g.cov, comps[0].cov) for g in comps[1:]):
-            prec = comps[0]._cov_inv
+            prec = comps[0]._chol_inv.T @ comps[0]._chol_inv
             prec = 0.5 * (prec + prec.T)  # so that -x P is the gradient of -½ xᵀPx
             rows = means @ prec
             consts = (np.log(w) - 0.5 * np.einsum("md,md->m", rows, means)
@@ -166,19 +166,11 @@ class TargetMixture:
 
     @classmethod
     def gaussian(cls, weights, means, covs) -> "TargetMixture":
-        """Mixture of Gaussians from explicit parameters."""
+        """Mixture of Gaussians from explicit parameters, one covariance per mean."""
+        if len(covs) != len(means):
+            raise ValueError(f"{len(means)} means need as many covariances, got {len(covs)}")
         comps = tuple(GaussianComponent(m, c) for m, c in zip(means, covs))
         return cls(components=comps, weights=np.asarray(weights, dtype=float))
-
-    def mean(self) -> np.ndarray:
-        return np.sum(self.weights[:, None] * np.stack([g.mean for g in self.components]), axis=0)
-
-    def cov(self) -> np.ndarray:
-        m = self.mean()
-        out = np.zeros((self.dim, self.dim))
-        for w, g in zip(self.weights, self.components):
-            out += w * (g.cov + np.outer(g.mean, g.mean))
-        return out - np.outer(m, m)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Exact mixture samples, shape (n, d)."""
@@ -313,9 +305,10 @@ def mixture_grad_logdensity(mixture: TargetMixture, x) -> np.ndarray:
 class FiniteChain:
     """Explicit transition matrix with its stationary distribution.
 
-    ``P`` must be row-stochastic (rows sum to 1 within 1e-12) and ``pi``
-    stationary within 1e-10.  Reversibility (detailed balance within 1e-12)
-    is detected at construction and exposed as a flag.
+    ``P`` must be row-stochastic (rows sum to 1 within 1e-12) and ``pi``, one
+    entry per state, stationary within 1e-10.  Reversibility (detailed
+    balance within 1e-12) is detected at construction and exposed as a flag.
+    ``symmetric_spectrum`` is computed on first use and kept.
     """
 
     P: np.ndarray
@@ -339,6 +332,8 @@ class FiniteChain:
             pi = _stationary_distribution(P)
         else:
             pi = np.asarray(self.pi, dtype=float)
+            if pi.shape != (P.shape[0],):
+                raise ValueError(f"pi has shape {pi.shape} for {P.shape[0]} states")
             pi = pi / pi.sum()
         stat_err = np.max(np.abs(pi @ P - pi))
         if not stat_err <= 1e-10:
@@ -352,6 +347,14 @@ class FiniteChain:
     @property
     def n_states(self) -> int:
         return self.P.shape[0]
+
+    @cached_property
+    def symmetric_spectrum(self):
+        """``eigh`` of the pi-symmetrized P (P's eigenvalues if it is reversible)."""
+        root = np.sqrt(self.pi)
+        sym = self.P * (root[:, None] / root[None, :])
+        sym = 0.5 * (sym + sym.T)
+        return np.linalg.eigh(sym)
 
 
 def _cumulative(p: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ axis so particle ensembles of shape ``(N, d)`` evaluate in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +18,9 @@ _LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True, eq=False)
 class GaussianComponent:
-    """A single N(mean, cov) component with cached factorizations.
+    """A single N(mean, cov) component: its Cholesky factor, that factor's
+    inverse and ``log_det_cov`` are computed once, when it is built, and the
+    eigenvalues behind ``lambda_max`` and ``lambda_min`` on their first read.
 
     Parameters
     ----------
@@ -30,8 +33,7 @@ class GaussianComponent:
     cov: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)
     _chol_inv: np.ndarray = field(init=False, repr=False)
-    _cov_inv: np.ndarray = field(init=False, repr=False)
-    _eigvals: np.ndarray = field(init=False, repr=False)
+    log_det_cov: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -52,12 +54,15 @@ class GaussianComponent:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "_chol", chol)
         object.__setattr__(self, "_chol_inv", chol_inv)
-        object.__setattr__(self, "_cov_inv", chol_inv.T @ chol_inv)
-        object.__setattr__(self, "_eigvals", np.linalg.eigvalsh(cov))
+        object.__setattr__(self, "log_det_cov", float(2.0 * np.sum(np.log(np.diag(chol)))))
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @cached_property
+    def _eigvals(self) -> np.ndarray:
+        return np.linalg.eigvalsh(self.cov)
 
     @property
     def lambda_max(self) -> float:
@@ -67,10 +72,6 @@ class GaussianComponent:
     @property
     def lambda_min(self) -> float:
         return float(self._eigvals[0])
-
-    @property
-    def log_det_cov(self) -> float:
-        return float(2.0 * np.sum(np.log(np.diag(self._chol))))
 
     def logpdf(self, x) -> np.ndarray:
         """Normalized log density at ``x`` of shape ``(..., d)``."""
@@ -89,7 +90,7 @@ class GaussianComponent:
         x = np.asarray(x, dtype=float)
         delta = np.atleast_2d(x) - self.mean
         flat = delta.reshape(-1, self.dim)
-        sol = flat @ self._cov_inv
+        sol = flat @ (self._chol_inv.T @ self._chol_inv)
         return -sol.reshape(x.shape) if x.ndim > 1 else -sol[0]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -232,7 +232,7 @@ def check_generator_decomposition(
 def semigroup(chain: FiniteChain, t: float) -> np.ndarray:
     """e^{t(P - I)} as a dense matrix.
 
-    Reversible chains go through the pi-symmetrized eigendecomposition.
+    Reversible chains go through their ``FiniteChain.symmetric_spectrum``.
     Other chains go through uniformization: with s = max(0, ceil(log2 t))
     and tau = t / 2^s, e^{tau(P - I)} = sum_k e^{-tau} tau^k/k! P^k, summed
     until the Poisson weight tau^k/k! falls below 1e-17, then squared s
@@ -241,11 +241,10 @@ def semigroup(chain: FiniteChain, t: float) -> np.ndarray:
     if t < 0:
         raise ValueError("t must be nonnegative")
     if chain.reversible:
-        lam, rows = _symmetric_spectrum(chain)
+        lam, rows = chain.symmetric_spectrum
         root = np.sqrt(chain.pi)
         weighted = rows * np.exp(t * (lam - 1.0))[None, :]
-        S = (weighted @ rows.T) * (root[None, :] / root[:, None])
-        return S
+        return (weighted @ rows.T) * (root[None, :] / root[:, None])
     squarings = math.ceil(math.log2(t)) if t > 1 else 0
     tau = t / 2.0 ** squarings
     term = np.eye(chain.n_states)  # tau^k/k! P^k
@@ -260,14 +259,6 @@ def semigroup(chain: FiniteChain, t: float) -> np.ndarray:
     for _ in range(squarings):
         S = S @ S
     return S
-
-
-def _symmetric_spectrum(chain: FiniteChain):
-    root = np.sqrt(chain.pi)
-    sym = chain.P * (root[:, None] / root[None, :])
-    sym = 0.5 * (sym + sym.T)
-    lam, vecs = np.linalg.eigh(sym)
-    return lam, vecs
 
 
 def variance_decay_check(
@@ -469,12 +460,11 @@ def markov_contraction_check(
 def poincare_constant(chain: FiniteChain) -> float:
     """Exact 1 / spectral gap of I - P on mean-zero functions.
 
-    Requires a reversible chain; computed from the pi-symmetrized
-    eigendecomposition.
+    Requires a reversible chain; read from its ``symmetric_spectrum``.
     """
     if not chain.reversible:
         raise NonReversibleChainError("Poincare constant requires a reversible chain")
-    lam, _ = _symmetric_spectrum(chain)
+    lam, _ = chain.symmetric_spectrum
     gap = 1.0 - lam[-2] if chain.n_states > 1 else 1.0
     if gap <= 0:
         raise ValueError("chain has no spectral gap")

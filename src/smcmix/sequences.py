@@ -179,12 +179,14 @@ def _level_kernel(kernel: Optional[KernelSpec], hessian_bound: float) -> KernelS
 
 def _tempering_init_proposal(target: TargetMixture, beta1: float) -> GaussianComponent:
     """Level-1 proposal of a tempering ladder: the Gaussian with the mean and
-    covariance of the mixture of the tempered components N(mu_i, Sigma_i/beta1)."""
-    gauss = target.components
-    tempered = TargetMixture.gaussian(
-        target.weights, [g.mean for g in gauss], [g.cov / beta1 for g in gauss]
-    )
-    return GaussianComponent(tempered.mean(), tempered.cov())
+    covariance sum_i w_i (Sigma_i/beta1 + mu_i mu_iᵀ) - m mᵀ of the mixture of
+    the tempered components N(mu_i, Sigma_i/beta1)."""
+    w = target.weights
+    mean = np.sum(w[:, None] * np.stack([g.mean for g in target.components]), axis=0)
+    cov = np.zeros((target.dim, target.dim))
+    for w_i, g in zip(w, target.components):
+        cov += w_i * (g.cov / beta1 + np.outer(g.mean, g.mean))
+    return GaussianComponent(mean, cov - np.outer(mean, mean))
 
 
 def build_power_tempering(
@@ -294,11 +296,9 @@ def build_gaussian_convolution(
             ratio = partial(_mixture_ratio, mix, mixtures[k - 1])
             if k < len(betas):
                 bound = convolution_gamma(betas[k], betas[k - 1], d)
-            else:
-                tau = sigma2 / betas[-1]
-                bound = _exp_bound(max(
-                    0.5 * (g.convolved(tau).log_det_cov - g.log_det_cov) for g in gauss
-                ))
+            else:  # the last noised components against the target's
+                bound = _exp_bound(max(0.5 * (noised.log_det_cov - g.log_det_cov)
+                                       for noised, g in zip(mixtures[k - 1].components, gauss)))
         levels.append(
             Level(
                 kernel=spec,
@@ -319,8 +319,9 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     ``pmfs`` are the per-level stationary pmfs (normalized, so ratios are the
     exact normalized ratios) and ``chains`` the per-level FiniteChains, each
     level's smoothing kernel; the level-1 chain may be None since no
-    smoothing happens there.  A level with mass on a state that the level
-    before gives probability 0 is refused: its weights are undefined there.
+    smoothing happens there.  A pmf of another length than level 1's is
+    refused, and so is a level with mass on a state that the level before
+    gives probability 0: its weights are undefined there.
     """
     pmfs = [np.asarray(p, dtype=float) / np.sum(p) for p in pmfs]
     if len(chains) != len(pmfs):
@@ -328,9 +329,13 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     budgets = _as_budgets(time_budget, len(pmfs))
     levels = []
     for k, (pmf, chain) in enumerate(zip(pmfs, chains)):
+        if pmf.shape != pmfs[0].shape:
+            raise ValueError(f"level {k + 1} has a pmf of {pmf.size} states, level 1 one of "
+                             f"{pmfs[0].size}: every level needs the same states")
         if chain is None and k > 0:
             raise ValueError(f"level {k + 1} needs a chain (transition matrix P) to smooth with")
-        if chain is not None and not np.max(np.abs(chain.pi - pmf)) <= 1e-10:
+        if chain is not None and not (chain.pi.shape == pmf.shape
+                                      and np.max(np.abs(chain.pi - pmf)) <= 1e-10):
             raise ValueError(f"chain at level {k + 1} is not stationary for its pmf")
         ratio = bound = None
         if k > 0:

@@ -223,6 +223,15 @@ class TestConfigValidation:
         assert run_exit_code(tmp_path, exp) == 2
         assert "one dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_covs", [1, 3])
+    def test_one_covariance_per_mean(self, tmp_path, capsys, n_covs):
+        exp = base_experiment()
+        exp["target"]["covariances"] = [np.eye(2).tolist()] * n_covs
+        assert run_exit_code(tmp_path, exp) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"config error: 2 means need as many covariances, got {n_covs}"
+        assert not (tmp_path / "o" / "run.json").exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
     def test_negative_seed_refused_when_parsed(self, tmp_path, capsys, command):
         # refused when parsed: SeedSequence would raise only once the work has started
@@ -1653,6 +1662,24 @@ class TestLadderFile:
         assert self.run_with_ladder(tmp_path, path) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: invalid chain at level 2: rows must sum to 1")
+
+    def test_pmfs_of_different_sizes_are_config_error_naming_them(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bad_ladder.json", {"kind": "finite_ladder", "levels": [
+            {"pmf": [0.5, 0.5], "P": None},
+            {"pmf": [0.25, 0.25, 0.5], "P": [[0.5, 0.25, 0.25], [0.25, 0.25, 0.5],
+                                             [0.125, 0.25, 0.625]]}]})
+        assert self.run_with_ladder(tmp_path, path) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("config error: level 2 has a pmf of 3 states, level 1 one of 2: "
+                        "every level needs the same states")
+
+    def test_pmf_of_another_size_than_its_chain_is_config_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bad_ladder.json", {"kind": "finite_ladder", "levels": [
+            {"pmf": [0.5, 0.5], "P": None},
+            {"pmf": [0.5, 0.5], "P": np.full((3, 3), 1.0 / 3.0).tolist()}]})
+        assert self.run_with_ladder(tmp_path, path) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "config error: invalid chain at level 2: pi has shape (2,) for 3 states"
 
     def test_nan_is_not_valid_json(self, tmp_path, capsys):
         doc = json.loads(Path(finite_ladder_file(tmp_path)[0]).read_text())

@@ -75,6 +75,13 @@ class TestMixtureLogDensity:
         with pytest.raises(TypeError, match="GaussianComponent"):
             TargetMixture(components=(log_density,), weights=np.array([1.0]))
 
+    @pytest.mark.parametrize("n_covs", [1, 3])
+    def test_one_covariance_per_mean(self, n_covs):
+        # zip would stop at the shorter list: a third covariance was dropped
+        with pytest.raises(ValueError, match=f"2 means need as many covariances, got {n_covs}"):
+            TargetMixture.gaussian([0.5, 0.5], [[0.0, 0.0], [1.0, 1.0]],
+                                   [np.eye(2), np.eye(2), 5.0 * np.eye(2)][:n_covs])
+
     def test_components_of_different_dimensions_rejected(self):
         comps = (GaussianComponent([0.0], 1.0), GaussianComponent([1.0, 1.0], np.eye(2)))
         with pytest.raises(ValueError, match="share one dimension"):
@@ -327,6 +334,10 @@ class TestFiniteChain:
     def test_three_cycle_is_not_reversible(self):
         P = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         assert not FiniteChain(P=P).reversible
+
+    def test_rejects_pi_of_another_size(self):
+        with pytest.raises(ValueError, match=r"pi has shape \(2,\) for 3 states"):
+            FiniteChain(P=np.full((3, 3), 1.0 / 3.0), pi=np.array([0.5, 0.5]))
 
 
 class TestValidateLadder:

@@ -129,6 +129,22 @@ class TestSemigroup:
             semigroup(chain, 1.1), scipy.linalg.expm(1.1 * (P - np.eye(3))), atol=1e-12
         )
 
+    def test_reversible_chain_is_decomposed_once(self, monkeypatch):
+        calls = []
+
+        def counting(a):
+            calls.append(a)
+            return eigh(a)
+
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        chain = glauber_transition_matrix(product_pmf([0.3, 0.6]), 2)
+        assert chain.reversible
+        semigroup(chain, 0.5)
+        semigroup(chain, 2.0)
+        poincare_constant(chain)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("size", [3, 8, 16, 64])
     def test_uniformization_matches_scipy_on_random_nonreversible(self, size):
         rng = np.random.default_rng([7, size])

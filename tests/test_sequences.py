@@ -368,6 +368,19 @@ class TestInitSampler:
         want = GaussianComponent([1.0, -2.0], cov / beta).sample(np.random.default_rng(11), 300)
         assert ens.log_weights is None and ens.particles.tobytes() == want.tobytes()
 
+    def test_proposal_has_the_tempered_mixture_moments(self):
+        # law of total variance: Σ w_i (Σ_i/β + m_i m_iᵀ) - m mᵀ with m = Σ w_i m_i
+        w = np.array([0.2, 0.5, 0.3])
+        means = np.array([[-3.0, 1.0], [0.5, 2.0], [4.0, -1.0]])
+        covs = np.array([[[1.0, 0.2], [0.2, 0.5]], [[2.0, -0.4], [-0.4, 1.5]], 0.3 * np.eye(2)])
+        target = TargetMixture.gaussian(w, means, covs)
+        ladder = build_power_tempering(target, geometric_schedule(4, 0.25, 2))
+        proposal = ladder.levels[0].init_proposal
+        m = np.einsum("i,id->d", w, means)
+        second = np.einsum("i,ide->de", w, covs / 0.25 + np.einsum("id,ie->ide", means, means))
+        np.testing.assert_allclose(proposal.mean, m, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(proposal.cov, second - np.outer(m, m), rtol=0, atol=1e-12)
+
     def test_tempered_mixture_weighted_moments_match_quadrature(self):
         target = TargetMixture.gaussian(
             [0.5, 0.5], [[-3.0], [3.0]], [[[1.0]], [[1.0]]]
@@ -473,6 +486,17 @@ class TestFiniteLadder:
         np.testing.assert_array_equal(ladder.levels[2].ratio_to_prev(states), [1.6, 0, 0.8, 0])
         assert [lv.ratio_bound for lv in ladder.levels[1:]] == [2.0, 1.6]
         assert ladder.gamma_bound == 2.0
+
+    def test_pmfs_of_different_sizes_refused_by_name(self):
+        pmf3 = np.full(3, 1.0 / 3.0)
+        chain3 = FiniteChain(P=np.full((3, 3), 1.0 / 3.0), pi=pmf3)
+        with pytest.raises(ValueError, match="level 2 has a pmf of 3 states, level 1 one of 2"):
+            build_finite_ladder([[0.5, 0.5], pmf3], [None, chain3])
+
+    def test_chain_of_another_size_than_its_pmf_refused(self):
+        chain3 = FiniteChain(P=np.full((3, 3), 1.0 / 3.0))
+        with pytest.raises(ValueError, match="chain at level 2 is not stationary for its pmf"):
+            build_finite_ladder([[0.5, 0.5], [0.5, 0.5]], [None, chain3])
 
     def test_levels_smooth_by_their_chain(self, finite_ladder):
         # the chain is the kernel: a finite level carries no KernelSpec
