@@ -176,18 +176,6 @@ def check_schema(schema: dict, document) -> tuple:
     return document, errors
 
 
-def _validate(document, schema_name: str, what: str):
-    """``document`` as ``check_schema`` hands it back, or a ConfigError with
-    its first 10 errors."""
-    document, errors = check_schema(_load_schema(schema_name), document)
-    if errors:
-        lines = [f"{what} failed schema validation ({schema_name}):"]
-        for path, message in errors[:10]:
-            lines.append(f"  at {'/'.join(map(str, path)) or '<root>'}: {message}")
-        raise ConfigError("\n".join(lines))
-    return document
-
-
 def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
@@ -212,7 +200,15 @@ def _read_json(path: str, what: str):
 
 
 def load_config(path: str) -> dict:
-    return _validate(_read_json(path, "config"), "config.schema.json", "config")
+    """The config at ``path`` as ``check_schema`` hands it back, or a
+    ConfigError with its first 10 errors."""
+    doc, errors = check_schema(_load_schema("config.schema.json"), _read_json(path, "config"))
+    if errors:
+        lines = ["config failed schema validation (config.schema.json):"]
+        for where, message in errors[:10]:
+            lines.append(f"  at {'/'.join(map(str, where)) or '<root>'}: {message}")
+        raise ConfigError("\n".join(lines))
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +225,7 @@ def _build_target(spec: dict) -> TargetMixture:
     means = spec["means"]
     covs = spec.get("covariances")
     if covs is None:
-        covs = [np.eye(len(means[0]))] * len(means)
+        covs = [np.eye(len(m)) for m in means]
     return TargetMixture.gaussian(spec["weights"], means, covs)
 
 
@@ -242,9 +238,10 @@ def _load_finite_ladder(path: str):
     pmfs, chains = [], []
     for i, level in enumerate(doc["levels"]):
         if not isinstance(level, dict) or not isinstance(level.get("pmf"), list) \
+                or not all(isinstance(p, (int, float)) for p in level["pmf"]) \
                 or not isinstance(level.get("P", []), (list, type(None))):
-            raise ConfigError(f"finite ladder file {path}: level {i + 1} must be an "
-                              "object with a list pmf and a list or null P")
+            raise ConfigError(f"finite ladder file {path}: level {i + 1} must be an object "
+                              "with a pmf that is a flat list of numbers and a list or null P")
         pmfs.append(np.asarray(level["pmf"], dtype=float))
         P = level.get("P")
         if P is None:  # refused after level 1 by build_finite_ladder
@@ -782,22 +779,22 @@ def _write_file(path: str, write):
         raise
 
 
-# the number texts of ``json``: float.__repr__ is the shortest text that
-# reads back to the same double
-_float_text = float.__repr__
-_int_text = int.__repr__
+# the text ``json`` gives a value of each scalar type: float.__repr__ is the
+# shortest text that reads back to the same double
+_SCALAR_TEXTS = {float: float.__repr__, int: int.__repr__, str: _quote,
+                 bool: ("false", "true").__getitem__, type(None): {None: "null"}.__getitem__}
 
 
 def _json_text(doc) -> str:
     """``doc`` as the commands print and write it: byte for byte
     ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``.  Its
-    ``indent`` runs the standard library's pure-Python encoder, so a list is
-    rendered here a column at a time (``_json_column``).  A document this
-    cannot render (a NaN or infinity, a key that is not a string, an
-    unserializable value) goes whole to ``json.dumps``, which returns its
-    text or raises its own error."""
+    ``indent`` runs the standard library's pure-Python encoder, so the
+    document is rendered here as a column of one value (``_json_texts``).  A
+    document this cannot render (a NaN or infinity, a key that is not a
+    string, a numpy scalar or other value not of a JSON type) goes whole to
+    ``json.dumps``, which returns its text or raises its own error."""
     try:
-        return _json_value(doc, "\n")
+        return _json_texts([doc], "\n")[0]
     except (TypeError, ValueError):
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
@@ -809,68 +806,41 @@ def _json_keys(shape: tuple) -> tuple:
     return tuple((key, _quote(key) + ": ") for key in sorted(shape))
 
 
-def _json_value(value, newline: str) -> str:
-    """``value`` as ``json.dumps`` renders it at the indent ``newline``;
-    TypeError or ValueError where ``_json_text`` hands over to it."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return _int_text(value)
-    if isinstance(value, float):
-        if value - value == 0.0:
-            return _float_text(value)
-        raise ValueError(value)
-    inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join(_json_column(value, inner)) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return ("{" + inner + ("," + inner).join(
-            [text + _json_value(value[key], inner) for key, text in _json_keys(tuple(value))])
-            + newline + "}")
-    raise TypeError(value)
-
-
-def _json_column(values, newline: str) -> list:
-    """The texts of the entries of ``values`` at the indent ``newline``: a
-    column of floats, ints or strings in one ``map``, a column of lists of
-    one length or of dicts of one key set through the columns of their
-    entries, and any other entry by ``_json_value``, which raises as it
-    does."""
+def _json_texts(values, newline: str) -> list:
+    """The texts ``json.dumps`` gives the entries of ``values`` at the indent
+    ``newline``: scalars of one type in one ``map``, a lone list as the column
+    of its entries, lists of one length through their position columns and
+    dicts of one key set through their key columns; values of mixed types or
+    shapes one by one.  ValueError for a NaN or infinity, TypeError for a
+    value of any other type."""
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
-        texts = list(map(_float_text, values))
-        if "n" in "".join(texts):  # "nan", "inf": a finite float's text has no n
+    if kind in _SCALAR_TEXTS:
+        texts = list(map(_SCALAR_TEXTS[kind], values))
+        if kind is float and "n" in "".join(texts):  # "nan", "inf": a finite float has no n
             raise ValueError(values)
         return texts
-    if kind is int:
-        return list(map(_int_text, values))
-    if kind is str:
-        return list(map(_quote, values))
     inner = newline + "  "
     if kind is list or kind is tuple:
         widths = set(map(len, values))
-        if len(widths) == 1 and 0 not in widths:
-            columns = [_json_column(column, inner) for column in zip(*values)]
-            return _json_rows("[%s]", columns, newline)
+        if widths == {0}:
+            return ["[]"] * len(values)
+        if len(values) == 1:  # its entries as one column, not one column per entry
+            return ["[" + inner + ("," + inner).join(_json_texts(values[0], inner))
+                    + newline + "]"]
+        if len(widths) == 1:
+            return _json_rows("[%s]", [_json_texts(c, inner) for c in zip(*values)], newline)
     elif kind is dict:
         shapes = set(map(tuple, values))
-        shape = shapes.pop() if len(shapes) == 1 else ()
-        if shape:
-            columns = [map(text.__add__, _json_column([v[key] for v in values], inner))
-                       for key, text in _json_keys(shape)]
+        if shapes == {()}:
+            return ["{}"] * len(values)
+        if len(shapes) == 1:
+            columns = [map(text.__add__, _json_texts([v[key] for v in values], inner))
+                       for key, text in _json_keys(shapes.pop())]
             return _json_rows("{%s}", columns, newline)
-    return [_json_value(v, newline) for v in values]
+    elif kind is not None:
+        raise TypeError(kind)
+    return [_json_texts([v], newline)[0] for v in values]
 
 
 def _json_rows(brackets: str, columns: list, newline: str) -> list:

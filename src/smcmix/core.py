@@ -464,6 +464,8 @@ class Level:
             raise ValueError("a Langevin level needs a step size (see kernels.default_step_size)")
         if self.pmf is not None:
             pmf = np.asarray(self.pmf, dtype=float)
+            if pmf.ndim != 1:
+                raise ValueError(f"level pmf has shape {pmf.shape}: it must be a vector")
             if not (np.all(pmf >= 0) and abs(pmf.sum() - 1.0) <= 1e-12):
                 raise ValueError("level pmf must be a probability vector")
             object.__setattr__(self, "pmf", pmf)

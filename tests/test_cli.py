@@ -223,6 +223,15 @@ class TestConfigValidation:
         assert run_exit_code(tmp_path, exp) == 2
         assert "one dimension" in capsys.readouterr().err
 
+    def test_ragged_means_are_refused_as_ragged(self, tmp_path, capsys):
+        # without covariances, each mean gets the identity of its own length
+        exp = base_experiment(target={"kind": "gaussian_mixture", "weights": [0.5, 0.5],
+                                      "means": [[-3.0, -3.0], [3.0]]})
+        assert run_exit_code(tmp_path, exp) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "config error: mixture components must share one dimension"
+        assert not (tmp_path / "o" / "run.json").exists()
+
     @pytest.mark.parametrize("n_covs", [1, 3])
     def test_one_covariance_per_mean(self, tmp_path, capsys, n_covs):
         exp = base_experiment()
@@ -1120,13 +1129,50 @@ def json_dumps(doc):
 @example({"x": {0.5: 1, 2.5: 2}})
 @example({"x": {True: 1, False: 2}})
 @example({"x": {None: [1.5]}})
+@example({"a": [[1.0, 2.0]]})  # a lone list of lists
+@example([[], []])
+@example([{}, {}])
+@example({"a": [True, False], "b": [None, None]})
+@example([[1, 2], [3]])  # lists of unequal widths
+@example({"a": np.float64(0.1), "b": [1.5]})  # a numpy scalar: json.dumps renders it
 @settings(max_examples=200, deadline=None)
 def test_json_text_is_json_dumps(doc):
     assert cli._json_text(doc) == json_dumps(doc)
 
 
+def test_command_documents_need_no_json_dumps(tmp_path, monkeypatch):
+    # every document of these commands is one the column renderer takes itself
+    class NoDumps:
+        load = json.load
+
+        @staticmethod
+        def dumps(*args, **kwargs):
+            raise AssertionError("a command document reached json.dumps")
+
+    monkeypatch.setattr(cli, "json", NoDumps)
+    finite = finite_experiment(tmp_path, replicates=12)
+    sweep = {"parameter": "n_particles", "values": [20, 40], "replicates": 4}
+    commands = [
+        ("run", "run.json", {"experiment": base_experiment()}),
+        ("run", "run.json", {"experiment": finite}),
+        ("sweep", "sweep.json", {"experiment": finite, "sweep": sweep}),
+        ("bounds", "bounds.json", {"bounds": bounds_section()}),
+    ]
+    for i, (command, name, doc) in enumerate(commands):
+        cfg = write_json(tmp_path / f"c{i}.json", {"schema_version": 1, **doc})
+        out = tmp_path / f"o{i}"
+        assert main(["--config", cfg, "--out", str(out), "--threads", "1", command]) == 0
+        text = (out / name).read_text()
+        assert text == json_dumps(json.loads(text)) + "\n"
+    out = tmp_path / "verify"
+    assert main(["--out", str(out), "--seed", "0", "verify", "--suite", "delta_recursion"]) == 0
+    text = (out / "verify.json").read_text()
+    assert text == json_dumps(json.loads(text)) + "\n"
+
+
 @given(json_documents(finite=False))
 @example({"a": [1.0], "b": object()})  # unserializable
+@example({"a": np.int64(1)})  # a numpy integer, which json.dumps refuses
 @example([{"x": 0.5, "y": [1.0]}, {"x": 0.25, "y": [float("nan")]}])
 @settings(max_examples=200, deadline=None)
 def test_json_text_raises_as_json_dumps(doc):
@@ -1672,6 +1718,19 @@ class TestLadderFile:
         (line,) = capsys.readouterr().err.splitlines()
         assert line == ("config error: level 2 has a pmf of 3 states, level 1 one of 2: "
                         "every level needs the same states")
+
+    @pytest.mark.parametrize("n_levels", [1, 2])
+    def test_pmf_that_is_not_flat_is_config_error_naming_its_level(self, tmp_path, capsys,
+                                                                   n_levels):
+        levels = [{"pmf": [[0.5], [0.5]], "P": None},
+                  {"pmf": [[0.5], [0.5]], "P": [[0.5, 0.5], [0.5, 0.5]]}]
+        path = write_json(tmp_path / "bad_ladder.json",
+                          {"kind": "finite_ladder", "levels": levels[:n_levels]})
+        assert self.run_with_ladder(tmp_path, path) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"config error: finite ladder file {path}: level 1 must be an object "
+                        "with a pmf that is a flat list of numbers and a list or null P")
+        assert not (tmp_path / "o").exists()
 
     def test_pmf_of_another_size_than_its_chain_is_config_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad_ladder.json", {"kind": "finite_ladder", "levels": [

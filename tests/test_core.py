@@ -451,3 +451,8 @@ NAN_INPUTS = {
 def test_range_checks_refuse_nan(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_level_refuses_a_pmf_that_is_not_a_vector():
+    with pytest.raises(ValueError, match=r"level pmf has shape \(2, 1\): it must be a vector"):
+        Level(kernel=None, time_budget=1.0, pmf=[[0.5], [0.5]])

@@ -21,11 +21,12 @@ entries, ``bounds`` with explicit ``delta`` and ``p``, and ``verify`` with
 a chain file.  The cases not named with ``--threads 2`` pass ``--threads 1``,
 those of ``verify`` no ``--threads``.
 Each side runs them through ``smcmix.cli.main`` in its own process with
-``PYTHONPATH=<side>``.  Compared per case: the exit code (or uncaught
-exception), stdout, stderr with each warning's ``file:line`` masked, and every
-file written, ``levels.csv`` without its ``wall_time``.  Prints each
-difference; exits 1 if there is any.  Drawing the configs needs the ``test``
-extra.
+``PYTHONPATH=<side>``.  Compared per case: the exit code, stdout, stderr with
+each warning's ``file:line`` masked, and every file written, ``levels.csv``
+without its ``wall_time``.  A case that raises an uncaught exception on
+either side is a difference, even when both sides raise alike, and the
+exception is printed.  Prints each difference; exits 1 if there is any.
+Drawing the configs needs the ``test`` extra.
 """
 
 import contextlib
@@ -163,6 +164,7 @@ def run_side(cases: list) -> dict:
     results = {}
     for name, argv in cases:
         out, err = io.StringIO(), io.StringIO()
+        raised = None
         # catch_warnings resets the warnings registry, as a new process would
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
@@ -170,14 +172,15 @@ def run_side(cases: list) -> dict:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-            except Exception as exc:  # an uncaught error is a result to compare
-                code = f"{type(exc).__name__}: {exc}"
+            except Exception as exc:  # an uncaught error: a difference in any case
+                code = raised = f"{type(exc).__name__}: {exc}"
         out_dir = Path(argv[argv.index("--out") + 1])
         files = {f.name: f.read_text() for f in sorted(out_dir.glob("*"))}
         if "levels.csv" in files:
             rows = files["levels.csv"].splitlines()
             files["levels.csv"] = "\n".join(row.rsplit(",", 1)[0] for row in rows)
-        results[name] = {"code": code, "stdout": out.getvalue(), "files": files,
+        results[name] = {"code": code, "raised": raised, "stdout": out.getvalue(),
+                         "files": files,
                          "stderr": WARNING_AT.sub("<file>:<line>: ", err.getvalue())}
     return results
 
@@ -200,6 +203,10 @@ def main(parent_src: str, change_src: str) -> int:
     differences = 0
     for name, parent in sides["parent"].items():
         change = sides["change"][name]
+        for side, result in (("parent", parent), ("change", change)):
+            if result["raised"]:
+                differences += 1
+                print(f"{name}: {side} raised {result['raised']}")
         for key in ("code", "stdout", "stderr"):
             if parent[key] != change[key]:
                 differences += 1
