@@ -434,10 +434,9 @@ class Level:
     normalizers are known.  ``time_budget`` is the continuous smoothing time
     applied after resampling into this level, by Poissonized jumps of
     ``chain`` when the level has one and by ``kernel`` (a Langevin one with
-    its step size set) otherwise.  ``init_proposal`` is the Gaussian a first
-    level without an ``exact_law`` is drawn from; the draws carry importance
-    weights density / proposal.  A ``pmf`` gets its cumulative distribution
-    built once, for the categorical level-1 draw.
+    its step size set) otherwise.  Level 1 is drawn from its ``exact_law``,
+    else its ``init_proposal``, both derived on first use; a ``pmf`` gets
+    its cumulative distribution built once, for the categorical draw.
 
     The ratio callables accept points with leading batch axes ``(..., d)``:
     the sampler hands a ladder whose levels carry a ``mixture`` its
@@ -454,7 +453,6 @@ class Level:
     beta: float = 1.0
     pmf: Optional[np.ndarray] = None
     chain: Optional[FiniteChain] = None
-    init_proposal: Optional[GaussianComponent] = None
     _cdf: Optional[np.ndarray] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -485,10 +483,23 @@ class Level:
             return GaussianComponent(g.mean, g.cov / self.beta)
         return None
 
+    @cached_property
+    def init_proposal(self) -> Optional[GaussianComponent]:
+        """A mixture level's level-1 Gaussian when it has no ``exact_law``, else None:
+        mean m and covariance Σ_i w_i (Σ_i/β + m_i m_iᵀ) - m mᵀ of the mixed N(m_i, Σ_i/β)."""
+        mix = self.mixture
+        if mix is None or self.exact_law is not None:
+            return None
+        mean = np.sum(mix.weights[:, None] * mix._packed.means, axis=0)
+        cov = sum(w_i * (g.cov / self.beta + np.outer(g.mean, g.mean))
+                  for w_i, g in zip(mix.weights, mix.components))
+        return GaussianComponent(mean, cov - np.outer(mean, mean))
+
 
 @dataclass(frozen=True, eq=False)
 class Ladder:
-    """Ordered sequence of levels with a uniform normalized-ratio bound."""
+    """Ordered sequence of levels with a uniform normalized-ratio bound; level 1
+    needs a pmf or a mixture, and a law it cannot be drawn from is refused."""
 
     levels: tuple
     gamma_bound: float
@@ -501,6 +512,9 @@ class Ladder:
             raise ValueError("gamma bound must be >= 1")
         if any(lv.ratio_to_prev is None for lv in levels[1:]):
             raise ValueError("every level after the first needs a ratio to its predecessor")
+        first = levels[0]
+        if first.pmf is None and first.init_proposal is None and first.exact_law is None:
+            raise ValueError("level 1 needs a pmf or a mixture to draw its particles from")
         object.__setattr__(self, "levels", levels)
 
     @property

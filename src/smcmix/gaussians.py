@@ -43,6 +43,8 @@ class GaussianComponent:
             cov = float(cov) * np.eye(d)
         if cov.shape != (d, d):
             raise ValueError(f"covariance shape {cov.shape} does not match dimension {d}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must have finite entries")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("covariance must be symmetric")
         try:

@@ -177,18 +177,6 @@ def _level_kernel(kernel: Optional[KernelSpec], hessian_bound: float) -> KernelS
     return kernel
 
 
-def _tempering_init_proposal(target: TargetMixture, beta1: float) -> GaussianComponent:
-    """Level-1 proposal of a tempering ladder: the Gaussian with the mean and
-    covariance sum_i w_i (Sigma_i/beta1 + mu_i mu_iᵀ) - m mᵀ of the mixture of
-    the tempered components N(mu_i, Sigma_i/beta1)."""
-    w = target.weights
-    mean = np.sum(w[:, None] * np.stack([g.mean for g in target.components]), axis=0)
-    cov = np.zeros((target.dim, target.dim))
-    for w_i, g in zip(w, target.components):
-        cov += w_i * (g.cov / beta1 + np.outer(g.mean, g.mean))
-    return GaussianComponent(mean, cov - np.outer(mean, mean))
-
-
 def build_power_tempering(
     target: TargetMixture,
     schedule: TemperingSchedule,
@@ -203,8 +191,7 @@ def build_power_tempering(
     ratio pi^{beta_i - beta_{i-1}}, the per-step density-ratio bound from
     power_tempering_gamma, and the level log-Sobolev bound from
     tempered_component_lsi.  Time budgets are the caller's to choose.  A
-    multi-component level 1 has no exact sampler below beta = 1 and carries
-    the Gaussian ``init_proposal`` from _tempering_init_proposal instead.
+    multi-component level 1 below beta = 1 is drawn from ``Level.init_proposal``.
     """
     gauss = target.components
     betas = schedule.betas
@@ -221,7 +208,6 @@ def build_power_tempering(
             stacklevel=2,
         )
     budgets = _as_budgets(time_budget, len(betas))
-    proposal = _tempering_init_proposal(target, betas[0]) if target.n_components > 1 else None
     levels = []
     for i, beta in enumerate(betas):
         spec = _level_kernel(kernel, beta * max(1.0 / g.lambda_min for g in gauss))
@@ -247,7 +233,6 @@ def build_power_tempering(
                 ratio_bound=bound,
                 mixture=target,
                 beta=beta,
-                init_proposal=proposal if i == 0 else None,
             )
         )
     return _ladder(levels)
@@ -320,10 +305,13 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     exact normalized ratios) and ``chains`` the per-level FiniteChains, each
     level's smoothing kernel; the level-1 chain may be None since no
     smoothing happens there.  A pmf of another length than level 1's is
-    refused, and so is a level with mass on a state that the level before
-    gives probability 0: its weights are undefined there.
+    refused, and so are a pmf that sums to 0 and a level with mass on a state
+    that the level before gives probability 0: its weights are undefined there.
     """
-    pmfs = [np.asarray(p, dtype=float) / np.sum(p) for p in pmfs]
+    sums = [np.sum(p) for p in pmfs]
+    if 0 in sums:
+        raise ValueError(f"level {sums.index(0) + 1} has a pmf whose entries sum to 0")
+    pmfs = [np.asarray(p, dtype=float) / total for p, total in zip(pmfs, sums)]
     if len(chains) != len(pmfs):
         raise ValueError("need one chain per level")
     budgets = _as_budgets(time_budget, len(pmfs))
@@ -423,10 +411,10 @@ def init_sampler(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> Pa
     Exact paths, with ``init_acceptance_rate`` 1 and no weights: a finite pmf
     (categorical draws) or the level's ``exact_law``, a mixture at β = 1
     (component sampling) or a tempered single Gaussian.  Otherwise the
-    level's Gaussian ``init_proposal`` q is sampled exactly and the draws
-    carry the log importance weights ``level_log_density - log q``, which the
-    driver folds into the first reweighting (the first step of an SMC
-    sampler).  ``init_acceptance_rate`` is then the ESS/N of those weights.
+    level's ``init_proposal`` q (``Ladder`` ensures one) is sampled and the
+    draws carry the log importance weights ``level_log_density - log q``,
+    which the driver folds into the first reweighting (the first step of an
+    SMC sampler).  ``init_acceptance_rate`` is then the ESS/N of those weights.
     """
     level = ladder.levels[0]
     if level.pmf is not None:
@@ -436,8 +424,6 @@ def init_sampler(ladder: Ladder, n_samples: int, rng: np.random.Generator) -> Pa
     if level.exact_law is not None:
         return ParticleEnsemble(level.exact_law.sample(rng, n_samples))
     proposal = level.init_proposal
-    if proposal is None:
-        raise ValueError("level 1 has no exact sampler and no Gaussian proposal")
     draws = proposal.sample(rng, n_samples)
     log_w = level_log_density(level, draws) - proposal.logpdf(draws)
     ess_frac = effective_sample_size(np.exp(log_w - np.max(log_w))) / n_samples

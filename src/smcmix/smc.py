@@ -321,8 +321,8 @@ _BLOCK_CELLS = 2 ** 16
 
 def _block_size(config: SmcConfig) -> int:
     """Replicates per block: as many as keep particles times cells within
-    ``_BLOCK_CELLS`` (see the module docstring); a ladder that
-    ``sample_initial`` can start has a level-1 pmf or mixtures."""
+    ``_BLOCK_CELLS`` (see the module docstring); ``Ladder`` ensures that
+    level 1 has a pmf or a mixture."""
     levels = config.ladder.levels
     if levels[0].pmf is not None:
         cells = levels[0].pmf.size

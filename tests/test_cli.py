@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -185,6 +186,26 @@ class TestConfigValidation:
             {"schema_version": 1, "bounds": bounds_section(epsilon=0.0)},
         )
         assert main(["--config", cfg, "bounds"]) == 2
+
+    def test_null_covariances_are_refused_as_non_finite(self, tmp_path, capsys):
+        # the schema leaves covariance entries untyped: null reads as NaN
+        target = {**base_experiment()["target"], "covariances": [None, None]}
+        assert run_exit_code(tmp_path, base_experiment(target=target)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "config error: mean and covariance must have finite entries"
+        assert not (tmp_path / "o").exists()
+
+    def test_level_one_proposal_that_cannot_be_built_exits_two(self, tmp_path, capsys):
+        # valid in exact arithmetic, but Σ w_i (Σ_i/β + m_i m_iᵀ) - m mᵀ rounds to a
+        # covariance that is not positive definite: refused when the ladder is built
+        target = {"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                  "means": [[1e9, 1e9], [1e9, 1e9]], "covariances": [1e-6, 1e-6]}
+        exp = base_experiment(target=target,
+                              ladder={"kind": "tempering", "n_levels": 3, "beta_min": 0.05})
+        assert run_exit_code(tmp_path, exp) == 2
+        assert (capsys.readouterr().err.splitlines()[-1]
+                == "config error: covariance must be positive definite")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "run"]) == 2
@@ -1739,6 +1760,18 @@ class TestLadderFile:
         assert self.run_with_ladder(tmp_path, path) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line == "config error: invalid chain at level 2: pi has shape (2,) for 3 states"
+
+    def test_pmf_summing_to_zero_is_config_error_naming_its_level(self, tmp_path, capsys):
+        path = write_json(tmp_path / "bad_ladder.json", {"kind": "finite_ladder", "levels": [
+            {"pmf": [0, 0], "P": None},
+            {"pmf": [0.5, 0.5], "P": [[0.5, 0.5], [0.5, 0.5]]}]})
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert self.run_with_ladder(tmp_path, path) == 2
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "config error: level 1 has a pmf whose entries sum to 0"
+        assert not (tmp_path / "o").exists()
 
     def test_nan_is_not_valid_json(self, tmp_path, capsys):
         doc = json.loads(Path(finite_ladder_file(tmp_path)[0]).read_text())

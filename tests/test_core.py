@@ -15,6 +15,7 @@ from smcmix import oracle, sequences
 from smcmix.bounds import AssumptionParams
 from smcmix.core import (
     FiniteChain,
+    Ladder,
     Level,
     ParticleEnsemble,
     TargetMixture,
@@ -390,6 +391,12 @@ class TestGaussianComponent:
         with pytest.raises(ValueError, match="positive definite"):
             GaussianComponent([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("mean, cov", [([math.nan, 0.0], np.eye(2)),
+                                           ([0.0, 0.0], np.diag([1.0, math.inf]))])
+    def test_rejects_non_finite_entries(self, mean, cov):
+        with pytest.raises(ValueError, match="mean and covariance must have finite entries"):
+            GaussianComponent(mean, cov)
+
     def test_logpdf_matches_scalar_formula(self):
         comp = GaussianComponent([1.5], [[0.7]])
         x = 0.3
@@ -456,3 +463,9 @@ def test_range_checks_refuse_nan(build, message):
 def test_level_refuses_a_pmf_that_is_not_a_vector():
     with pytest.raises(ValueError, match=r"level pmf has shape \(2, 1\): it must be a vector"):
         Level(kernel=None, time_budget=1.0, pmf=[[0.5], [0.5]])
+
+
+def test_ladder_refuses_a_first_level_it_cannot_draw():
+    # neither a pmf nor a mixture: no level-1 law, refused before any run
+    with pytest.raises(ValueError, match="level 1 needs a pmf or a mixture"):
+        Ladder(levels=(Level(kernel=None, time_budget=1.0),), gamma_bound=1.0)

@@ -1,5 +1,6 @@
 """Ladder builders and their analytic constants."""
 
+import dataclasses
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from scipy import integrate, stats
 from smcmix import smc
 from smcmix.core import (
     FiniteChain,
+    Ladder,
     Level,
     TargetMixture,
     eval_mixture_logdensity,
@@ -380,6 +382,39 @@ class TestInitSampler:
         second = np.einsum("i,ide->de", w, covs / 0.25 + np.einsum("id,ie->ide", means, means))
         np.testing.assert_allclose(proposal.mean, m, rtol=0, atol=1e-14)
         np.testing.assert_allclose(proposal.cov, second - np.outer(m, m), rtol=0, atol=1e-12)
+
+    def test_hand_built_tempered_level_runs_like_the_builders(self):
+        # level 1 is its mixture and beta alone: it derives the same proposal
+        target = TargetMixture.gaussian([0.3, 0.7], [[-3.0, -1.0], [2.0, 1.0]],
+                                        [np.diag([1.0, 0.5]), np.eye(2)])
+        ladder = build_power_tempering(target, geometric_schedule(4, 0.1, 2),
+                                       kernel=KernelSpec("langevin", step_size=0.05))
+        first = ladder.levels[0]
+        hand = Level(kernel=first.kernel, time_budget=first.time_budget, mixture=target,
+                     beta=first.beta)
+        rebuilt = Ladder(levels=(hand,) + ladder.levels[1:], gamma_bound=ladder.gamma_bound)
+
+        def run(lad):
+            return smc.run_smc(smc.SmcConfig(ladder=lad, n_particles=300, master_seed=5,
+                                             estimand=lambda x: (x[..., 0] > 0).astype(float)))
+
+        a, b = run(ladder), run(rebuilt)
+        assert b.init_acceptance_rate < 1.0  # drawn from the proposal, weighted
+        assert (a.to_dict(), a.final_ensemble.particles.tobytes()) \
+            == (b.to_dict(), b.final_ensemble.particles.tobytes())
+
+    def test_proposal_is_derived_only_for_tempered_mixtures(self, bimodal_target):
+        assert "init_proposal" not in {f.name for f in dataclasses.fields(Level)}
+        one = TargetMixture.gaussian([1.0], [[0.0, 0.0]], [np.eye(2)])
+        schedule = geometric_schedule(3, 0.2, 2)
+        firsts = [
+            build_gaussian_convolution(bimodal_target, geometric_schedule(3, 0.2, 2, sigma=2.0)),
+            build_power_tempering(one, schedule),
+            build_finite_ladder([[0.5, 0.5]], [None]),
+        ]
+        assert [lad.levels[0].init_proposal for lad in firsts] == [None] * 3
+        tempered = build_power_tempering(bimodal_target, schedule).levels[0]
+        assert isinstance(tempered.init_proposal, GaussianComponent)
 
     def test_tempered_mixture_weighted_moments_match_quadrature(self):
         target = TargetMixture.gaussian(

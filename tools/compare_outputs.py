@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Cases (440): ``run`` and ``bounds`` on the 100 pinned configs of
+Cases (442): ``run`` and ``bounds`` on the 100 pinned configs of
 ``tests/test_fuzz.py``, ``sweep`` on their sweeps, ``run`` and ``sweep`` on
 its 30 pinned finite-ladder configs and on its 30 with nested supports, a
 README-style tempering ``run`` with and without a ``time_policy`` (the
@@ -16,10 +16,13 @@ and a finite-ladder ``sweep``, a tempering ``run`` on covariances 0.01 I
 whose Langevin ``kernel`` section has no ``step_size``, a one-level
 finite-ladder ``run`` (empty per-level lists, a header-only ``levels.csv``),
 a finite-ladder ``run`` with a zero-probability state and chains with zero
-entries, ``bounds`` with explicit ``delta`` and ``p``, and ``verify`` with
-``--seed 0``, ``--seed 3``, without a seed, and with ``trials_scale`` 0.3 and
-a chain file.  The cases not named with ``--threads 2`` pass ``--threads 1``,
-those of ``verify`` no ``--threads``.
+entries, a tempering ``run`` at N = 512 on three components in d = 3
+with unequal full covariances, a tempering ``run`` on means 1e9 whose
+level-1 proposal covariance cancels to one that is not positive definite
+(a config error), ``bounds`` with explicit ``delta`` and ``p``, and
+``verify`` with ``--seed 0``, ``--seed 3``, without a seed, and with
+``trials_scale`` 0.3 and a chain file.  The cases not named with
+``--threads 2`` pass ``--threads 1``, those of ``verify`` no ``--threads``.
 Each side runs them through ``smcmix.cli.main`` in its own process with
 ``PYTHONPATH=<side>``.  Compared per case: the exit code, stdout, stderr with
 each warning's ``file:line`` masked, and every file written, ``levels.csv``
@@ -144,6 +147,20 @@ def make_cases(workdir: str) -> list:
     add("finite_zeros", readme(replicates=50, kernel=None, ladder={"kind": "from_file"},
                                target={"kind": "finite_ladder_file", "path": zeros},
                                estimand={"name": "mode_indicator", "mode_index": 1}), "run")
+    # the level-1 Gaussian proposal of a tempered mixture, from full covariances
+    add("tempering_full_cov", readme(target={
+        "kind": "gaussian_mixture", "weights": [0.2, 0.5, 0.3],
+        "means": [[-3.0, -3.0, 0.0], [3.0, 3.0, 0.0], [0.0, 2.0, -2.0]],
+        "covariances": [[[1.0, 0.3, 0.0], [0.3, 0.5, 0.1], [0.0, 0.1, 0.8]],
+                        [[0.6, -0.2, 0.1], [-0.2, 1.2, 0.0], [0.1, 0.0, 0.4]],
+                        [[2.0, 0.5, 0.3], [0.5, 1.0, -0.2], [0.3, -0.2, 0.7]]]},
+        estimand={"name": "indicator_halfspace", "coordinate": 2, "threshold": -1.0}), "run")
+    # Σ w_i (Σ_i/β + m_i m_iᵀ) - m mᵀ loses Σ_i/β to rounding at means 1e9: the
+    # proposal is refused when the ladder is built, before --out is made
+    add("proposal_cancels", readme(
+        target={"kind": "gaussian_mixture", "weights": [0.3, 0.7],
+                "means": [[1e9, 1e9], [1e9, 1e9]], "covariances": [1e-6, 1e-6]},
+        ladder={"kind": "tempering", "n_levels": 3, "beta_min": 0.05}), "run")
     add("moments", {"schema_version": 1, "bounds": {
         "mode": "high_probability", "epsilon": 0.2, "f_sup_bound": 1.0, "delta": 0.05, "p": 8,
         "n": 5, "M": 2, "w_star": 0.3, "gamma": 1.0, "c_star": [1.0, 2.0, 1.5, 1.0, 3.0]}},
