@@ -251,18 +251,12 @@ def _load_finite_ladder(path: str):
                 chains.append(FiniteChain(P=np.asarray(P, dtype=float), pi=pmfs[-1]))
             except ValueError as exc:
                 raise ConfigError(f"invalid chain at level {i + 1}: {exc}") from exc
-    return sequences.build_finite_ladder(pmfs, chains)
+    return sequences.build_finite_ladder(pmfs, chains, time_budget=0.0)
 
 
-def _kernel_steps(level, t: float) -> float:
-    """Kernel steps per particle that time ``t`` takes on a smoothed ``level``:
-    ceil(t/h) Langevin steps or t expected Poissonized jumps; t/h may be inf."""
-    if level.kernel is not None and level.kernel.kind == "langevin":
-        return float(np.ceil(t / level.kernel.step_size))
-    return t
-
-
-def _resolve_time_budgets(policy: dict, ladder):
+def _resolve_time_budgets(policy, ladder):
+    if policy is None:  # no time_policy: 1 on every level
+        return 1.0
     if policy["mode"] == "explicit":
         return policy["t"]
     # from_theorem: the theorem's t_k from the ladder's analytic constants
@@ -272,28 +266,13 @@ def _resolve_time_budgets(policy: dict, ladder):
     budgets = bounds.theorem_times([lv.lsi_constant_bound for lv in ladder.levels],
                                    ladder.gamma_bound)
     cap = policy.get("max_total_steps", MAX_THEOREM_STEPS)
-    steps = sum(_kernel_steps(lv, t) for lv, t in zip(ladder.levels[1:], budgets[1:]))
+    steps = sum(lv.kernel_steps(t) for lv, t in zip(ladder.levels[1:], budgets[1:]))
     if steps > cap:
         raise ConfigError(
             f"from_theorem budgets need ~{steps:.3g} kernel steps per particle "
             f"(cap {cap:.3g}); use explicit times or raise max_total_steps"
         )
     return budgets
-
-
-def _with_budgets(ladder, time_budget):
-    """The ladder with its levels' time budgets set (one number or one per
-    level).  A budget that takes 2^62 kernel steps per particle or more on a
-    smoothed level is a ConfigError: no run could take them, and numpy's
-    Poisson draws refuse a mean past about 9.22e18."""
-    budgets = sequences._as_budgets(time_budget, ladder.n_levels)
-    for k, (lv, t) in enumerate(zip(ladder.levels[1:], budgets[1:]), start=2):
-        steps = _kernel_steps(lv, t)
-        if not steps < 2.0 ** 62:
-            raise ConfigError(f"time budget {t:g} at level {k} takes ~{steps:.3g} kernel "
-                              f"steps per particle, not below 2^62")
-    levels = tuple(replace(lv, time_budget=t) for lv, t in zip(ladder.levels, budgets))
-    return replace(ladder, levels=levels)
 
 
 def _schedule(ladder_spec: dict, d: int):
@@ -311,8 +290,8 @@ def _schedule(ladder_spec: dict, d: int):
 
 def _build_ladder(exp: dict):
     """The experiment's ladder and target (``None`` for a finite ladder file),
-    each level at the builders' unit time budget: run budgets are
-    ``build_smc_config``'s to apply."""
+    each level at time budget 0, which no step size refuses: the run's budgets
+    are ``build_smc_config``'s to set."""
     target_spec = exp["target"]
     ladder_spec = exp["ladder"]
     finite = target_spec["kind"] == "finite_ladder_file"
@@ -331,11 +310,12 @@ def _build_ladder(exp: dict):
             schedule = _schedule(ladder_spec, target.dim)
             if ladder_spec["kind"] == "tempering":
                 ladder = sequences.build_power_tempering(
-                    target, schedule, kernel=kernel,
+                    target, schedule, kernel=kernel, time_budget=0.0,
                     **_given(ladder_spec, "conservative_gamma"),
                 )
             else:
-                ladder = sequences.build_gaussian_convolution(target, schedule, kernel=kernel)
+                ladder = sequences.build_gaussian_convolution(
+                    target, schedule, kernel=kernel, time_budget=0.0)
         return ladder, target
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -411,16 +391,18 @@ def _at_point(config, parameter: str, value):
     """``config`` at the sweep point ``parameter = value``."""
     if parameter == "n_particles":
         return replace(config, n_particles=int(value))
-    return replace(config, ladder=_with_budgets(config.ladder, float(value)))
+    try:
+        return replace(config, ladder=config.ladder.with_budgets(float(value)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_smc_config(exp: dict):
     ladder, target = _build_ladder(exp)
-    if "time_policy" in exp:  # else each level keeps the builders' unit budget
-        try:
-            ladder = _with_budgets(ladder, _resolve_time_budgets(exp["time_policy"], ladder))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        ladder = ladder.with_budgets(_resolve_time_budgets(exp.get("time_policy"), ladder))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     estimand = _build_estimand(exp["estimand"], ladder, target)
     config = smc.SmcConfig(
         ladder=ladder,

@@ -30,7 +30,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
@@ -305,10 +305,10 @@ def mixture_grad_logdensity(mixture: TargetMixture, x) -> np.ndarray:
 class FiniteChain:
     """Explicit transition matrix with its stationary distribution.
 
-    ``P`` must be row-stochastic (rows sum to 1 within 1e-12) and ``pi``, one
-    entry per state, stationary within 1e-10.  Reversibility (detailed
-    balance within 1e-12) is detected at construction and exposed as a flag.
-    ``symmetric_spectrum`` is computed on first use and kept.
+    ``P`` must be row-stochastic (rows sum to 1 within 1e-12) and ``pi`` (one
+    entry per state, nonnegative, of positive sum) stationary within 1e-10.
+    Reversibility (detailed balance within 1e-12) is detected at construction
+    and exposed as a flag; ``symmetric_spectrum`` is computed on first use.
     """
 
     P: np.ndarray
@@ -334,6 +334,8 @@ class FiniteChain:
             pi = np.asarray(self.pi, dtype=float)
             if pi.shape != (P.shape[0],):
                 raise ValueError(f"pi has shape {pi.shape} for {P.shape[0]} states")
+            if np.any(pi < 0) or pi.sum() == 0:  # NaN passes, to fail as not stationary
+                raise ValueError("pi must have nonnegative entries and a positive sum")
             pi = pi / pi.sum()
         stat_err = np.max(np.abs(pi @ P - pi))
         if not stat_err <= 1e-10:
@@ -431,12 +433,12 @@ class Level:
 
     ``ratio_to_prev`` is the unnormalized density ratio g against the previous
     level (absent at level 1); ``normalized_ratio`` is available when the
-    normalizers are known.  ``time_budget`` is the continuous smoothing time
-    applied after resampling into this level, by Poissonized jumps of
-    ``chain`` when the level has one and by ``kernel`` (a Langevin one with
-    its step size set) otherwise.  Level 1 is drawn from its ``exact_law``,
-    else its ``init_proposal``, both derived on first use; a ``pmf`` gets
-    its cumulative distribution built once, for the categorical draw.
+    normalizers are known.  ``time_budget`` is the smoothing time applied
+    after resampling into this level, ``kernel_steps(time_budget)`` expected
+    Poissonized jumps of ``chain`` when the level has one, else steps of
+    ``kernel`` (a Langevin one with its step size set).  Level 1 is drawn
+    from its ``exact_law``, else its ``init_proposal``, both derived on first
+    use; a ``pmf`` gets its cumulative distribution built once.
 
     The ratio callables accept points with leading batch axes ``(..., d)``:
     the sampler hands a ladder whose levels carry a ``mixture`` its
@@ -495,11 +497,20 @@ class Level:
                   for w_i, g in zip(mix.weights, mix.components))
         return GaussianComponent(mean, cov - np.outer(mean, mean))
 
+    def kernel_steps(self, t: float) -> float:
+        """Kernel steps per particle that time ``t`` takes on this level: ceil(t/h)
+        Langevin steps or t expected Poissonized jumps (t/h may be inf)."""
+        if self.kernel is not None and self.kernel.kind == "langevin":
+            return float(np.ceil(t / self.kernel.step_size))
+        return t
+
 
 @dataclass(frozen=True, eq=False)
 class Ladder:
     """Ordered sequence of levels with a uniform normalized-ratio bound; level 1
-    needs a pmf or a mixture, and a law it cannot be drawn from is refused."""
+    needs a pmf or a mixture, and a law it cannot be drawn from is refused, as
+    is a budget that takes a later level 2^62 kernel steps per particle or more
+    (no run could, and numpy's Poisson draws refuse a mean past about 9.22e18)."""
 
     levels: tuple
     gamma_bound: float
@@ -515,11 +526,25 @@ class Ladder:
         first = levels[0]
         if first.pmf is None and first.init_proposal is None and first.exact_law is None:
             raise ValueError("level 1 needs a pmf or a mixture to draw its particles from")
+        for k, lv in enumerate(levels[1:], start=2):
+            steps = lv.kernel_steps(lv.time_budget)
+            if not steps < 2.0 ** 62:
+                raise ValueError(f"time budget {lv.time_budget:g} at level {k} takes "
+                                 f"~{steps:.3g} kernel steps per particle, not below 2^62")
         object.__setattr__(self, "levels", levels)
 
     @property
     def n_levels(self) -> int:
         return len(self.levels)
+
+    def with_budgets(self, time_budget) -> "Ladder":
+        """The ladder with its levels' time budgets: one for all, or one per level."""
+        budgets = ([float(time_budget)] * self.n_levels if np.ndim(time_budget) == 0
+                   else [float(t) for t in time_budget])
+        if len(budgets) != self.n_levels:
+            raise ValueError(f"expected {self.n_levels} time budgets, got {len(budgets)}")
+        return replace(self, levels=tuple(replace(lv, time_budget=t)
+                                          for lv, t in zip(self.levels, budgets)))
 
 
 @dataclass(frozen=True, eq=False)

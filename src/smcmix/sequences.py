@@ -190,7 +190,7 @@ def build_power_tempering(
     is beta_i * log pi (``level_log_density``), and carries the step
     ratio pi^{beta_i - beta_{i-1}}, the per-step density-ratio bound from
     power_tempering_gamma, and the level log-Sobolev bound from
-    tempered_component_lsi.  Time budgets are the caller's to choose.  A
+    tempered_component_lsi.  Every level gets ``time_budget``.  A
     multi-component level 1 below beta = 1 is drawn from ``Level.init_proposal``.
     """
     gauss = target.components
@@ -207,7 +207,6 @@ def build_power_tempering(
             RuntimeWarning,
             stacklevel=2,
         )
-    budgets = _as_budgets(time_budget, len(betas))
     levels = []
     for i, beta in enumerate(betas):
         spec = _level_kernel(kernel, beta * max(1.0 / g.lambda_min for g in gauss))
@@ -224,7 +223,7 @@ def build_power_tempering(
         levels.append(
             Level(
                 kernel=spec,
-                time_budget=budgets[i],
+                time_budget=float(time_budget),
                 ratio_to_prev=ratio,
                 normalized_ratio=normalized,
                 lsi_constant_bound=max(
@@ -250,7 +249,7 @@ def build_gaussian_convolution(
     covariances Sigma_i + (sigma^2/beta_k) I, weights unchanged); the final
     level is the target itself.  Per-step ratio bounds are
     ``bounds.convolution_gamma`` for noised steps and the closed-form
-    determinant ratio for the final de-noising step.
+    determinant ratio for the final de-noising step; every level gets ``time_budget``.
     """
     gauss = target.components
     if schedule.sigma is None:
@@ -260,7 +259,6 @@ def build_gaussian_convolution(
         raise ValueError("schedule dimension does not match the target")
     sigma2 = schedule.sigma ** 2
     betas = schedule.betas
-    budgets = _as_budgets(time_budget, len(betas) + 1)
     base_lsi = max(g.lambda_max for g in gauss)
 
     mixtures = [
@@ -287,7 +285,7 @@ def build_gaussian_convolution(
         levels.append(
             Level(
                 kernel=spec,
-                time_budget=budgets[k],
+                time_budget=float(time_budget),
                 ratio_to_prev=ratio,
                 normalized_ratio=ratio,  # all levels are normalized mixtures
                 lsi_constant_bound=lsi_convolution_bound(base_lsi, noise),
@@ -301,12 +299,12 @@ def build_gaussian_convolution(
 def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     """Ladder over an enumerated state space with explicit smoothing chains.
 
-    ``pmfs`` are the per-level stationary pmfs (normalized, so ratios are the
-    exact normalized ratios) and ``chains`` the per-level FiniteChains, each
-    level's smoothing kernel; the level-1 chain may be None since no
-    smoothing happens there.  A pmf of another length than level 1's is
-    refused, and so are a pmf that sums to 0 and a level with mass on a state
-    that the level before gives probability 0: its weights are undefined there.
+    ``pmfs`` are the per-level stationary pmfs (normalized, so ratios are the exact
+    normalized ratios) and ``chains`` the per-level FiniteChains, each level's smoothing
+    kernel; the level-1 chain may be None since no smoothing happens there.  Every level
+    gets ``time_budget``.  A pmf of another length than level 1's is refused, and so are
+    a pmf that sums to 0 and a level with mass on a state that the level before gives
+    probability 0: its weights are undefined there.
     """
     sums = [np.sum(p) for p in pmfs]
     if 0 in sums:
@@ -314,7 +312,6 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     pmfs = [np.asarray(p, dtype=float) / total for p, total in zip(pmfs, sums)]
     if len(chains) != len(pmfs):
         raise ValueError("need one chain per level")
-    budgets = _as_budgets(time_budget, len(pmfs))
     levels = []
     for k, (pmf, chain) in enumerate(zip(pmfs, chains)):
         if pmf.shape != pmfs[0].shape:
@@ -341,7 +338,7 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
         levels.append(
             Level(
                 kernel=None,
-                time_budget=budgets[k],
+                time_budget=float(time_budget),
                 ratio_to_prev=ratio,
                 normalized_ratio=ratio,
                 ratio_bound=bound,
@@ -356,15 +353,6 @@ def _ladder(levels: list) -> Ladder:
     """The ladder of ``levels``, its γ the largest of 1 and their ratio bounds."""
     return Ladder(levels=tuple(levels),
                   gamma_bound=max([1.0] + [lv.ratio_bound for lv in levels[1:]]))
-
-
-def _as_budgets(time_budget, n: int):
-    if np.ndim(time_budget) == 0:
-        return [float(time_budget)] * n
-    budgets = [float(t) for t in time_budget]
-    if len(budgets) != n:
-        raise ValueError(f"expected {n} time budgets, got {len(budgets)}")
-    return budgets
 
 
 # A level's ratio to its predecessor is a ``partial`` over one of these three

@@ -737,9 +737,41 @@ class TestRun:
         # a finite ladder smooths by Poissonized jumps: t expected jumps
         ladder = cli._load_finite_ladder(finite_ladder_file(tmp_path)[0])
         below = math.nextafter(2.0 ** 62, 0.0)
-        assert cli._with_budgets(ladder, below).levels[1].time_budget == below
-        with pytest.raises(cli.ConfigError, match="not below 2\\^62"):
-            cli._with_budgets(ladder, 2.0 ** 62)
+        assert ladder.with_budgets(below).levels[1].time_budget == below
+        with pytest.raises(ValueError, match="not below 2\\^62"):
+            ladder.with_budgets(2.0 ** 62)
+
+    def tiny_step_config(self, tmp_path, **overrides):
+        """A Langevin step of 1e-19, so that a unit budget takes 1e19 steps;
+        an override of None drops its key."""
+        exp = base_experiment(
+            target={"kind": "gaussian_mixture", "weights": [0.5, 0.5], "means": [[-1.0], [1.0]]},
+            ladder={"kind": "tempering", "betas": [0.5, 1.0]},
+            kernel={"kind": "langevin", "step_size": 1e-19},
+            n_particles=4, replicates=1, **overrides)
+        exp = {k: v for k, v in exp.items() if v is not None}
+        derived = {"mode": "mse", "epsilon": 0.5, "f_sup_bound": 1.0}  # constants from the ladder
+        return write_json(tmp_path / "c.json", {"schema_version": 1, "experiment": exp,
+                                                "bounds": derived})
+
+    def test_default_budget_past_the_step_limit_is_config_error(self, tmp_path):
+        # no time_policy: the unit budget takes 1e19 steps a particle, refused
+        # before --out is made (a run that starts would not end: the timeout fails it)
+        cfg = self.tiny_step_config(tmp_path, time_policy=None)
+        out = tmp_path / "o"
+        proc = run_python("-m", "smcmix.cli", "--config", cfg, "--out", str(out),
+                          "--threads", "1", "run", cwd=tmp_path, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.endswith("config error: time budget 1 at level 2 takes ~1e+19 kernel "
+                                    "steps per particle, not below 2^62\n")
+        assert not out.exists()
+
+    def test_zero_budget_runs_at_any_step(self, tmp_path):
+        # the ladder is built at time 0, so t = 0 runs and bounds derives from it
+        cfg = self.tiny_step_config(tmp_path, time_policy={"mode": "explicit", "t": 0})
+        for command in ("run", "bounds"):
+            assert main(["--config", cfg, "--out", str(tmp_path / command), "--threads", "1",
+                         command]) == 0
 
     def test_degenerate_run_exits_three(self, tmp_path, capsys):
         def run(levels, **overrides):
@@ -1392,12 +1424,12 @@ class TestEstimands:
         assert exact == pytest.approx(pmf2[2] + pmf2[3])
 
 
-def run_python(*args, cwd=None):
+def run_python(*args, cwd=None, timeout=300):
     """``python *args`` in a fresh process that imports smcmix from this tree."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=300)
+                          env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
 
 
 class TestImports:
@@ -1773,6 +1805,21 @@ class TestLadderFile:
         assert line == "config error: level 1 has a pmf whose entries sum to 0"
         assert not (tmp_path / "o").exists()
 
+    def test_later_pmf_summing_to_zero_is_config_error_naming_its_level(self, tmp_path,
+                                                                        capsys):
+        # its chain's pi is the pmf: refused before it is divided by its sum
+        path = write_json(tmp_path / "bad_ladder.json", {"kind": "finite_ladder", "levels": [
+            {"pmf": [0.5, 0.5], "P": None},
+            {"pmf": [0, 0], "P": [[0.5, 0.5], [0.5, 0.5]]}]})
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert self.run_with_ladder(tmp_path, path) == 2
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("config error: invalid chain at level 2: pi must have nonnegative "
+                        "entries and a positive sum")
+        assert not (tmp_path / "o").exists()
+
     def test_nan_is_not_valid_json(self, tmp_path, capsys):
         doc = json.loads(Path(finite_ladder_file(tmp_path)[0]).read_text())
         doc["levels"][1]["P"][0][1] = math.nan  # read as a number, it makes state 0 absorb
@@ -1810,6 +1857,16 @@ class TestChainFile:
         (failed,) = [c for c in doc["checks"] if not c["passed"]]
         assert failed["name"] == "chain_validation"
         assert "a chain file holds an object" in failed["details"]["error"]
+        assert "FAILED checks: chain_validation" in capsys.readouterr().err
+
+    def test_negative_pi_fails_the_check(self, tmp_path, capsys):
+        # [-1, 2] sums to 1 and is stationary for the identity
+        chain = write_json(tmp_path / "chain.json", {"P": [[1.0, 0.0], [0.0, 1.0]],
+                                                     "pi": [-1.0, 2.0]})
+        assert self.verify_chain(tmp_path, chain) == 1
+        first = read_output(tmp_path / "out" / "verify.json")["checks"][0]
+        assert first["name"] == "chain_validation" and not first["passed"]
+        assert first["details"]["error"] == "pi must have nonnegative entries and a positive sum"
         assert "FAILED checks: chain_validation" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path, capsys):

@@ -3,6 +3,8 @@
 import importlib
 import math
 import pkgutil
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -340,6 +342,15 @@ class TestFiniteChain:
         with pytest.raises(ValueError, match=r"pi has shape \(2,\) for 3 states"):
             FiniteChain(P=np.full((3, 3), 1.0 / 3.0), pi=np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("pi", [[-1.0, 2.0], [0.0, 0.0]], ids=["negative", "zero_sum"])
+    def test_rejects_pi_it_cannot_normalize(self, pi):
+        # [-1, 2] sums to 1 and is stationary for the identity: only its sign is wrong
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before any division
+            with pytest.raises(ValueError, match="pi must have nonnegative entries and a "
+                                                 "positive sum"):
+                FiniteChain(P=np.eye(2), pi=pi)
+
 
 class TestValidateLadder:
     """A ladder's ratios evaluated directly against their bounds."""
@@ -469,3 +480,49 @@ def test_ladder_refuses_a_first_level_it_cannot_draw():
     # neither a pmf nor a mixture: no level-1 law, refused before any run
     with pytest.raises(ValueError, match="level 1 needs a pmf or a mixture"):
         Ladder(levels=(Level(kernel=None, time_budget=1.0),), gamma_bound=1.0)
+
+
+def unit_ratio(x):
+    return np.ones(np.shape(x)[:1])
+
+
+class TestTimeBudgets:
+    """A ladder refuses a budget no run can take; ``with_budgets`` sets them."""
+
+    def finite_ladder(self, budget_1=0.0, budget_2=1.0):
+        chain = FiniteChain(P=np.full((2, 2), 0.5))
+        return Ladder(levels=(
+            Level(kernel=None, time_budget=budget_1, pmf=[0.5, 0.5]),
+            Level(kernel=None, time_budget=budget_2, pmf=[0.5, 0.5], chain=chain,
+                  ratio_to_prev=unit_ratio)), gamma_bound=1.0)
+
+    def test_refuses_a_level_past_the_step_limit(self):
+        # a finite level smooths by t expected Poissonized jumps
+        with pytest.raises(ValueError, match=r"time budget 1e\+19 at level 2 takes ~1e\+19 "
+                                             r"kernel steps per particle, not below 2\^62"):
+            self.finite_ladder(budget_2=1e19)
+
+    def test_refuses_a_langevin_level_past_the_step_limit(self):
+        mixture = TargetMixture.gaussian([1.0], [[0.0]], [[[1.0]]])
+        first = Level(kernel=None, time_budget=0.0, mixture=mixture)
+        second = Level(kernel=KernelSpec("langevin", step_size=1e-19), time_budget=1.0,
+                       mixture=mixture, ratio_to_prev=unit_ratio)
+        with pytest.raises(ValueError, match="at level 2 takes ~1e\\+19 kernel steps"):
+            Ladder(levels=(first, second), gamma_bound=1.0)
+        # time 0 takes no step at any step size
+        assert Ladder(levels=(first, replace(second, time_budget=0.0)), gamma_bound=1.0)
+
+    def test_first_level_is_not_checked(self):
+        # level 1 is drawn, never smoothed
+        assert self.finite_ladder(budget_1=1e300).levels[0].time_budget == 1e300
+
+    def test_with_budgets_sets_one_or_one_per_level(self):
+        ladder = self.finite_ladder()
+        assert [lv.time_budget for lv in ladder.with_budgets(2).levels] == [2.0, 2.0]
+        assert [lv.time_budget for lv in ladder.with_budgets([0, 3.5]).levels] == [0.0, 3.5]
+        with pytest.raises(ValueError, match="not below 2\\^62"):
+            ladder.with_budgets([0.0, 2.0 ** 62])
+
+    def test_with_budgets_refuses_another_count(self):
+        with pytest.raises(ValueError, match="expected 2 time budgets, got 3"):
+            self.finite_ladder().with_budgets([1.0, 1.0, 1.0])

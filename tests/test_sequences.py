@@ -540,6 +540,23 @@ class TestFiniteLadder:
         assert ladder.levels[0].chain is None and ladder.levels[1].chain is not None
 
 
+class TestTimeBudgets:
+    """A builder's budget that no run can take is refused when it builds."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_power_tempering(equal_cov_target(), TemperingSchedule((0.5, 1.0), d=2),
+                                      time_budget=math.inf),
+        lambda: build_gaussian_convolution(
+            equal_cov_target(), TemperingSchedule((0.5,), d=2, sigma=1.0), time_budget=math.inf),
+        lambda: build_finite_ladder(
+            [[0.5, 0.5], [0.5, 0.5]], [None, FiniteChain(P=np.full((2, 2), 0.5))],
+            time_budget=1e19),
+    ], ids=["tempering", "convolution", "finite"])
+    def test_budget_past_the_step_limit_is_refused_naming_level_two(self, build):
+        with pytest.raises(ValueError, match="at level 2 takes .* not below 2\\^62"):
+            build()
+
+
 class TestPowerNormalizer:
     def test_matches_quadrature(self):
         comp = GaussianComponent([1.0], [[2.5]])

@@ -415,6 +415,33 @@ class TestBlocks:
         assert [effective_sample_size(r) for r in w] == reference
 
 
+class TestKernelSteps:
+    """``Level.kernel_steps``, which the ladder's step limit counts, is what
+    ``apply_kernel`` takes."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.75, math.nextafter(0.75, 0.0),
+                                   math.nextafter(0.75, 1.0), 0.3])
+    def test_langevin_steps_are_the_gradient_calls(self, monkeypatch, bimodal_target, t):
+        # t/h at 3, just below and just above it, and 0.3/0.25 = 1.2 for h = 0.25
+        ladder = sequences.build_power_tempering(
+            bimodal_target, sequences.TemperingSchedule((0.5, 1.0), d=2),
+            kernel=KernelSpec(kind="langevin", step_size=0.25), time_budget=t)
+        calls = []
+
+        def counted(level, x):
+            calls.append(None)
+            return sequences.level_grad_log_density(level, x)
+
+        monkeypatch.setattr(smc, "level_grad_log_density", counted)
+        level = ladder.levels[1]
+        smc.apply_kernel(level, np.zeros((1, 8, 2)), [np.random.default_rng(0)])
+        assert len(calls) == level.kernel_steps(t) == math.ceil(t / 0.25)
+
+    def test_chain_level_takes_t_expected_jumps(self):
+        ladder, _, _ = two_level_finite_ladder(time_budget=1.3)
+        assert ladder.levels[1].kernel_steps(1.3) == 1.3
+
+
 class TestRatioEvaluations:
     def test_shared_ratio_evaluated_once_per_level(self, bimodal_target):
         # convolution levels set normalized_ratio = ratio_to_prev: one call serves both

@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Cases (442): ``run`` and ``bounds`` on the 100 pinned configs of
+Cases (447): ``run`` and ``bounds`` on the 100 pinned configs of
 ``tests/test_fuzz.py``, ``sweep`` on their sweeps, ``run`` and ``sweep`` on
 its 30 pinned finite-ladder configs and on its 30 with nested supports, a
 README-style tempering ``run`` with and without a ``time_policy`` (the
@@ -19,7 +19,11 @@ a finite-ladder ``run`` with a zero-probability state and chains with zero
 entries, a tempering ``run`` at N = 512 on three components in d = 3
 with unequal full covariances, a tempering ``run`` on means 1e9 whose
 level-1 proposal covariance cancels to one that is not positive definite
-(a config error), ``bounds`` with explicit ``delta`` and ``p``, and
+(a config error), the three time budgets past the step limit of
+``tests/test_cli.py`` (Langevin and Metropolis ``run``, ``sweep``; config
+errors), a tempering ``run`` with one explicit budget per level, a
+``from_theorem`` tempering ``run`` on one component in d = 1 with a
+stepless Langevin kernel, ``bounds`` with explicit ``delta`` and ``p``, and
 ``verify`` with ``--seed 0``, ``--seed 3``, without a seed, and with
 ``trials_scale`` 0.3 and a chain file.  The cases not named with
 ``--threads 2`` pass ``--threads 1``, those of ``verify`` no ``--threads``.
@@ -161,6 +165,21 @@ def make_cases(workdir: str) -> list:
         target={"kind": "gaussian_mixture", "weights": [0.3, 0.7],
                 "means": [[1e9, 1e9], [1e9, 1e9]], "covariances": [1e-6, 1e-6]},
         ladder={"kind": "tempering", "n_levels": 3, "beta_min": 0.05}), "run")
+    # budgets past 2^62 kernel steps a particle are config errors, before --out is made
+    add("langevin_past_limit", readme(time_policy={"mode": "explicit", "t": 1e308}), "run")
+    add("metropolis_past_limit", readme(
+        kernel={"kind": "metropolis_hastings", "proposal_scale": 1.0},
+        time_policy={"mode": "explicit", "t": 1e20}), "run")
+    add("sweep_past_limit", {**readme(exact_value=0.7), "sweep": {
+        "parameter": "time_budget", "values": [0.01, 1e308], "replicates": 2}}, "sweep")
+    add("per_level_budgets", readme(ladder={"kind": "tempering", "n_levels": 3, "beta_min": 0.2},
+                                    time_policy={"mode": "explicit", "t": [0.0, 0.5, 1.5]}),
+        "run")
+    # the theorem's t_k on a one-component target: about 1 400 Langevin steps a particle
+    add("theorem_budgets", readme(
+        target={"kind": "gaussian_mixture", "weights": [1.0], "means": [[0.5]]},
+        ladder={"kind": "tempering", "betas": [0.25, 0.5, 1.0]}, kernel={"kind": "langevin"},
+        time_policy={"mode": "from_theorem"}), "run")
     add("moments", {"schema_version": 1, "bounds": {
         "mode": "high_probability", "epsilon": 0.2, "f_sup_bound": 1.0, "delta": 0.05, "p": 8,
         "n": 5, "M": 2, "w_star": 0.3, "gamma": 1.0, "c_star": [1.0, 2.0, 1.5, 1.0, 3.0]}},
