@@ -3,7 +3,7 @@ verification suite, and sweep a grid with per-point MSE.
 
 Exit codes: 0 success, 1 verification failure, 2 config error, 3 runtime
 degeneracy (degenerate weights, non-finite Langevin gradients).  All
-randomness flows from the master seed (the --seed flag overrides the config).
+randomness flows from the master seed (--seed replaces the config's).
 ``run`` and ``sweep`` build their ``SmcConfig`` once; with ``--threads K``
 the replicates are split into K contiguous chunks of seeds and each worker
 process is sent the pickled config, so outputs are the same at any K.
@@ -289,9 +289,8 @@ def _schedule(ladder_spec: dict, d: int):
 
 
 def _build_ladder(exp: dict):
-    """The experiment's ladder and target (``None`` for a finite ladder file),
-    each level at time budget 0, which no step size refuses: the run's budgets
-    are ``build_smc_config``'s to set."""
+    """The experiment's ladder, each level at time budget 0, which no step
+    size refuses: the run's budgets are ``build_smc_config``'s to set."""
     target_spec = exp["target"]
     ladder_spec = exp["ladder"]
     finite = target_spec["kind"] == "finite_ladder_file"
@@ -300,25 +299,20 @@ def _build_ladder(exp: dict):
     if finite and "kernel" in exp:
         raise ConfigError("a from_file ladder is smoothed by the chains P of its file; "
                           "remove the kernel section")
-    try:
-        if finite:
-            target = None
-            ladder = _load_finite_ladder(target_spec["path"])
-        else:
-            target = _build_target(target_spec)
-            kernel = KernelSpec(**exp["kernel"]) if "kernel" in exp else None
-            schedule = _schedule(ladder_spec, target.dim)
-            if ladder_spec["kind"] == "tempering":
-                ladder = sequences.build_power_tempering(
-                    target, schedule, kernel=kernel, time_budget=0.0,
-                    **_given(ladder_spec, "conservative_gamma"),
-                )
-            else:
-                ladder = sequences.build_gaussian_convolution(
-                    target, schedule, kernel=kernel, time_budget=0.0)
-        return ladder, target
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if finite:
+        return _load_finite_ladder(target_spec["path"])
+    target = _build_target(target_spec)
+    kernel = KernelSpec(**exp["kernel"]) if "kernel" in exp else None
+    schedule = _schedule(ladder_spec, target.dim)
+    if ladder_spec["kind"] == "tempering":
+        ladder = sequences.build_power_tempering(
+            target, schedule, kernel=kernel, time_budget=0.0,
+            **_given(ladder_spec, "conservative_gamma"),
+        )
+    else:
+        ladder = sequences.build_gaussian_convolution(
+            target, schedule, kernel=kernel, time_budget=0.0)
+    return ladder
 
 
 def _estimand_index(spec: dict, key: str, size: int, what: str) -> int:
@@ -355,11 +349,12 @@ def _nearest_mode(means: np.ndarray, mode: int, x) -> np.ndarray:
     return (np.argmin(d2, axis=1) == mode).astype(float)
 
 
-def _build_estimand(spec: dict, ladder, target):
+def _build_estimand(spec: dict, ladder):
     """The estimand ``spec`` names, a ``partial`` of a module function so
     that a config pickles.  A finite state is one coordinate, its index, and
     each state is its own mode."""
     name = spec["name"]
+    target = ladder.levels[-1].mixture  # None on a finite ladder
     n_coords = 1 if target is None else target.dim
     if name == "constant":
         return partial(_constant, float(spec.get("value", 1.0)))
@@ -398,12 +393,13 @@ def _at_point(config, parameter: str, value):
 
 
 def build_smc_config(exp: dict):
-    ladder, target = _build_ladder(exp)
+    """``exp``'s run and exact value (or None); a refused ladder is a ConfigError."""
     try:
+        ladder = _build_ladder(exp)
         ladder = ladder.with_budgets(_resolve_time_budgets(exp.get("time_policy"), ladder))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    estimand = _build_estimand(exp["estimand"], ladder, target)
+    estimand = _build_estimand(exp["estimand"], ladder)
     config = smc.SmcConfig(
         ladder=ladder,
         n_particles=exp["n_particles"],
@@ -411,14 +407,6 @@ def build_smc_config(exp: dict):
         estimand=estimand,
     )
     return config, _exact_value(exp, ladder, estimand)
-
-
-def _seeded_config(exp: dict, seed_override):
-    """``build_smc_config(exp)`` with ``--seed``, when given, as the master seed."""
-    config, exact = build_smc_config(exp)
-    if seed_override is not None:
-        config = replace(config, master_seed=seed_override)
-    return config, exact
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +440,11 @@ def _run_replicates(config, n_rep: int, threads: int) -> list:
                 for r in chunk]
 
 
-def cmd_run(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
+def cmd_run(cfg: dict, out_dir: str, threads: int) -> int:
     if "experiment" not in cfg:
         raise ConfigError("run needs an 'experiment' section")
     exp = cfg["experiment"]
-    config, exact = _seeded_config(exp, seed_override)
+    config, exact = build_smc_config(exp)
     _make_out_dir(out_dir)
     runs = _run_replicates(config, exp["replicates"], threads)
     entries = [e for e, _ in runs]
@@ -515,7 +503,8 @@ def _assumption_params_from_config(cfg: dict) -> bounds.AssumptionParams:
             if exp is None:
                 raise ConfigError("bounds section is incomplete and there is no "
                                   "experiment to derive from")
-            ladder, target = _build_ladder(exp)
+            ladder = _build_ladder(exp)
+            target = ladder.levels[-1].mixture
             if target is None:
                 raise ConfigError("cannot derive assumption constants from a finite ladder file")
             c_star = [lv.lsi_constant_bound for lv in ladder.levels]
@@ -702,7 +691,7 @@ def _chain_validation_check(path: str) -> oracle.CheckReport:
                               details=details)
 
 
-def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
+def cmd_sweep(cfg: dict, out_dir: str, threads: int) -> int:
     if "sweep" not in cfg or "experiment" not in cfg:
         raise ConfigError("sweep needs both 'sweep' and 'experiment' sections")
     sweep = cfg["sweep"]
@@ -711,7 +700,7 @@ def cmd_sweep(cfg: dict, out_dir: str, seed_override, threads: int) -> int:
         bad = [v for v in sweep["values"] if v < 1 or v != int(v)]
         if bad:
             raise ConfigError(f"sweep values of n_particles must be whole numbers >= 1, got {bad}")
-    base_config, exact = _seeded_config(exp, seed_override)
+    base_config, exact = build_smc_config(exp)
     if exact is None:
         raise ConfigError("sweep needs exact_value in the experiment (or a finite target)")
     configs = [_at_point(base_config, sweep["parameter"], value) for value in sweep["values"]]
@@ -895,13 +884,15 @@ def main(argv=None) -> int:
         if not args.config and args.command != "verify":
             raise ConfigError(f"{args.command} requires --config")
         cfg = load_config(args.config) if args.config else None
+        if args.seed is not None and "experiment" in (cfg or {}):
+            cfg["experiment"]["master_seed"] = args.seed  # before any config is built
         if args.command == "run":
-            return cmd_run(cfg, args.out, args.seed, args.threads)
+            return cmd_run(cfg, args.out, args.threads)
         if args.command == "bounds":
             return cmd_bounds(cfg, args.out)
         if args.command == "verify":
             return cmd_verify(cfg, args.out, args.seed, args.suites)
-        return cmd_sweep(cfg, args.out, args.seed, args.threads)
+        return cmd_sweep(cfg, args.out, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -331,7 +331,7 @@ class FiniteChain:
         if self.pi is None:
             pi = _stationary_distribution(P)
         else:
-            pi = np.asarray(self.pi, dtype=float)
+            pi = _summable(np.asarray(self.pi, dtype=float))
             if pi.shape != (P.shape[0],):
                 raise ValueError(f"pi has shape {pi.shape} for {P.shape[0]} states")
             if np.any(pi < 0) or pi.sum() == 0:  # NaN passes, to fail as not stationary
@@ -372,6 +372,14 @@ def _cumulative(p: np.ndarray) -> np.ndarray:
         cum[over] = np.cumsum(big / big.max(axis=-1, keepdims=True), axis=-1)
     cum /= cum[..., -1:]
     return cum
+
+
+def _summable(p: np.ndarray) -> np.ndarray:
+    """``p``, or, by ``_cumulative``'s rule, ``p`` over its largest magnitude
+    when its entries are finite and their sum overflows."""
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(p.sum()) and np.all(np.isfinite(p))
+    return p / np.abs(p).max() if overflows else p
 
 
 def _check_generators(rngs, n_rows: int):

@@ -25,6 +25,7 @@ from .core import (
     Level,
     ParticleEnsemble,
     TargetMixture,
+    _summable,
     effective_sample_size,
     eval_mixture_logdensity,
     mixture_grad_logdensity,
@@ -306,10 +307,11 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     a pmf that sums to 0 and a level with mass on a state that the level before gives
     probability 0: its weights are undefined there.
     """
+    pmfs = [_summable(np.asarray(p, dtype=float)) for p in pmfs]
     sums = [np.sum(p) for p in pmfs]
     if 0 in sums:
         raise ValueError(f"level {sums.index(0) + 1} has a pmf whose entries sum to 0")
-    pmfs = [np.asarray(p, dtype=float) / total for p, total in zip(pmfs, sums)]
+    pmfs = [p / total for p, total in zip(pmfs, sums)]
     if len(chains) != len(pmfs):
         raise ValueError("need one chain per level")
     levels = []

@@ -455,7 +455,7 @@ class TestRun:
     def test_threads_default_to_the_usable_cpus(self, tmp_path, monkeypatch):
         seen = []
 
-        def record_threads(cfg, out_dir, seed_override, threads):
+        def record_threads(cfg, out_dir, threads):
             seen.append(threads)
             return 0
 
@@ -591,6 +591,24 @@ class TestRun:
         config, _ = cli.build_smc_config(exp)
         lone = [smc.run_smc(replace(config, master_seed=s)).eta_estimate for s in seeds]
         assert [r["eta"] for r in doc["replicates"]] == lone
+
+    @pytest.mark.parametrize("command, files", [("run", ("run.json", "replicates.csv")),
+                                                ("sweep", ("sweep.json", "sweep.csv"))])
+    def test_seed_flag_writes_what_its_master_seed_writes(self, tmp_path, command, files):
+        # --seed S is the config with master_seed S, byte for byte
+        seed = 2**64 + 3
+        exp = finite_experiment(tmp_path, n_particles=64, replicates=4)
+        sweep = {"parameter": "n_particles", "values": [32, 64], "replicates": 4}
+        flagged = write_json(tmp_path / "flagged.json",
+                             {"schema_version": 1, "experiment": exp, "sweep": sweep})
+        configured = write_json(tmp_path / "configured.json", {
+            "schema_version": 1, "experiment": {**exp, "master_seed": seed}, "sweep": sweep})
+        assert main(["--config", flagged, "--out", str(tmp_path / "a"), "--seed", str(seed),
+                     "--threads", "1", command]) == 0
+        assert main(["--config", configured, "--out", str(tmp_path / "b"), "--threads", "1",
+                     command]) == 0
+        for name in files:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_finite_ladder_target(self, tmp_path):
         path, pmf2 = finite_ladder_file(tmp_path)
@@ -1820,6 +1838,17 @@ class TestLadderFile:
                         "entries and a positive sum")
         assert not (tmp_path / "o").exists()
 
+    def test_pmfs_whose_sums_overflow_run(self, tmp_path):
+        # valid in exact arithmetic: each level's pmf is [0.5, 0.5]
+        path = write_json(tmp_path / "big_ladder.json", {"kind": "finite_ladder", "levels": [
+            {"pmf": [1e308, 1e308], "P": None},
+            {"pmf": [1e308, 1e308], "P": [[0.9, 0.1], [0.1, 0.9]]}]})
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert self.run_with_ladder(tmp_path, path) == 0
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        assert read_output(tmp_path / "o" / "run.json")["summary"]["exact_value"] == 0.5
+
     def test_nan_is_not_valid_json(self, tmp_path, capsys):
         doc = json.loads(Path(finite_ladder_file(tmp_path)[0]).read_text())
         doc["levels"][1]["P"][0][1] = math.nan  # read as a number, it makes state 0 absorb
@@ -1847,6 +1876,17 @@ class TestChainFile:
         first = doc["checks"][0]
         assert first == {"name": "chain_validation", "passed": True, "min_slack": 0.0,
                          "n_trials": 1, "details": {"path": chain}}
+
+    def test_pi_whose_sum_overflows_is_checked_normalized(self, tmp_path):
+        # pi [1e308, 1e308] is [0.5, 0.5], which this P does not keep; read as
+        # zeros, it passed
+        chain = write_json(tmp_path / "chain.json",
+                           {"P": [[0.9, 0.1], [0.5, 0.5]], "pi": [1e308, 1e308]})
+        assert self.verify_chain(tmp_path, chain) == 1
+        doc = read_output(tmp_path / "out" / "verify.json")
+        (failed,) = [c for c in doc["checks"] if not c["passed"]]
+        assert failed["name"] == "chain_validation"
+        assert "pi is not stationary" in failed["details"]["error"]
 
     @pytest.mark.parametrize("content", [[[0.5, 0.5], [0.5, 0.5]], "P", 3])
     def test_file_that_is_not_an_object_fails_the_check(self, tmp_path, capsys, content):

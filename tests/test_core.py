@@ -342,14 +342,25 @@ class TestFiniteChain:
         with pytest.raises(ValueError, match=r"pi has shape \(2,\) for 3 states"):
             FiniteChain(P=np.full((3, 3), 1.0 / 3.0), pi=np.array([0.5, 0.5]))
 
-    @pytest.mark.parametrize("pi", [[-1.0, 2.0], [0.0, 0.0]], ids=["negative", "zero_sum"])
+    @pytest.mark.parametrize("pi", [[-1.0, 2.0], [0.0, 0.0], [-1e308, -1e308]],
+                             ids=["negative", "zero_sum", "negative_sum_overflows"])
     def test_rejects_pi_it_cannot_normalize(self, pi):
-        # [-1, 2] sums to 1 and is stationary for the identity: only its sign is wrong
+        # [-1, 2] sums to 1 and is stationary for the identity: only its sign is
+        # wrong; [-1e308, -1e308] keeps its sign when it is scaled to a finite sum
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # refused before any division
             with pytest.raises(ValueError, match="pi must have nonnegative entries and a "
                                                  "positive sum"):
                 FiniteChain(P=np.eye(2), pi=pi)
+
+
+    def test_pi_whose_sum_overflows_is_normalized(self):
+        # [1e308, 1e308] sums past the float range: like a ``_cumulative`` row, it
+        # is divided by its largest entry first, so it reads [0.5, 0.5], not zeros
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chain = FiniteChain(P=np.full((2, 2), 0.5), pi=[1e308, 1e308])
+        assert chain.pi.tolist() == [0.5, 0.5]
 
 
 class TestValidateLadder:

@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Cases (447): ``run`` and ``bounds`` on the 100 pinned configs of
+Cases (449): ``run`` and ``bounds`` on the 100 pinned configs of
 ``tests/test_fuzz.py``, ``sweep`` on their sweeps, ``run`` and ``sweep`` on
 its 30 pinned finite-ladder configs and on its 30 with nested supports, a
 README-style tempering ``run`` with and without a ``time_policy`` (the
@@ -23,9 +23,11 @@ level-1 proposal covariance cancels to one that is not positive definite
 ``tests/test_cli.py`` (Langevin and Metropolis ``run``, ``sweep``; config
 errors), a tempering ``run`` with one explicit budget per level, a
 ``from_theorem`` tempering ``run`` on one component in d = 1 with a
-stepless Langevin kernel, ``bounds`` with explicit ``delta`` and ``p``, and
-``verify`` with ``--seed 0``, ``--seed 3``, without a seed, and with
-``trials_scale`` 0.3 and a chain file.  The cases not named with
+stepless Langevin kernel, a finite-ladder ``run`` with ``--seed
+18446744073709551619`` (2^64 + 3, a master seed of three 32-bit words), a
+tempering ``sweep`` with ``--seed 5``, ``bounds`` with explicit ``delta`` and
+``p``, and ``verify`` with ``--seed 0``, ``--seed 3``, without a seed, and
+with ``trials_scale`` 0.3 and a chain file.  The cases not named with
 ``--threads 2`` pass ``--threads 1``, those of ``verify`` no ``--threads``.
 Each side runs them through ``smcmix.cli.main`` in its own process with
 ``PYTHONPATH=<side>``.  Compared per case: the exit code, stdout, stderr with
@@ -62,13 +64,14 @@ def make_cases(workdir: str) -> list:
 
     cases = []
 
-    def add(name, cfg, *commands, threads=1):
+    def add(name, cfg, *commands, threads=1, seed=None):
         path = os.path.join(workdir, f"{name}.json")
         Path(path).write_text(json.dumps(cfg))
+        flags = () if seed is None else ("--seed", str(seed))
         for command in commands:
             out = f"{name}_{command}"
             cases.append([out, ["--config", path, "--out", out, "--threads", str(threads),
-                                command]])
+                                *flags, command]])
 
     for i in range(N_CONFIGS):
         rng = np.random.default_rng([SEED, i])
@@ -180,6 +183,10 @@ def make_cases(workdir: str) -> list:
         target={"kind": "gaussian_mixture", "weights": [1.0], "means": [[0.5]]},
         ladder={"kind": "tempering", "betas": [0.25, 0.5, 1.0]}, kernel={"kind": "langevin"},
         time_policy={"mode": "from_theorem"}), "run")
+    # --seed replaces the config's master seed before the run is built
+    add("finite_seed", readme(replicates=50, **finite), "run", seed=2**64 + 3)
+    add("tempering_seed", {**readme(exact_value=0.7), "sweep": {
+        "parameter": "n_particles", "values": [128, 256], "replicates": 4}}, "sweep", seed=5)
     add("moments", {"schema_version": 1, "bounds": {
         "mode": "high_probability", "epsilon": 0.2, "f_sup_bound": 1.0, "delta": 0.05, "p": 8,
         "n": 5, "M": 2, "w_star": 0.3, "gamma": 1.0, "c_star": [1.0, 2.0, 1.5, 1.0, 3.0]}},
