@@ -75,7 +75,7 @@ def lsi_convolution_bound(c1: float, c2: float) -> float:
     ``c1`` must be positive; ``c2 = 0`` stands for no noise (a point mass),
     so the un-noised final level of a convolution ladder keeps ``c1``.
     """
-    if c1 <= 0 or c2 < 0:
+    if not (c1 > 0 and c2 >= 0):
         raise ValueError("c1 must be positive and c2 nonnegative")
     return c1 + c2
 
@@ -142,7 +142,7 @@ def _beta(weights) -> float:
 
 def single_step_constants(c_star: float, gamma: float, t: float, weights) -> SingleStepConstants:
     """One-step constants: lam = c_star*gamma/(2t), beta = 1 + sum_i 1/w_i."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be positive")
     return SingleStepConstants(lam=c_star * gamma / (2.0 * t), beta=_beta(weights))
 
@@ -156,9 +156,9 @@ def delta_recursion(p_target: int, alpha: float, beta: float, gamma: float) -> d
     """
     if not _is_power_of_two(p_target):
         raise ValueError("p_target must be a power of 2")
-    if beta < 1.0:
+    if not beta >= 1.0:
         raise ValueError("beta must be >= 1")
-    if gamma < 1.0:
+    if not gamma >= 1.0:
         raise ValueError("gamma must be >= 1")
     table = {1: 1.0}
     p = 1
@@ -187,9 +187,9 @@ def q_of_t(p: float, c_star: float, t: float) -> float:
 
     Saturates to infinity when the exponential overflows.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
-    if c_star <= 0:
+    if not c_star > 0:
         raise ValueError("c_star must be positive")
     try:
         return 1.0 + (p - 1.0) * math.exp(2.0 * t / c_star)
@@ -249,7 +249,7 @@ class BoundReport:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.beta <= 1.0:
+        if not self.beta > 1.0:
             raise ValueError("beta must exceed 1")
         if self.prescribed_N < 1:
             raise ValueError("prescribed N must be >= 1")
@@ -378,7 +378,7 @@ def prescribe_convolution(
     below that of a ladder whose de-noising step has the larger ratio.
     """
     betas = [float(b) for b in betas]
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     if len(betas) < 1:
         raise ValueError("need at least one beta")

@@ -331,12 +331,10 @@ class FiniteChain:
         if self.pi is None:
             pi = _stationary_distribution(P)
         else:
-            pi = _summable(np.asarray(self.pi, dtype=float))
+            pi = np.asarray(self.pi, dtype=float)
             if pi.shape != (P.shape[0],):
                 raise ValueError(f"pi has shape {pi.shape} for {P.shape[0]} states")
-            if np.any(pi < 0) or pi.sum() == 0:  # NaN passes, to fail as not stationary
-                raise ValueError("pi must have nonnegative entries and a positive sum")
-            pi = pi / pi.sum()
+            pi = _normalized(pi, "pi")  # a NaN fails as not stationary
         stat_err = np.max(np.abs(pi @ P - pi))
         if not stat_err <= 1e-10:
             raise ValueError(f"pi is not stationary (max deviation {stat_err:.3e})")
@@ -374,12 +372,16 @@ def _cumulative(p: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _summable(p: np.ndarray) -> np.ndarray:
-    """``p``, or, by ``_cumulative``'s rule, ``p`` over its largest magnitude
-    when its entries are finite and their sum overflows."""
+def _normalized(p: np.ndarray, what: str) -> np.ndarray:
+    """``p / p.sum()``, refusing a negative entry or a zero sum (a NaN passes):
+    by ``_cumulative``'s rule, finite entries whose sum overflows are first
+    divided by their largest magnitude."""
     with np.errstate(over="ignore"):
-        overflows = np.isinf(p.sum()) and np.all(np.isfinite(p))
-    return p / np.abs(p).max() if overflows else p
+        if np.isinf(p.sum()) and np.all(np.isfinite(p)):
+            p = p / np.abs(p).max()
+    if np.any(p < 0) or p.sum() == 0:
+        raise ValueError(f"{what} must have nonnegative entries and a positive sum")
+    return p / p.sum()
 
 
 def _check_generators(rngs, n_rows: int):
@@ -425,9 +427,7 @@ def _search_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _stationary_distribution(P: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eig(P.T)
     k = int(np.argmin(np.abs(vals - 1.0)))
-    v = np.real(vecs[:, k])
-    v = np.abs(v)
-    return v / v.sum()
+    return _normalized(np.abs(np.real(vecs[:, k])), "pi")
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,7 +527,7 @@ class Ladder:
         levels = tuple(self.levels)
         if len(levels) < 1:
             raise ValueError("ladder needs at least one level")
-        if self.gamma_bound < 1.0:
+        if not self.gamma_bound >= 1.0:
             raise ValueError("gamma bound must be >= 1")
         if any(lv.ratio_to_prev is None for lv in levels[1:]):
             raise ValueError("every level after the first needs a ratio to its predecessor")

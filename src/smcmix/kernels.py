@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import MAX_FINITE_STATES, FiniteChain, _check_generators, _cumulative
+from .core import MAX_FINITE_STATES, FiniteChain, _check_generators, _cumulative, _normalized
 
 __all__ = [
     "KernelSpec",
@@ -75,7 +75,7 @@ def default_step_size(hessian_bound: float) -> float:
     potential; the scaling keeps the update stable for quadratic-like
     potentials.
     """
-    if hessian_bound <= 0:
+    if not hessian_bound > 0:
         raise ValueError("hessian bound must be positive")
     return 0.05 * min(1.0, 1.0 / hessian_bound)
 
@@ -92,7 +92,7 @@ def ula_evolve(grad_log_density, x, t: float, h: float, rng):
     where an ``(N, d)`` call on that row would (another count of generators
     is a ValueError).  With ``t=0`` the input is returned unchanged.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
     state = np.array(x, dtype=float, order="C")
     rngs = rng if state.ndim == 3 else (rng,)
@@ -172,7 +172,7 @@ def _poisson_jumps(state: np.ndarray, t: float, rngs, step, uniforms: bool = Tru
     uniforms ``u`` (``_jump_uniforms``): row b's next ones from ``rngs[b]``.
     With ``uniforms=False`` nothing is drawn ahead and ``u`` is None, for a
     step that draws its own randomness."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
     n_rows, n = state.shape[:2]
     _check_generators(rngs, n_rows)
@@ -219,9 +219,9 @@ def glauber_transition_matrix(pmf, d: int) -> FiniteChain:
     size = 2 ** d
     if pmf.shape != (size,):
         raise ValueError(f"pmf must have length 2^d = {size}")
-    if np.any(pmf <= 0):
+    if not np.all(pmf > 0):
         raise ValueError("Glauber dynamics requires a strictly positive pmf")
-    pmf = pmf / pmf.sum()
+    pmf = _normalized(pmf, "pmf")
     idx = np.arange(size)
     P = np.zeros((size, size))
     for i in range(d):
@@ -240,9 +240,9 @@ def mh_transition_matrix(pmf) -> FiniteChain:
     """
     pmf = np.asarray(pmf, dtype=float)
     size = pmf.shape[0]
-    if np.any(pmf <= 0):
+    if not np.all(pmf > 0):
         raise ValueError("Metropolis chain requires a strictly positive pmf")
-    pmf = pmf / pmf.sum()
+    pmf = _normalized(pmf, "pmf")
     proposal = np.full((size, size), 1.0 / size)
     flux = pmf[:, None] * proposal
     accept = np.minimum(1.0, np.divide(flux.T, flux, out=np.ones_like(flux), where=flux > 0))

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds
-from .core import FiniteChain, NonReversibleChainError
+from .core import FiniteChain, NonReversibleChainError, _normalized
 from . import kernels as _kernels
 
 __all__ = [
@@ -238,7 +238,7 @@ def semigroup(chain: FiniteChain, t: float) -> np.ndarray:
     until the Poisson weight tau^k/k! falls below 1e-17, then squared s
     times.  Every term is nonnegative, so nothing cancels.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     if chain.reversible:
         lam, rows = chain.symmetric_spectrum
@@ -579,8 +579,8 @@ def glauber_mixture(weights, component_probs) -> FiniteMixture:
 def mh_mixture(weights, component_pmfs) -> FiniteMixture:
     """Metropolis chains (shared uniform proposal) for a mixture of pmfs."""
     weights = np.asarray(weights, dtype=float)
-    pmfs = [np.asarray(p, dtype=float) for p in component_pmfs]
-    pmfs = [p / p.sum() for p in pmfs]
+    pmfs = [_normalized(np.asarray(p, float), f"component {i} pmf")
+            for i, p in enumerate(component_pmfs, 1)]
     mix_pmf = sum(w * p for w, p in zip(weights, pmfs))
     chain = _kernels.mh_transition_matrix(mix_pmf)
     comps = tuple(_kernels.mh_transition_matrix(p) for p in pmfs)

@@ -25,7 +25,7 @@ from .core import (
     Level,
     ParticleEnsemble,
     TargetMixture,
-    _summable,
+    _normalized,
     effective_sample_size,
     eval_mixture_logdensity,
     mixture_grad_logdensity,
@@ -303,15 +303,11 @@ def build_finite_ladder(pmfs, chains, time_budget=1.0) -> Ladder:
     ``pmfs`` are the per-level stationary pmfs (normalized, so ratios are the exact
     normalized ratios) and ``chains`` the per-level FiniteChains, each level's smoothing
     kernel; the level-1 chain may be None since no smoothing happens there.  Every level
-    gets ``time_budget``.  A pmf of another length than level 1's is refused, and so are
-    a pmf that sums to 0 and a level with mass on a state that the level before gives
-    probability 0: its weights are undefined there.
+    gets ``time_budget``.  A pmf of another length than level 1's is refused, as are a
+    pmf with a negative entry or a zero sum and a level with mass on a state that the
+    level before gives probability 0: its weights are undefined there.
     """
-    pmfs = [_summable(np.asarray(p, dtype=float)) for p in pmfs]
-    sums = [np.sum(p) for p in pmfs]
-    if 0 in sums:
-        raise ValueError(f"level {sums.index(0) + 1} has a pmf whose entries sum to 0")
-    pmfs = [p / total for p, total in zip(pmfs, sums)]
+    pmfs = [_normalized(np.asarray(p, float), f"level {k} pmf") for k, p in enumerate(pmfs, 1)]
     if len(chains) != len(pmfs):
         raise ValueError("need one chain per level")
     levels = []

@@ -1820,7 +1820,19 @@ class TestLadderFile:
             assert self.run_with_ladder(tmp_path, path) == 2
         assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
         (line,) = capsys.readouterr().err.splitlines()
-        assert line == "config error: level 1 has a pmf whose entries sum to 0"
+        assert line == ("config error: level 1 pmf must have nonnegative entries and a "
+                        "positive sum")
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_pmf_is_config_error_naming_its_level(self, tmp_path, capsys):
+        # level 1 has no chain to refuse it: its pmf would divide to [0.5, 0.5]
+        path = write_json(tmp_path / "bad_ladder.json", {"kind": "finite_ladder", "levels": [
+            {"pmf": [-1, -1], "P": None},
+            {"pmf": [0.5, 0.5], "P": [[0.5, 0.5], [0.5, 0.5]]}]})
+        assert self.run_with_ladder(tmp_path, path) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("config error: level 1 pmf must have nonnegative entries and a "
+                        "positive sum")
         assert not (tmp_path / "o").exists()
 
     def test_later_pmf_summing_to_zero_is_config_error_naming_its_level(self, tmp_path,

@@ -8,12 +8,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import smcmix
-from smcmix import oracle, sequences
+from smcmix import bounds, kernels, oracle, sequences
 from smcmix.bounds import AssumptionParams
 from smcmix.core import (
     FiniteChain,
@@ -21,6 +21,7 @@ from smcmix.core import (
     Level,
     ParticleEnsemble,
     TargetMixture,
+    _normalized,
     effective_sample_size,
     eval_mixture_logdensity,
     mixture_grad_logdensity,
@@ -363,6 +364,40 @@ class TestFiniteChain:
         assert chain.pi.tolist() == [0.5, 0.5]
 
 
+class TestNormalized:
+    """``_normalized`` turns masses into a probability vector for every caller."""
+
+    @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_plain_quotient_when_the_sum_is_finite(self, masses):
+        p = np.array(masses)
+        total = p.sum()
+        assume(0.0 < total < np.inf)
+        assert _normalized(p, "p").tobytes() == (p / total).tobytes()
+
+    @given(st.lists(st.floats(1e307, 1.7e308), min_size=2, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_scales_a_sum_that_overflows(self, masses):
+        p = np.array(masses)
+        with np.errstate(over="ignore"):
+            assume(np.isinf(p.sum()))
+        scaled = p / p.max()
+        assert _normalized(p, "p").tobytes() == (scaled / scaled.sum()).tobytes()
+
+    @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8), st.integers(0, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_nan_passes(self, masses, at):
+        p = np.array(masses)
+        p[at % p.size] = NAN
+        assert np.isnan(_normalized(p, "p")).all()
+
+    @pytest.mark.parametrize("p", [[-1.0, 2.0], [0.0, 0.0], [-0.0, 0.0], [-1e308, -1e308]])
+    def test_refuses_a_negative_entry_or_a_zero_sum(self, p):
+        with pytest.raises(ValueError, match="^masses must have nonnegative entries and a "
+                                             "positive sum$"):
+            _normalized(np.array(p), "masses")
+
+
 class TestValidateLadder:
     """A ladder's ratios evaluated directly against their bounds."""
 
@@ -473,6 +508,36 @@ NAN_INPUTS = {
                                "positive and sum to 1"),
     "assumption_gamma": (lambda: assumption_params(gamma=NAN), "gamma must be >= 1"),
     "assumption_c_star": (lambda: assumption_params(c_star_per_level=(NAN,)), "positive c_star"),
+    "lsi_bound_c1": (lambda: bounds.lsi_convolution_bound(NAN, 1.0), "c1 must be positive"),
+    "lsi_bound_c2": (lambda: bounds.lsi_convolution_bound(1.0, NAN), "c2 nonnegative"),
+    "single_step_t": (lambda: bounds.single_step_constants(1.0, 1.0, NAN, [0.5, 0.5]),
+                      "t must be positive"),
+    "delta_recursion_beta": (lambda: bounds.delta_recursion(8, 0.1, NAN, 1.0),
+                             "beta must be >= 1"),
+    "delta_recursion_gamma": (lambda: bounds.delta_recursion(8, 0.1, 2.0, NAN),
+                              "gamma must be >= 1"),
+    "q_of_t_t": (lambda: bounds.q_of_t(2.0, 1.0, NAN), "t must be nonnegative"),
+    "q_of_t_c_star": (lambda: bounds.q_of_t(2.0, NAN, 1.0), "c_star must be positive"),
+    "bound_report_beta": (lambda: replace(bounds.prescribe_main(assumption_params()), beta=NAN),
+                          "beta must exceed 1"),
+    "convolution_sigma": (lambda: bounds.prescribe_convolution(assumption_params(), NAN,
+                                                               [0.5, 1.0], 1),
+                          "sigma must be nonnegative"),
+    "ladder_gamma_bound": (lambda: Ladder(levels=(
+        Level(kernel=None, time_budget=1.0, pmf=[0.5, 0.5]),), gamma_bound=NAN),
+        "gamma bound must be >= 1"),
+    "default_step_size": (lambda: kernels.default_step_size(NAN), "hessian bound"),
+    "ula_time": (lambda: kernels.ula_evolve(np.negative, np.zeros((2, 1)), NAN, 0.1,
+                                            np.random.default_rng(0)), "time must be nonnegative"),
+    "poissonized_time": (lambda: kernels.poissonized_evolve(
+        FiniteChain(P=np.full((2, 2), 0.5)), 0, NAN, np.random.default_rng(0)),
+        "time must be nonnegative"),
+    "glauber_pmf": (lambda: kernels.glauber_transition_matrix([NAN, 1.0, 1.0, 1.0], 2),
+                    "strictly positive pmf"),
+    "metropolis_pmf": (lambda: kernels.mh_transition_matrix([NAN, 1.0]),
+                       "strictly positive pmf"),
+    "semigroup_time": (lambda: oracle.semigroup(FiniteChain(P=np.full((2, 2), 0.5)), NAN),
+                       "t must be nonnegative"),
 }
 
 

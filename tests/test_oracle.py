@@ -84,6 +84,11 @@ class TestGeneratorDecomposition:
         report = check_generator_decomposition(mix, 1000, rng)
         assert report.passed
 
+    def test_mh_mixture_refuses_a_component_it_cannot_normalize(self):
+        # [-1, -3] would divide to the component [0.25, 0.75]
+        with pytest.raises(ValueError, match="component 1 pmf must have nonnegative entries"):
+            mh_mixture([0.5, 0.5], [[-1.0, -3.0], [1.0, 1.0]])
+
     def test_failure_witness_holds_the_smallest_slack(self):
         # a holding mixture chain (P = I) has no Dirichlet energy to spare
         mix = oracle.standard_glauber_mixture(3)

@@ -533,6 +533,13 @@ class TestFiniteLadder:
         with pytest.raises(ValueError, match="chain at level 2 is not stationary for its pmf"):
             build_finite_ladder([[0.5, 0.5], [0.5, 0.5]], [None, chain3])
 
+    @pytest.mark.parametrize("pmf", [[-1.0, -1.0], [-1.0, 0.0], [0.0, 0.0]])
+    def test_pmf_it_cannot_normalize_refused_by_level(self, pmf):
+        # [-1, -1] would divide to [0.5, 0.5] and [-1, 0] to [1, -0]
+        with pytest.raises(ValueError, match="^level 1 pmf must have nonnegative entries "
+                                             "and a positive sum$"):
+            build_finite_ladder([pmf], [None])
+
     def test_levels_smooth_by_their_chain(self, finite_ladder):
         # the chain is the kernel: a finite level carries no KernelSpec
         ladder, _, _ = finite_ladder

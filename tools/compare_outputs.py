@@ -2,7 +2,7 @@
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
-Cases (449): ``run`` and ``bounds`` on the 100 pinned configs of
+Cases (452): ``run`` and ``bounds`` on the 100 pinned configs of
 ``tests/test_fuzz.py``, ``sweep`` on their sweeps, ``run`` and ``sweep`` on
 its 30 pinned finite-ladder configs and on its 30 with nested supports, a
 README-style tempering ``run`` with and without a ``time_policy`` (the
@@ -16,18 +16,19 @@ and a finite-ladder ``sweep``, a tempering ``run`` on covariances 0.01 I
 whose Langevin ``kernel`` section has no ``step_size``, a one-level
 finite-ladder ``run`` (empty per-level lists, a header-only ``levels.csv``),
 a finite-ladder ``run`` with a zero-probability state and chains with zero
-entries, a tempering ``run`` at N = 512 on three components in d = 3
-with unequal full covariances, a tempering ``run`` on means 1e9 whose
-level-1 proposal covariance cancels to one that is not positive definite
-(a config error), the three time budgets past the step limit of
-``tests/test_cli.py`` (Langevin and Metropolis ``run``, ``sweep``; config
-errors), a tempering ``run`` with one explicit budget per level, a
-``from_theorem`` tempering ``run`` on one component in d = 1 with a
-stepless Langevin kernel, a finite-ladder ``run`` with ``--seed
+entries, three finite-ladder ``run``s whose level-1 pmf is ``[-1, -1]``,
+``[-1, 0]`` (one level) or ``[0, 0]`` (config errors), a tempering ``run``
+at N = 512 on three components in d = 3 with unequal full covariances, a
+tempering ``run`` on means 1e9 whose level-1 proposal covariance cancels to
+one that is not positive definite (a config error), the three time budgets
+past the step limit of ``tests/test_cli.py`` (Langevin and Metropolis
+``run``, ``sweep``; config errors), a tempering ``run`` with one explicit
+budget per level, a ``from_theorem`` tempering ``run`` on one component in
+d = 1 with a stepless Langevin kernel, a finite-ladder ``run`` with ``--seed
 18446744073709551619`` (2^64 + 3, a master seed of three 32-bit words), a
-tempering ``sweep`` with ``--seed 5``, ``bounds`` with explicit ``delta`` and
-``p``, and ``verify`` with ``--seed 0``, ``--seed 3``, without a seed, and
-with ``trials_scale`` 0.3 and a chain file.  The cases not named with
+tempering ``sweep`` with ``--seed 5``, ``bounds`` with explicit ``delta``
+and ``p``, and ``verify`` with ``--seed 0``, ``--seed 3``, without a seed,
+and with ``trials_scale`` 0.3 and a chain file.  The cases not named with
 ``--threads 2`` pass ``--threads 1``, those of ``verify`` no ``--threads``.
 Each side runs them through ``smcmix.cli.main`` in its own process with
 ``PYTHONPATH=<side>``.  Compared per case: the exit code, stdout, stderr with
@@ -154,6 +155,15 @@ def make_cases(workdir: str) -> list:
     add("finite_zeros", readme(replicates=50, kernel=None, ladder={"kind": "from_file"},
                                target={"kind": "finite_ladder_file", "path": zeros},
                                estimand={"name": "mode_indicator", "mode_index": 1}), "run")
+    # a level-1 pmf with a negative entry or a zero sum is a config error, before --out is made
+    uniform = {"pmf": [0.5, 0.5], "P": [[0.5, 0.5], [0.5, 0.5]]}
+    for name, levels in (("negative_pmf", [{"pmf": [-1, -1], "P": None}, uniform]),
+                         ("negative_one_level", [{"pmf": [-1, 0], "P": None}]),
+                         ("zero_pmf", [{"pmf": [0, 0], "P": None}, uniform])):
+        path = os.path.join(workdir, f"{name}_ladder.json")
+        Path(path).write_text(json.dumps({"kind": "finite_ladder", "levels": levels}))
+        add(name, readme(replicates=5, **{
+            **finite, "target": {"kind": "finite_ladder_file", "path": path}}), "run")
     # the level-1 Gaussian proposal of a tempered mixture, from full covariances
     add("tempering_full_cov", readme(target={
         "kind": "gaussian_mixture", "weights": [0.2, 0.5, 0.3],
